@@ -41,6 +41,14 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
+def _lambda(text: str, admissible, need: str) -> Fraction:
+    """Parse --lambda and reject, before any work, a value the command cannot run."""
+    lam = _fraction(text)
+    if not admissible(lam):
+        raise UsageError(f"--lambda {lam} is out of range: {need}")
+    return lam
+
+
 def load_config_file(path: str) -> dict:
     """Flat key = value file; '#' starts a comment; booleans are true/false."""
     out: dict = {}
@@ -99,15 +107,15 @@ def cmd_verify(args) -> int:
 def cmd_eigen(args) -> int:
     from .models import deltoid_model
     from .report import emit_json
-    from .spectral import eigen_PQ, eigen_R
+    from .spectral import eigenbasis, pq_pair
 
-    lam = _fraction(args.lam)
-    model = deltoid_model(lam)
+    lam = _lambda(args.lam, lambda lam: lam > 0, "the deltoid model needs lambda > 0")
+    basis = eigenbasis(deltoid_model(lam), args.degree_max)
     entries = []
     for d in range(args.degree_max + 1):
         for k in range(d + 1):
             n = d - k
-            r = eigen_R(model, n, k)
+            r = basis[(n, k)]
             entries.append(
                 {"flavor": "R", "n": n, "k": k,
                  "eigenvalue": str(r.eigenvalue), "poly": str(r.poly)}
@@ -115,7 +123,7 @@ def cmd_eigen(args) -> int:
     for d in range(args.degree_max + 1):
         for k in range(d // 2 + 1):
             n = d - k
-            p_hat, q_hat = eigen_PQ(model, n, k)
+            p_hat, q_hat = pq_pair(basis[(n, k)], basis[(k, n)])
             entries.append(
                 {"flavor": "P", "n": n, "k": k,
                  "eigenvalue": str(p_hat.eigenvalue), "poly": str(p_hat.poly)}
@@ -138,7 +146,7 @@ def cmd_gram(args) -> int:
     from .report import emit_json
     from .spectral import eigen_PQ_lambda, pq_indices
 
-    lam = _fraction(args.lam)
+    lam = _lambda(args.lam, lambda lam: lam >= 1, "torus quadrature needs lambda >= 1")
     grid = TorusGrid.build(lam, args.grid)
     polys = []
     labels = []
@@ -177,7 +185,8 @@ def cmd_markov(args) -> int:
     from .report import emit_csv, emit_json, markov_matrices_to_csv
     from .sampling import sample_omega1
 
-    lam = _fraction(args.lam)
+    lam = _lambda(args.lam, lambda lam: lam >= Fraction(11, 2),
+                  "rejection sampling of the lifted domain needs lambda >= 11/2")
     if args.n is not None:
         k = args.k if args.k is not None else 0
         if k > args.n:

@@ -5,7 +5,9 @@ and act lower-triangularly on monomials: applying L to a monomial returns
 the monomial itself (the diagonal, a rational multiple) plus monomials that
 are strictly smaller in the grading order.  The eigenpolynomial with a
 prescribed leading monomial is therefore found by back-substitution down
-the order, one exact rational coefficient at a time.
+the order, one exact rational coefficient at a time.  L is applied once per
+monomial into an operator table, and every leading monomial of a basis is
+solved from that one table.
 
 For the deltoid family the grading is the total degree in (Z, Zb) and the
 eigenvalue of the leading monomial Z^n Zb^k is
@@ -24,12 +26,10 @@ recorded on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .diffusion import DiffusionModel, l_apply
 from .models import (
@@ -43,6 +43,8 @@ from .poly import Exponents, MPoly, monomials_up_to
 from .scalars import FieldScalar, I, ONE, RationalLike, j_power
 
 OrderKey = Callable[[Exponents], tuple]
+# L applied to each monomial of a graded basis up to some degree.
+OperatorTable = dict[Exponents, MPoly]
 
 
 class EigenvalueCollisionError(ArithmeticError):
@@ -64,8 +66,7 @@ class EigenPoly:
 
     eigenvalue stores mu with L(poly) = -mu * poly.  flavor is one of
     'R' (monomial leading term), 'P' (symmetric), 'Q' (antisymmetric),
-    'G' (G2 weighted-graded basis).  l2_scale, when present, is the numeric
-    factor making the polynomial unit-norm for the relevant measure.
+    'G' (G2 weighted-graded basis).
     """
 
     n: int
@@ -73,13 +74,7 @@ class EigenPoly:
     eigenvalue: Fraction
     poly: MPoly
     flavor: str
-    l2_scale: float | None = None
     collisions: tuple[Exponents, ...] = ()
-
-    def scaled_values(self, values: np.ndarray) -> np.ndarray:
-        if self.l2_scale is None:
-            return values
-        return values * self.l2_scale
 
 
 def eigenvalue_deltoid(lam: Fraction, n: int, k: int) -> Fraction:
@@ -101,79 +96,73 @@ def _g2_key(e: Exponents) -> tuple:
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Monomial basis organized by a grading the operator respects."""
+    """Monomial basis organized by a grading the operator respects.
+
+    flavor is the EigenPoly flavor of the eigenpolynomials it indexes.
+    """
 
     variables: tuple[str, ...]
     degree: Callable[[Exponents], int]
     order_key: OrderKey
+    flavor: str
 
     def monomials(self, max_degree: int) -> list[Exponents]:
         return monomials_up_to(self.variables, max_degree, weight=self.degree)
 
-    def closed_under(self, model: DiffusionModel, max_degree: int) -> bool:
-        """Check that L maps each graded slice span(degree <= d) into itself."""
-        for exps in self.monomials(max_degree):
-            image = l_apply(model, _monomial(self.variables, exps))
-            bound = self.degree(exps)
-            if any(self.degree(e) > bound for e in image.terms):
-                return False
-        return True
 
-
-DELTOID_BASIS = GradedBasis(DELTOID_VARS, lambda e: sum(e), _total_degree_key)
-G2_BASIS = GradedBasis(G2_VARS, g2_weighted_degree, _g2_key)
+DELTOID_BASIS = GradedBasis(DELTOID_VARS, lambda e: sum(e), _total_degree_key, "R")
+G2_BASIS = GradedBasis(G2_VARS, g2_weighted_degree, _g2_key, "G")
 
 
 def _monomial(variables: Sequence[str], exps: Exponents) -> MPoly:
     return MPoly(variables, {tuple(exps): ONE})
 
 
+def operator_table(model: DiffusionModel, basis: GradedBasis, max_degree: int) -> OperatorTable:
+    """Apply L once to every basis monomial of degree <= max_degree."""
+    return {
+        exps: l_apply(model, _monomial(basis.variables, exps))
+        for exps in basis.monomials(max_degree)
+    }
+
+
+def _diagonal(table: OperatorTable, exps: Exponents) -> Fraction:
+    coeff = table[exps].coefficient(exps)
+    if coeff and not coeff.is_rational():
+        raise ValueError(f"non-rational diagonal at {exps}")
+    return coeff.rational_value() if coeff else Fraction(0)
+
+
 def graded_triangular_solve(
     model: DiffusionModel,
     lead: Exponents,
     order_key: OrderKey,
-    candidates: Iterable[Exponents],
+    table: OperatorTable,
 ) -> tuple[MPoly, Fraction, tuple[Exponents, ...]]:
     """Back-substitute the eigenpolynomial with the given leading monomial.
 
-    Returns (polynomial, eigenvalue mu, benign collisions).  The candidate
-    monomials must contain every monomial strictly below the lead in the
-    grading order that the operator can reach.
+    Returns (polynomial, eigenvalue mu, benign collisions).  The table must
+    hold the lead and every monomial strictly below it in the grading order
+    that the operator can reach; monomials above the lead are ignored.
     """
     variables = model.variables
     lead = tuple(lead)
     lead_key = order_key(lead)
 
-    diag_cache: dict[Exponents, Fraction] = {}
-    image_cache: dict[Exponents, MPoly] = {}
-
-    def image(exps: Exponents) -> MPoly:
-        if exps not in image_cache:
-            image_cache[exps] = l_apply(model, _monomial(variables, exps))
-        return image_cache[exps]
-
-    def diagonal(exps: Exponents) -> Fraction:
-        if exps not in diag_cache:
-            coeff = image(exps).coefficient(exps)
-            if coeff and not coeff.is_rational():
-                raise ValueError(f"non-rational diagonal at {exps}")
-            diag_cache[exps] = coeff.rational_value() if coeff else Fraction(0)
-        return diag_cache[exps]
-
-    mu = -diagonal(lead)
+    mu = -_diagonal(table, lead)
     below = sorted(
-        (tuple(e) for e in candidates if order_key(tuple(e)) < lead_key),
+        (e for e in table if order_key(e) < lead_key),
         key=order_key,
         reverse=True,
     )
-    collisions = tuple(e for e in below if -diagonal(e) == mu)
+    collisions = tuple(e for e in below if -_diagonal(table, e) == mu)
 
     coeffs: dict[Exponents, FieldScalar] = {lead: ONE}
     # acc holds (L + mu)(partial solution); consumed as coefficients are fixed.
     acc: dict[Exponents, FieldScalar] = {}
 
     def accumulate(exps: Exponents, scale: FieldScalar) -> None:
-        shifted = image(exps) + _monomial(variables, exps) * mu
+        shifted = table[exps] + _monomial(variables, exps) * mu
         for e, c in shifted.terms.items():
             if order_key(e) > order_key(exps):
                 raise ValueError(
@@ -192,7 +181,7 @@ def graded_triangular_solve(
         rhs = acc.pop(exps, None)
         if rhs is None or not rhs:
             continue
-        denom = mu + diagonal(exps)  # mu - mu_m with mu_m = -diagonal
+        denom = mu + _diagonal(table, exps)  # mu - mu_m with mu_m = -diagonal
         if denom == 0:
             raise EigenvalueCollisionError(lead, exps, mu)
         c = rhs * Fraction(-1, 1) / FieldScalar.from_rational(denom)
@@ -205,42 +194,53 @@ def graded_triangular_solve(
     return MPoly(variables, coeffs), mu, collisions
 
 
+def _solve(
+    model: DiffusionModel, basis: GradedBasis, lead: Exponents, table: OperatorTable
+) -> EigenPoly:
+    poly, mu, collisions = graded_triangular_solve(model, lead, basis.order_key, table)
+    return EigenPoly(lead[0], lead[1], mu, poly, basis.flavor, collisions=collisions)
+
+
+def eigenbasis(model: DiffusionModel, max_degree: int) -> dict[Exponents, EigenPoly]:
+    """Every eigenpolynomial of degree <= max_degree, keyed by its leading monomial.
+
+    The model's variables pick the graded basis: R(n, k) keyed (n, k) for the
+    deltoid variables, the G2 basis keyed (r, t) for (s, p).  One operator
+    table serves every solve.
+    """
+    basis = next((b for b in (DELTOID_BASIS, G2_BASIS) if b.variables == model.variables), None)
+    if basis is None:
+        raise ValueError(f"no graded eigenbasis for the variables {model.variables}")
+    table = operator_table(model, basis, max_degree)
+    return {lead: _solve(model, basis, lead, table) for lead in table}
+
+
 # ---------------------------------------------------------------------------
 # Deltoid basis
 # ---------------------------------------------------------------------------
 
 
-def eigen_R(model: DiffusionModel, n: int, k: int) -> EigenPoly:
-    """Eigenpolynomial with leading term Z^n Zb^k on a deltoid-type model."""
+def _deltoid_table(model: DiffusionModel, n: int, k: int) -> OperatorTable:
     if model.variables != DELTOID_VARS:
         raise ValueError("eigen_R expects a model in the deltoid variables")
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    lead = (n, k)
-    poly, mu, collisions = graded_triangular_solve(
-        model, lead, DELTOID_BASIS.order_key, DELTOID_BASIS.monomials(n + k)
-    )
-    return EigenPoly(n, k, mu, poly, "R", collisions=collisions)
+    return operator_table(model, DELTOID_BASIS, n + k)
 
 
-@lru_cache(maxsize=None)
-def _eigen_R_cached(lam: Fraction, n: int, k: int) -> EigenPoly:
-    return eigen_R(deltoid_model(lam), n, k)
+def eigen_R(model: DiffusionModel, n: int, k: int) -> EigenPoly:
+    """Eigenpolynomial with leading term Z^n Zb^k on a deltoid-type model."""
+    return _solve(model, DELTOID_BASIS, (n, k), _deltoid_table(model, n, k))
 
 
-def eigen_R_lambda(lam: RationalLike, n: int, k: int) -> EigenPoly:
-    return _eigen_R_cached(Fraction(lam), n, k)
-
-
-def eigen_PQ(model: DiffusionModel, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
-    """Symmetric/antisymmetric pair in leading-coefficient normalization.
+def pq_pair(r_nk: EigenPoly, r_kn: EigenPoly) -> tuple[EigenPoly, EigenPoly]:
+    """Symmetric/antisymmetric pair of index (n, k) from R(n, k) and R(k, n).
 
     P-hat has dominant term (Z^n Zb^k + Z^k Zb^n)/2 and rational
     coefficients; Q-hat has dominant term -i (Z^n Zb^k - Z^k Zb^n)/2 and
     purely imaginary ones.  Q-hat vanishes identically when n = k.
     """
-    r_nk = eigen_R(model, n, k)
-    r_kn = eigen_R(model, k, n) if n != k else r_nk
+    n, k = r_nk.n, r_nk.k
     half = Fraction(1, 2)
     p_poly = (r_nk.poly + r_kn.poly) * half
     q_poly = (r_nk.poly - r_kn.poly) * (-I * FieldScalar.from_rational(half))
@@ -248,6 +248,14 @@ def eigen_PQ(model: DiffusionModel, n: int, k: int) -> tuple[EigenPoly, EigenPol
     p_hat = EigenPoly(n, k, r_nk.eigenvalue, p_poly, "P", collisions=collisions)
     q_hat = EigenPoly(n, k, r_nk.eigenvalue, q_poly, "Q", collisions=collisions)
     return p_hat, q_hat
+
+
+def eigen_PQ(model: DiffusionModel, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
+    """(P-hat, Q-hat) in leading-coefficient normalization; see pq_pair."""
+    table = _deltoid_table(model, n, k)
+    r_nk = _solve(model, DELTOID_BASIS, (n, k), table)
+    r_kn = _solve(model, DELTOID_BASIS, (k, n), table) if n != k else r_nk
+    return pq_pair(r_nk, r_kn)
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +294,8 @@ class RotationReport:
         return self.ok_2x2 and self.ok_scalar
 
 
-def verify_rotation(model: DiffusionModel, n: int, k: int) -> RotationReport:
-    """Check the rotation action Z -> jZ on the (P-hat, Q-hat) pair, exactly.
+def rotation_report(p_hat: EigenPoly, q_hat: EigenPoly) -> RotationReport:
+    """Check the rotation action Z -> jZ on a (P-hat, Q-hat) pair, exactly.
 
     The 2x2 form states, with m = n - k, c = (j^m + jbar^m)/2 and
     b = i (j^m - jbar^m)/2:
@@ -297,8 +305,7 @@ def verify_rotation(model: DiffusionModel, n: int, k: int) -> RotationReport:
 
     which is equivalent to (P-hat + i Q-hat) picking up the scalar j^m.
     """
-    p_hat, q_hat = eigen_PQ(model, n, k)
-    m = n - k
+    m = p_hat.n - p_hat.k
     jm = j_power(m)
     jmbar = jm.conj()
     c = (jm + jmbar) * Fraction(1, 2)
@@ -310,7 +317,12 @@ def verify_rotation(model: DiffusionModel, n: int, k: int) -> RotationReport:
     )
     combo = p_hat.poly + q_hat.poly * I
     ok_scalar = combo.rotate_j(DELTOID_J_WEIGHTS) == combo * jm
-    return RotationReport(n, k, ok_2x2, ok_scalar, m % 3)
+    return RotationReport(p_hat.n, p_hat.k, ok_2x2, ok_scalar, m % 3)
+
+
+def verify_rotation(model: DiffusionModel, n: int, k: int) -> RotationReport:
+    """rotation_report of the (P-hat, Q-hat) pair of index (n, k)."""
+    return rotation_report(*eigen_PQ(model, n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +340,11 @@ def eigen_g2(model: DiffusionModel, weighted_degree: int) -> list[EigenPoly]:
         raise ValueError("eigen_g2 expects a model in the (s, p) variables")
     if weighted_degree < 0:
         raise ValueError("weighted degree must be nonnegative")
-    candidates = G2_BASIS.monomials(weighted_degree)
-    out: list[EigenPoly] = []
-    for t in range(weighted_degree // 2 + 1):
-        r = weighted_degree - 2 * t
-        poly, mu, collisions = graded_triangular_solve(
-            model, (r, t), G2_BASIS.order_key, candidates
-        )
-        out.append(EigenPoly(r, t, mu, poly, "G", collisions=collisions))
-    return out
+    table = operator_table(model, G2_BASIS, weighted_degree)
+    return [
+        _solve(model, G2_BASIS, (weighted_degree - 2 * t, t), table)
+        for t in range(weighted_degree // 2 + 1)
+    ]
 
 
 def rewrite_symmetric_in_sp(poly: MPoly) -> MPoly:
@@ -347,24 +355,6 @@ def rewrite_symmetric_in_sp(poly: MPoly) -> MPoly:
     if poly.swap_variables(DELTOID_CONJ_PAIRS) != poly:
         raise ValueError("polynomial is not symmetric under the variable swap")
     return rewrite_in_images(poly, PSI_IMAGES, G2_VARS, "symmetric rewrite")
-
-
-# ---------------------------------------------------------------------------
-# Numeric normalization
-# ---------------------------------------------------------------------------
-
-
-def norm_and_orthonormalize(e: EigenPoly, grid) -> EigenPoly:
-    """Attach the numeric unit-norm scale for the grid's measure.
-
-    The exact coefficients are untouched: ratio quantities such as
-    poly(Z)/poly(1) stay normalization-independent.
-    """
-    values = grid.evaluate(e.poly)
-    norm2 = float(grid.mean(np.abs(values) ** 2))
-    if not np.isfinite(norm2) or norm2 <= 0.0:
-        raise ValueError(f"quadrature norm failed for index ({e.n},{e.k})")
-    return replace(e, l2_scale=1.0 / np.sqrt(norm2))
 
 
 def coefficient_components_ok(e: EigenPoly) -> bool:

@@ -92,11 +92,12 @@ from .scalars import FieldScalar, ONE
 from .spectral import (
     coefficient_components_ok,
     eigen_PQ_lambda,
-    eigen_R,
-    eigen_g2,
+    eigenbasis,
     eigenvalue_deltoid,
     pq_indices,
-    verify_rotation,
+    pq_pair,
+    rewrite_symmetric_in_sp,
+    rotation_report,
 )
 
 LAMBDA_EIGEN_SET = (Fraction(1), Fraction(5, 2), Fraction(7, 3), Fraction(4), Fraction(11, 2))
@@ -526,12 +527,19 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
 
 def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
     dmax = config.eigen_degree_max
+    # One exact basis per parameter serves every check below; the G2 match and
+    # the cusp scan reach degree 5 whatever dmax is.
+    bases = {lam: eigenbasis(deltoid_model(lam), max(dmax, 5)) for lam in LAMBDA_EIGEN_SET}
+
+    def pq(lam: Fraction, n: int, k: int):
+        return pq_pair(bases[lam][(n, k)], bases[lam][(k, n)])
+
     for lam in LAMBDA_EIGEN_SET:
         model = deltoid_model(lam)
         for d in range(dmax + 1):
             for k in range(d + 1):
                 n = d - k
-                e = eigen_R(model, n, k)
+                e = bases[lam][(n, k)]
                 _require("spectral.eigen_relation",
                          l_apply(model, e.poly) == e.poly * (-e.eigenvalue)
                          and e.eigenvalue == eigenvalue_deltoid(lam, n, k),
@@ -541,29 +549,24 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
                f"{tuple(str(l) for l in LAMBDA_EIGEN_SET)}")
 
     for lam in (Fraction(4), Fraction(7, 3)):
-        model = deltoid_model(lam)
         for n, k in pq_indices(min(dmax, 6)):
-            r_nk = eigen_R(model, n, k)
-            r_kn = eigen_R(model, k, n)
             _require("spectral.conjugation_swap",
-                     r_nk.poly.conj_swap(DELTOID_CONJ_PAIRS) == r_kn.poly,
+                     bases[lam][(n, k)].poly.conj_swap(DELTOID_CONJ_PAIRS)
+                     == bases[lam][(k, n)].poly,
                      f"lambda={lam}, (n,k)=({n},{k})")
     report.add("spectral.conjugation_swap", "eigenbasis-conjugation-swap", "proven-exact",
                "conjugation swap maps R(n,k) to R(k,n) exactly")
 
     for lam in LAMBDA_EIGEN_SET:
-        model = deltoid_model(lam)
         for n, k in pq_indices(min(dmax, 6), include_constant=True):
-            rep = verify_rotation(model, n, k)
-            _require("spectral.rotation_relation", rep.ok,
+            _require("spectral.rotation_relation", rotation_report(*pq(lam, n, k)).ok,
                      f"lambda={lam}, (n,k)=({n},{k})")
     report.add("spectral.rotation_relation", "eigenpair-rotation-action", "proven-exact",
                "2x2 rotation action exact; the pair P + iQ picks up the scalar j**(n-k)")
 
     for lam in (Fraction(4),):
-        model = deltoid_model(lam)
         for n, k in pq_indices(min(dmax, 6)):
-            p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
+            p_hat, q_hat = pq(lam, n, k)
             _require("spectral.coefficient_realness",
                      coefficient_components_ok(p_hat) and coefficient_components_ok(q_hat),
                      f"(n,k)=({n},{k})")
@@ -571,14 +574,11 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
                "proven-exact", "R, P coefficients rational; Q coefficients purely imaginary")
 
     lam = Fraction(7, 3)
-    gmodel = g2_from_lambda(lam)
-    from .spectral import rewrite_symmetric_in_sp
-
+    g2_basis = eigenbasis(g2_from_lambda(lam), 5)
     for n, k in pq_indices(5):
-        p_hat, _ = eigen_PQ_lambda(lam, n, k)
+        p_hat, _ = pq(lam, n, k)
         in_sp = rewrite_symmetric_in_sp(p_hat.poly)
-        slice_polys = eigen_g2(gmodel, n + k)
-        match = next(e for e in slice_polys if (e.n, e.k) == (n - k, k))
+        match = g2_basis[(n - k, k)]
         lead = in_sp.coefficient((n - k, k))
         _require("spectral.g2_eigen_match", in_sp == match.poly * lead,
                  f"(n,k)=({n},{k})")
@@ -600,7 +600,7 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
     worst_dist = 0.0
     for lam in (Fraction(4), Fraction(11, 2)):
         for n, k in pq_indices(5, include_constant=True):
-            p_hat, _ = eigen_PQ_lambda(lam, n, k)
+            p_hat, _ = pq(lam, n, k)
             vals = np.abs(p_hat.poly.evaluate({"Z": zgrid, "Zb": np.conj(zgrid)}))
             vals = np.where(closure, vals, -np.inf)
             gmax = float(vals.max())

@@ -108,6 +108,19 @@ class TestCli:
         assert main(["eigen", "--lambda", "zero/0"]) == 3
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--lambda", "0"],
+        ["eigen", "--lambda", "-2"],
+        ["gram", "--lambda", "1/2"],
+        ["markov", "--lambda", "4"],
+    ], ids=["eigen-zero", "eigen-negative", "gram-below-one", "markov-below-eleven-halves"])
+    def test_out_of_range_lambda_exit_code(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --lambda") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_eigen_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "eigen.json"
         assert main(["eigen", "--lambda", "7/3", "--degree-max", "4", "--out", str(out)]) == 0

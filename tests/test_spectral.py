@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from deltoid_lab.diffusion import DiffusionModel, l_apply
@@ -18,9 +17,10 @@ from deltoid_lab.spectral import (
     eigen_PQ,
     eigen_PQ_lambda,
     eigen_R,
+    eigenbasis,
     eigenvalue_deltoid,
     g2_weighted_degree,
-    norm_and_orthonormalize,
+    operator_table,
     pq_indices,
     rewrite_symmetric_in_sp,
     verify_rotation,
@@ -165,34 +165,68 @@ class TestGradedBasis:
     def test_operator_preserves_grading(self):
         from deltoid_lab.spectral import DELTOID_BASIS, G2_BASIS
 
-        assert DELTOID_BASIS.closed_under(deltoid_model(Fraction(5, 2)), 6)
-        assert G2_BASIS.closed_under(g2_from_lambda(Fraction(5, 2)), 6)
+        for basis, model in ((DELTOID_BASIS, deltoid_model(Fraction(5, 2))),
+                             (G2_BASIS, g2_from_lambda(Fraction(5, 2)))):
+            table = operator_table(model, basis, 6)
+            assert all(basis.degree(e) <= basis.degree(exps)
+                       for exps, image in table.items() for e in image.terms)
 
     def test_g2_plain_degree_not_preserved(self):
         # The cubic term in Gamma(p, p) raises the plain total degree; only
         # the weighted grading is stable, which is the point of the grading.
         from deltoid_lab.spectral import GradedBasis, _total_degree_key
 
-        plain = GradedBasis(("s", "p"), lambda e: sum(e), _total_degree_key)
-        assert not plain.closed_under(g2_from_lambda(Fraction(5, 2)), 4)
+        plain = GradedBasis(("s", "p"), lambda e: sum(e), _total_degree_key, "G")
+        table = operator_table(g2_from_lambda(Fraction(5, 2)), plain, 4)
+        assert any(sum(e) > sum(exps) for exps, image in table.items() for e in image.terms)
 
 
-class TestNormalization:
-    def test_unit_norm_scale(self):
-        from deltoid_lab.quadrature import TorusGrid
+class TestEigenbasis:
+    def test_deltoid_basis_matches_eigen_R(self, monkeypatch):
+        from deltoid_lab import spectral
 
-        grid = TorusGrid.build(Fraction(4), 64)
-        p_hat, _ = eigen_PQ_lambda(Fraction(4), 2, 1)
-        scaled = norm_and_orthonormalize(p_hat, grid)
-        values = scaled.scaled_values(grid.evaluate(scaled.poly))
-        assert abs(float(grid.mean(np.abs(values) ** 2)) - 1.0) < 1e-12
-        # The exact coefficients are untouched.
-        assert scaled.poly == p_hat.poly
+        calls = []
 
-    def test_constant_has_unit_norm(self):
-        from deltoid_lab.quadrature import TorusGrid
+        def counted(model, poly):
+            calls.append(poly)
+            return l_apply(model, poly)
 
-        grid = TorusGrid.build(Fraction(4), 64)
-        e = eigen_R(deltoid_model(4), 0, 0)
-        scaled = norm_and_orthonormalize(e, grid)
-        assert scaled.l2_scale == pytest.approx(1.0)
+        monkeypatch.setattr(spectral, "l_apply", counted)
+        model = deltoid_model(1)
+        basis = eigenbasis(model, 8)
+        # One L application per monomial of degree <= 8, shared by every solve.
+        assert len(calls) == len(basis) == 45
+        monkeypatch.undo()
+        for (n, k), e in basis.items():
+            assert e == eigen_R(model, n, k)
+        # The benign flat-parameter collision survives the shared table.
+        assert (7, 0) in basis[(3, 5)].collisions
+
+    def test_g2_basis_matches_slices(self):
+        model = g2_from_lambda(LAM)
+        basis = eigenbasis(model, 6)
+        for d in range(7):
+            for e in eigen_g2(model, d):
+                assert basis[(e.n, e.k)] == e
+
+    def test_rejects_unknown_variables(self):
+        g = MPoly.variables_ring(("x",))
+        model = DiffusionModel(("x",), {("x", "x"): 1 - g["x"] ** 2}, {"x": -g["x"]})
+        with pytest.raises(ValueError):
+            eigenbasis(model, 2)
+
+
+class TestPieri:
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(7, 3), Fraction(4)])
+    def test_z_times_r_is_three_term(self, lam):
+        # Koornwinder's A2 Pieri rule: multiplying R(n,k) by Z leaves only
+        # R(n+1,k), R(n-1,k+1) and R(n,k-1).  Triangularity fixes the
+        # coefficient of R(n+1,k) to 1; the remainder must lie in the span
+        # of the other two.
+        basis = eigenbasis(deltoid_model(lam), 7)
+        for n, k in ((d - k, k) for d in range(7) for k in range(d + 1)):
+            rest = Z * basis[(n, k)].poly - basis[(n + 1, k)].poly
+            for m in ((n - 1, k + 1), (n, k - 1)):
+                if min(m) >= 0:
+                    rest = rest - basis[m].poly * rest.coefficient(m)
+            assert rest.is_zero(), (lam, n, k)
