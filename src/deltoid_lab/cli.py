@@ -41,11 +41,14 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
-def _lambda(text: str, admissible, need: str) -> Fraction:
-    """Parse --lambda and reject, before any work, a value the command cannot run."""
+def _lambda(text: str, layer: str) -> Fraction:
+    """Parse --lambda and reject, before any work, a value the layer cannot run."""
+    from .models import LAMBDA_RANGES
+
     lam = _fraction(text)
-    if not admissible(lam):
-        raise UsageError(f"--lambda {lam} is out of range: {need}")
+    needed = LAMBDA_RANGES[layer]
+    if not needed.admits(lam):
+        raise UsageError(f"--lambda {lam} is out of range: {needed.user} needs lambda {needed}")
     return lam
 
 
@@ -76,8 +79,12 @@ def _build_verify_config(args) -> "VerifyConfig":
                 raise UsageError(f"unknown config key {key!r}")
             if key == "negative_control":
                 values[key] = text.lower() in ("1", "true", "yes")
-            else:
+                continue
+            try:
                 values[key] = int(text)
+            except ValueError:
+                raise UsageError(
+                    f"config key {key!r} needs an integer, got {text!r}") from None
     for name in (
         "seed", "grid_n", "torus_samples", "su3_samples", "omega1_samples",
         "theta_per_axis", "eigen_degree_max",
@@ -109,7 +116,7 @@ def cmd_eigen(args) -> int:
     from .report import emit_json
     from .spectral import eigenbasis, pq_pair
 
-    lam = _lambda(args.lam, lambda lam: lam > 0, "the deltoid model needs lambda > 0")
+    lam = _lambda(args.lam, "model")
     basis = eigenbasis(deltoid_model(lam), args.degree_max)
     entries = []
     for d in range(args.degree_max + 1):
@@ -146,7 +153,7 @@ def cmd_gram(args) -> int:
     from .report import emit_json
     from .spectral import eigen_PQ_lambda, pq_indices
 
-    lam = _lambda(args.lam, lambda lam: lam >= 1, "torus quadrature needs lambda >= 1")
+    lam = _lambda(args.lam, "quadrature")
     grid = TorusGrid.build(lam, args.grid)
     polys = []
     labels = []
@@ -185,8 +192,7 @@ def cmd_markov(args) -> int:
     from .report import emit_csv, emit_json, markov_matrices_to_csv
     from .sampling import sample_omega1
 
-    lam = _lambda(args.lam, lambda lam: lam >= Fraction(11, 2),
-                  "rejection sampling of the lifted domain needs lambda >= 11/2")
+    lam = _lambda(args.lam, "rejection_sampler")
     if args.n is not None:
         k = args.k if args.k is not None else 0
         if k > args.n:
@@ -244,7 +250,8 @@ def cmd_sample(args) -> int:
             columns[f"re{idx}"] = flat[:, idx].real
             columns[f"im{idx}"] = flat[:, idx].imag
     elif args.kind == "omega1":
-        lam = _fraction(args.lam)
+        sampler = "rejection_sampler" if args.method == "rejection" else "lifted_sampler"
+        lam = _lambda(args.lam, sampler)
         batch = sample_omega1(lam, args.n, args.seed, method=args.method)
         columns = {}
         for idx in range(3):
@@ -276,7 +283,7 @@ def cmd_plot(args) -> int:
     elif args.what == "eigen":
         from .spectral import eigen_PQ_lambda
 
-        lam = _fraction(args.lam)
+        lam = _lambda(args.lam, "model")
         p_hat, _ = eigen_PQ_lambda(lam, args.n, args.k)
         text = eigen_levels_svg(p_hat.poly)
     else:  # pragma: no cover

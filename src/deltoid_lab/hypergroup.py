@@ -22,13 +22,14 @@ moment-sequence representation check for measures on the domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .models import ThetaPair, deltoid_boundary_values, z_of_theta, phi_theta
+from .poly import CompiledPolys
 from .quadrature import TorusGrid
 from .sampling import SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
@@ -60,6 +61,12 @@ class ProbeContext:
 
     pairs holds the (P-hat, Q-hat) eigenpolynomials per index; norms2 their
     squared quadrature norms; p_at_one the exact rational values P-hat(1).
+    basis compiles every P-hat and Q-hat once, in the order of pairs (rows
+    2i and 2i + 1 for the i-th index), and evaluates their real form.
+
+    The values on a lifted sample batch are memoized, one entry for the
+    projected batch and one for its rotation at the current theta.  Each
+    entry holds the batch object itself and is reused only for that object.
     """
 
     lam: Fraction
@@ -67,24 +74,22 @@ class ProbeContext:
     pairs: dict[tuple[int, int], tuple[EigenPoly, EigenPoly]]
     norms2: dict[tuple[int, int], tuple[float, float]]
     p_at_one: dict[tuple[int, int], Fraction]
+    basis: CompiledPolys = field(repr=False, compare=False)
+    _rows: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rows", {index: 2 * i for i, index in enumerate(self.pairs)})
 
     @staticmethod
     def build(lam: RationalLike, degree_max: int, grid_n: int = 96) -> "ProbeContext":
         lam = Fraction(lam)
         grid = TorusGrid.build(lam, grid_n)
         pairs: dict[tuple[int, int], tuple[EigenPoly, EigenPoly]] = {}
-        norms2: dict[tuple[int, int], tuple[float, float]] = {}
         p_at_one: dict[tuple[int, int], Fraction] = {}
         for n, k in pq_indices(degree_max):
             p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
             pairs[(n, k)] = (p_hat, q_hat)
-            p_norm2 = float(np.real(grid.mean(np.abs(grid.evaluate(p_hat.poly)) ** 2)))
-            q_norm2 = (
-                float(np.real(grid.mean(np.abs(grid.evaluate(q_hat.poly)) ** 2)))
-                if not q_hat.poly.is_zero()
-                else 0.0
-            )
-            norms2[(n, k)] = (p_norm2, q_norm2)
             value = p_hat.poly.evaluate_exact({"Z": 1, "Zb": 1})
             if not value:
                 raise ArithmeticError(
@@ -92,17 +97,36 @@ class ProbeContext:
                     "normalization is undefined (this contradicts the eigenbasis structure)"
                 )
             p_at_one[(n, k)] = value.rational_value()
-        return ProbeContext(lam, degree_max, pairs, norms2, p_at_one)
+        basis = CompiledPolys([e.poly for pair in pairs.values() for e in pair])
+        squares = basis.real_values(grid.z) ** 2
+        norms2 = {
+            index: (float(grid.mean(squares[2 * i])), float(grid.mean(squares[2 * i + 1])))
+            for i, index in enumerate(pairs)
+        }
+        return ProbeContext(lam, degree_max, pairs, norms2, p_at_one, basis)
+
+    def split(self, values: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (P-hat, Q-hat) rows of index (n, k) from an array of basis values."""
+        row = self._rows[(n, k)]
+        return values[row], values[row + 1]
 
     def eval_pair(self, n: int, k: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p_hat, q_hat = self.pairs[(n, k)]
-        point = {"Z": z, "Zb": np.conj(z)}
-        p_vals = np.real(p_hat.poly.evaluate(point))
-        if q_hat.poly.is_zero():
-            q_vals = np.zeros_like(p_vals)
+        return self.split(self.basis.real_values(z), n, k)
+
+    def batch_values(self, batch: SampleBatch, theta: ThetaPair | None = None) -> np.ndarray:
+        """Basis values at the projected batch, or at its rotation by theta."""
+        key = "base" if theta is None else "rotated"
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] is batch and entry[1] == theta:
+            return entry[2]
+        if theta is None:
+            z = pushforward_deltoid(batch)
         else:
-            q_vals = np.real(q_hat.poly.evaluate(point))
-        return p_vals, q_vals
+            z = phi_theta(batch.points, theta).mean(axis=1)
+        values = self.basis.real_values(z)
+        values.flags.writeable = False  # callers get row views of the memo
+        self._memo[key] = (batch, theta, values)
+        return values
 
 
 def markov_pair_exact(
@@ -159,11 +183,8 @@ def estimate_markov_matrix(
     """
     if batch.kind != "omega1":
         raise ValueError("markov estimation needs lifted-domain samples")
-    z_base = pushforward_deltoid(batch)
-    rotated = phi_theta(batch.points, theta)
-    z_rot = rotated.mean(axis=1)
-    p_base, q_base = ctx.eval_pair(n, k, z_base)
-    p_rot, q_rot = ctx.eval_pair(n, k, z_rot)
+    p_base, q_base = ctx.split(ctx.batch_values(batch), n, k)
+    p_rot, q_rot = ctx.split(ctx.batch_values(batch, theta), n, k)
     p_norm2, q_norm2 = ctx.norms2[(n, k)]
     if p_norm2 <= 0 or (n != k and q_norm2 <= 0):
         raise ArithmeticError(f"degenerate quadrature norms for index ({n},{k})")
@@ -267,16 +288,17 @@ def representation_coefficients(
         weights = np.full(len(z), 1.0 / len(z))
     weights = np.asarray(weights, dtype=float)
     weights = weights / weights.sum()
+    means = ctx.basis.real_values(z) @ weights
     out: dict[tuple[int, int], tuple[float, float]] = {}
-    for (n, k), (p_hat, q_hat) in ctx.pairs.items():
-        p_vals, q_vals = ctx.eval_pair(n, k, z)
+    for n, k in ctx.pairs:
+        p_mean, q_mean = ctx.split(means, n, k)
         denom = float(ctx.p_at_one[(n, k)])
-        a = float(np.dot(weights, p_vals)) / denom
+        a = float(p_mean) / denom
         if n == k:
             b = 0.0
         else:
             p_norm2, q_norm2 = ctx.norms2[(n, k)]
-            b = float(np.dot(weights, q_vals)) / denom * math.sqrt(p_norm2 / q_norm2)
+            b = float(q_mean) / denom * math.sqrt(p_norm2 / q_norm2)
         out[(n, k)] = (a, b)
     return out
 
@@ -400,13 +422,13 @@ def block_cross_correlations(
     Commutation forces these to vanish; each entry reports the correlation
     normalized to unit-norm functions together with its standard error.
     """
-    z_base = pushforward_deltoid(batch)
-    z_rot = phi_theta(batch.points, theta).mean(axis=1)
+    base = ctx.batch_values(batch)
+    rotated = ctx.batch_values(batch, theta)
     values: dict[tuple, np.ndarray] = {}
-    for (n, k), (p_hat, q_hat) in ctx.pairs.items():
+    for n, k in ctx.pairs:
         p_norm2, q_norm2 = ctx.norms2[(n, k)]
-        p_base, q_base = ctx.eval_pair(n, k, z_base)
-        p_rot, q_rot = ctx.eval_pair(n, k, z_rot)
+        p_base, q_base = ctx.split(base, n, k)
+        p_rot, q_rot = ctx.split(rotated, n, k)
         values[("P", n, k, "base")] = p_base / math.sqrt(p_norm2)
         values[("P", n, k, "rot")] = p_rot / math.sqrt(p_norm2)
         if n != k:

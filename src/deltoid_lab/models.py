@@ -632,8 +632,42 @@ def psi1_intertwining_factor(a2: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ParameterRange:
+    """lambda > bound, or lambda >= bound when inclusive; user names who needs it."""
+
+    bound: Fraction
+    inclusive: bool
+    user: str
+
+    def admits(self, lam: Fraction) -> bool:
+        return lam >= self.bound if self.inclusive else lam > self.bound
+
+    def __str__(self) -> str:
+        return f"{'>=' if self.inclusive else '>'} {self.bound}"
+
+
+# The deltoid parameter each layer accepts.  Torus quadrature needs a bounded
+# weight, the lifted sampler an integrable density P1**((2 lambda - 11)/6),
+# and rejection sampling the envelope P1**beta <= 1, i.e. beta >= 0.
+LAMBDA_RANGES = {
+    "model": ParameterRange(Fraction(0), False, "the deltoid model"),
+    "quadrature": ParameterRange(Fraction(1), True, "torus quadrature"),
+    "lifted_sampler": ParameterRange(Fraction(5, 2), False, "sampling of the lifted domain"),
+    "rejection_sampler": ParameterRange(
+        Fraction(11, 2), True, "rejection sampling of the lifted domain"),
+}
+
+
 MODEL_REGISTRY = {
-    "deltoid": {"constructor": "deltoid_model", "params": {"lambda": "> 0"}},
+    "deltoid": {
+        "constructor": "deltoid_model",
+        "params": {"lambda": str(LAMBDA_RANGES["model"])},
+        "numeric_ranges": {
+            layer: {"lambda": str(bound)}
+            for layer, bound in LAMBDA_RANGES.items() if layer != "model"
+        },
+    },
     "sixdim": {"constructor": "sixdim_model", "params": {"lambda": "> 0"}},
     "flat_torus": {"constructor": "flat_torus_model", "params": {}},
     "g2": {

@@ -306,19 +306,13 @@ class MPoly:
         return total
 
     def evaluate(self, point: Mapping[str, "complex | np.ndarray"]):
-        """Numeric evaluation; accepts scalars or numpy arrays per variable."""
-        vals = [point[v] for v in self.variables]
-        total = None
-        for exps, coeff in self.terms.items():
-            term = coeff.to_complex()
-            for val, k in zip(vals, exps):
-                if k:
-                    term = term * val**k
-            total = term if total is None else total + term
-        if total is None:
-            shapes = [np.shape(v) for v in vals if np.shape(v)]
-            return np.zeros(shapes[0], dtype=complex) if shapes else 0j
-        return total
+        """Numeric evaluation; accepts scalars or numpy arrays per variable.
+
+        Arrays broadcast against each other; the result has their shape, or
+        is a Python complex when every value is a scalar.
+        """
+        values = CompiledPolys([self]).values(point)[0]
+        return values if values.shape else complex(values)
 
     # -- canonical text -------------------------------------------------------
 
@@ -362,6 +356,155 @@ class MPoly:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MPoly({self})"
+
+
+# -- numeric evaluation on point sets --------------------------------------------
+
+# Points per evaluation block: the power table of one block stays in cache,
+# and no temporary grows with the size of the point set.
+EVAL_CHUNK = 1 << 14
+
+
+def _powers(base, top: int) -> list:
+    """[1, base, base**2, ..., base**top] by repeated multiplication."""
+    out = [1.0, base]
+    for _ in range(top - 1):
+        out.append(out[-1] * base)
+    return out[: top + 1]
+
+
+def _sum_terms(terms: list[tuple[complex, Exponents]], powers: list[list]):
+    """Sum of (c * x1**k1) * x2**k2 * ... over the terms, in term order."""
+    total = 0j
+    for coeff, exps in terms:
+        term = coeff
+        for p, k in zip(powers, exps):
+            if k:
+                term = term * p[k]
+        total = total + term
+    return total
+
+
+class CompiledPolys:
+    """Polynomials over one variable tuple, compiled for numeric evaluation.
+
+    Points are evaluated in blocks of EVAL_CHUNK; each block builds the
+    powers of every variable once, by repeated multiplication, and every
+    polynomial reads its terms from that shared table.
+
+    values() sums each polynomial's terms in its own term order, so the one
+    polynomial case (MPoly.evaluate) keeps the rounding of the term-by-term
+    formula.  The real form serves polynomials in a conjugate pair (w, wb)
+    at wb = conj(w): since w^a wb^b is w^(a-b) |w|^(2b) for a >= b and the
+    conjugate of w^(b-a) |w|^(2a) otherwise, the real parts of all the
+    polynomials are one real coefficient matrix times the table of the
+    features Re and Im of w^m |w|^(2s).
+    """
+
+    __slots__ = ("variables", "_terms", "_top", "_real")
+
+    def __init__(self, polys: Sequence[MPoly]):
+        polys = list(polys)
+        if not polys:
+            raise ValueError("no polynomials to compile")
+        for p in polys[1:]:
+            polys[0]._check_same_ring(p)
+        self.variables = polys[0].variables
+        # Per polynomial, (complex coefficient, exponents) in its term order.
+        self._terms = [[(c.to_complex(), e) for e, c in p.terms.items()] for p in polys]
+        exponents = [e for p in polys for e in p.terms] or [(0,) * len(self.variables)]
+        self._top = [max(column) for column in zip(*exponents)]
+        self._real: tuple[list[tuple[int, int, bool]], np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    # -- complex values, any variables ------------------------------------------
+
+    def values(self, point: Mapping[str, "complex | np.ndarray"]) -> np.ndarray:
+        """Complex values, shape (len(self), *broadcast shape of the point)."""
+        vals = [point[v] for v in self.variables]
+        if not any(getattr(v, "ndim", 0) for v in vals):
+            powers = [_powers(complex(v), top) for v, top in zip(vals, self._top)]
+            return np.array([_sum_terms(terms, powers) for terms in self._terms], dtype=complex)
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in vals))
+        shape = arrays[0].shape
+        flat = [a.reshape(-1) for a in arrays]
+        out = np.zeros((len(self), flat[0].size), dtype=complex)
+        for start in range(0, flat[0].size, EVAL_CHUNK):
+            block = slice(start, start + EVAL_CHUNK)
+            powers = [_powers(a[block], top) for a, top in zip(flat, self._top)]
+            for i, terms in enumerate(self._terms):
+                out[i, block] = _sum_terms(terms, powers)
+        return out.reshape((len(self), *shape))
+
+    # -- real form, one conjugate pair -------------------------------------------
+
+    def _real_matrix(self) -> tuple[list[tuple[int, int, bool]], np.ndarray]:
+        """Features (m, s, imaginary part) and the real coefficient matrix over them."""
+        if self._real is None:
+            if len(self.variables) != 2:
+                raise ValueError("the real form needs one conjugate pair of variables")
+            entries = []
+            for i, terms in enumerate(self._terms):
+                for coeff, (a, b) in terms:
+                    m, s = abs(a - b), min(a, b)
+                    entries.append((i, (m, s, False), coeff.real))
+                    if m:
+                        entries.append((i, (m, s, True), -coeff.imag if a > b else coeff.imag))
+            features = sorted({key for _, key, _ in entries})
+            column = {key: j for j, key in enumerate(features)}
+            matrix = np.zeros((len(self), len(features)))
+            for i, key, value in entries:
+                matrix[i, column[key]] += value
+            self._real = (features, matrix)
+        return self._real
+
+    def _real_blocks(self, w: np.ndarray):
+        """Yield Re f(w, conj w) for every polynomial, one (len(self), block) array per block."""
+        features, matrix = self._real_matrix()
+        w = np.asarray(w, dtype=complex).reshape(-1)
+        top_m = max((m for m, _, _ in features), default=0)
+        top_s = max((s for _, s, _ in features), default=0)
+        for start in range(0, w.size, EVAL_CHUNK):
+            block = w[start:start + EVAL_CHUNK]
+            w_pow = _powers(block, top_m)
+            r_pow = _powers(block.real * block.real + block.imag * block.imag, top_s)
+            table = np.empty((len(features), block.size))
+            for row, (m, s, imaginary) in enumerate(features):
+                part = (w_pow[m].imag if imaginary else w_pow[m].real) if m else 1.0
+                np.multiply(part, r_pow[s], out=table[row])
+            yield matrix @ table
+
+    def real_values(self, w: np.ndarray) -> np.ndarray:
+        """Re f(w, conj w) for every polynomial, shape (len(self), *w.shape)."""
+        w = np.asarray(w, dtype=complex)
+        out = np.empty((len(self), w.size))
+        for start, values in zip(range(0, w.size, EVAL_CHUNK), self._real_blocks(w)):
+            out[:, start:start + values.shape[1]] = values
+        return out.reshape((len(self), *w.shape))
+
+    def real_mean_se(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sample mean and its standard error of Re f(w, conj w), per polynomial.
+
+        Reduced block by block (Chan's pairwise update), so no array of all
+        values is ever held.
+        """
+        count = 0
+        mean = np.zeros(len(self))
+        m2 = np.zeros(len(self))
+        for values in self._real_blocks(w):
+            size = values.shape[1]
+            block_mean = values.mean(axis=1)
+            block_m2 = ((values - block_mean[:, None]) ** 2).sum(axis=1)
+            delta = block_mean - mean
+            total = count + size
+            mean = mean + delta * (size / total)
+            m2 = m2 + block_m2 + delta * delta * (count * size / total)
+            count = total
+        if count < 2:
+            raise ValueError("need at least two points for a standard error")
+        return mean, np.sqrt(m2 / (count - 1) / count)
 
 
 # -- exact division -----------------------------------------------------------

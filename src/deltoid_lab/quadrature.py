@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffusion import DiffusionModel, MeasureSpec, gamma_apply, l_apply
-from .models import deltoid_boundary_values, z_of_theta
+from .models import LAMBDA_RANGES, deltoid_boundary_values, z_of_theta
 from .poly import MPoly
 from .scalars import RationalLike
 
@@ -50,7 +50,7 @@ class TorusGrid:
     @staticmethod
     def build(lam: RationalLike, n: int) -> "TorusGrid":
         lam = Fraction(lam)
-        if lam < 1:
+        if not LAMBDA_RANGES["quadrature"].admits(lam):
             raise ValueError(
                 f"torus quadrature requires lambda >= 1 (weight bounded); got {lam}. "
                 "Use the sampling module for exploratory smaller parameters."
@@ -82,7 +82,7 @@ class TorusGrid:
         else:
             values = f(self.z)
         values = np.asarray(values)
-        if values.shape != self.z.shape:  # constants evaluate to scalars
+        if values.shape != self.z.shape:  # a callable may return a scalar
             values = np.broadcast_to(values, self.z.shape)
         return values
 
@@ -160,7 +160,7 @@ def normalization_constant(lam: RationalLike, n: int = 96) -> float:
     area of the domain, 9/(2 pi).
     """
     lam = Fraction(lam)
-    if lam < 1:
+    if not LAMBDA_RANGES["quadrature"].admits(lam):
         raise ValueError("normalization requires lambda >= 1")
     grid = TorusGrid.build(lam, n)
     alpha = float((2 * lam - 5) / 6)

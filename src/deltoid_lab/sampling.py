@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .models import omega1_boundary_values, omega1_membership
+from .models import LAMBDA_RANGES, omega1_boundary_values, omega1_membership
 from .scalars import RationalLike
 
 
@@ -160,7 +160,7 @@ def sample_omega1(
     size from batch means and refuses runs with ESS below min_ess.
     """
     lam = Fraction(lam)
-    if lam <= Fraction(5, 2):
+    if not LAMBDA_RANGES["lifted_sampler"].admits(lam):
         raise ValueError(
             f"lifted-domain sampling requires lambda > 5/2 (density exponent > -1); got {lam}"
         )
@@ -175,7 +175,7 @@ def sample_omega1(
 
 
 def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> SampleBatch:
-    if beta < 0:
+    if not LAMBDA_RANGES["rejection_sampler"].admits(lam):
         raise SamplingError(
             f"rejection sampling needs beta >= 0 (lambda >= 11/2); got beta = {beta}. "
             "Use method='mcmc'."

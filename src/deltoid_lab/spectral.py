@@ -118,12 +118,18 @@ def _monomial(variables: Sequence[str], exps: Exponents) -> MPoly:
     return MPoly(variables, {tuple(exps): ONE})
 
 
-def operator_table(model: DiffusionModel, basis: GradedBasis, max_degree: int) -> OperatorTable:
-    """Apply L once to every basis monomial of degree <= max_degree."""
-    return {
-        exps: l_apply(model, _monomial(basis.variables, exps))
-        for exps in basis.monomials(max_degree)
-    }
+def operator_table(
+    model: DiffusionModel, basis: GradedBasis, max_degree: int, table: OperatorTable | None = None
+) -> OperatorTable:
+    """Apply L once to every basis monomial of degree <= max_degree.
+
+    Given a table, fill in only the monomials it lacks and return it.
+    """
+    table = {} if table is None else table
+    for exps in basis.monomials(max_degree):
+        if exps not in table:
+            table[exps] = l_apply(model, _monomial(basis.variables, exps))
+    return table
 
 
 def _diagonal(table: OperatorTable, exps: Exponents) -> Fraction:
@@ -258,13 +264,37 @@ def eigen_PQ(model: DiffusionModel, n: int, k: int) -> tuple[EigenPoly, EigenPol
     return pq_pair(r_nk, r_kn)
 
 
+class _ParameterBasis:
+    """The (P-hat, Q-hat) pairs of one deltoid parameter, solved on demand.
+
+    Every solve reads one operator table, which grows to the largest degree
+    asked for; solving from the larger table gives the same polynomial.
+    """
+
+    def __init__(self, lam: Fraction):
+        self.model = deltoid_model(lam)
+        self.table: OperatorTable = {}
+        self.pairs: dict[tuple[int, int], tuple[EigenPoly, EigenPoly]] = {}
+
+    def pq(self, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
+        if (n, k) not in self.pairs:
+            if n < 0 or k < 0:
+                raise ValueError("indices must be nonnegative")
+            operator_table(self.model, DELTOID_BASIS, n + k, self.table)
+            r_nk = _solve(self.model, DELTOID_BASIS, (n, k), self.table)
+            r_kn = _solve(self.model, DELTOID_BASIS, (k, n), self.table) if n != k else r_nk
+            self.pairs[(n, k)] = pq_pair(r_nk, r_kn)
+        return self.pairs[(n, k)]
+
+
 @lru_cache(maxsize=None)
-def _eigen_PQ_cached(lam: Fraction, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
-    return eigen_PQ(deltoid_model(lam), n, k)
+def _parameter_basis(lam: Fraction) -> _ParameterBasis:
+    return _ParameterBasis(lam)
 
 
 def eigen_PQ_lambda(lam: RationalLike, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
-    return _eigen_PQ_cached(Fraction(lam), n, k)
+    """eigen_PQ on the deltoid model at lam, memoized per parameter."""
+    return _parameter_basis(Fraction(lam)).pq(n, k)
 
 
 def pq_indices(degree_max: int, include_constant: bool = False) -> list[tuple[int, int]]:

@@ -70,7 +70,7 @@ from .models import (
     sixdim_model,
     su3_gamma_pointwise,
 )
-from .poly import MPoly, det_cofactor, det_fraction_free, divide_exact, try_divide
+from .poly import CompiledPolys, MPoly, det_cofactor, det_fraction_free, divide_exact, try_divide
 from .quadrature import (
     TorusGrid,
     eigenvalue_recovery,
@@ -692,16 +692,10 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
 
 
 def _eigen_mean_worst_z(zvals: np.ndarray, lam: Fraction, degree_max: int) -> float:
-    worst = 0.0
-    for n, k in pq_indices(degree_max):
-        p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
-        for e in (p_hat, q_hat):
-            if e.poly.is_zero():
-                continue
-            vals = np.real(e.poly.evaluate({"Z": zvals, "Zb": np.conj(zvals)}))
-            se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-            worst = max(worst, abs(float(vals.mean())) / se)
-    return worst
+    polys = [e.poly for n, k in pq_indices(degree_max) for e in eigen_PQ_lambda(lam, n, k)
+             if not e.poly.is_zero()]
+    mean, se = CompiledPolys(polys).real_mean_se(zvals)
+    return float(np.max(np.abs(mean) / se))
 
 
 def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:

@@ -118,6 +118,47 @@ class TestEstimation:
             estimate_markov_matrix(ctx, 1, 0, ThetaPair(0.0, 0.0), sample_torus(10, 1))
 
 
+class TestBatchMemo:
+    """The per-batch memo must give what a fresh context computes."""
+
+    @staticmethod
+    def fresh(theta, batch):
+        other = ProbeContext.build(LAM, 3, grid_n=64)
+        return {(n, k): estimate_markov_matrix(other, n, k, theta, batch) for n, k in other.pairs}
+
+    def test_one_batch_two_thetas_and_two_batches_one_theta(self, batch):
+        ctx = ProbeContext.build(LAM, 3, grid_n=64)
+        second = sample_omega1(LAM, 5_000, 405, method="rejection")
+        first_theta, second_theta = ThetaPair(1.0, 2.0), ThetaPair(2.5, 0.7)
+        for theta, sample in ((first_theta, batch), (second_theta, batch),
+                              (second_theta, second), (second_theta, batch)):
+            expected = self.fresh(theta, sample)
+            for n, k in ctx.pairs:
+                assert estimate_markov_matrix(ctx, n, k, theta, sample) == expected[(n, k)]
+
+    def test_cross_correlations_follow_the_batch(self, batch):
+        ctx = ProbeContext.build(LAM, 3, grid_n=64)
+        second = sample_omega1(LAM, 5_000, 406, method="rejection")
+        theta = ThetaPair(1.3, 2.9)
+        block_cross_correlations(ctx, theta, batch)
+        fresh = ProbeContext.build(LAM, 3, grid_n=64)
+        assert (block_cross_correlations(ctx, theta, second)
+                == block_cross_correlations(fresh, theta, second))
+
+    def test_memo_values_are_read_only(self, ctx, batch):
+        p_base, _ = ctx.split(ctx.batch_values(batch), 1, 0)
+        with pytest.raises(ValueError):
+            p_base[0] = 0.0
+
+    def test_eval_pair_matches_polynomials(self, ctx):
+        z = np.array([0.3 + 0.1j, -0.2 - 0.4j, 0.9 + 0.0j])
+        for (n, k), (p_hat, q_hat) in ctx.pairs.items():
+            p_vals, q_vals = ctx.eval_pair(n, k, z)
+            point = {"Z": z, "Zb": np.conj(z)}
+            assert np.allclose(p_vals, np.real(p_hat.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
+            assert np.allclose(q_vals, np.real(q_hat.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
+
+
 class TestBasisChange:
     def test_identity_fixed(self):
         m = np.eye(2)

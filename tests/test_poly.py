@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from deltoid_lab.models import z_of_theta
 from deltoid_lab.poly import (
+    EVAL_CHUNK,
+    CompiledPolys,
     MPoly,
     NonDivisibleError,
     VariableMismatchError,
@@ -15,6 +19,7 @@ from deltoid_lab.poly import (
     try_divide,
 )
 from deltoid_lab.scalars import FieldScalar, I, ONE
+from deltoid_lab.spectral import eigen_PQ_lambda, pq_indices
 
 from conftest import deltoid_polys, g2_polys, poly_strategy
 
@@ -221,3 +226,104 @@ def test_evaluate_numeric():
     arr = np.array([1 + 1j, 2j])
     got = f.evaluate({"Z": arr, "Zb": np.conj(arr)})
     assert np.allclose(got, np.abs(arr) ** 2)
+
+
+# -- the compiled evaluator ------------------------------------------------------
+
+
+def term_by_term(poly, point):
+    """The former evaluator: one val**k per factor of every term; the oracle."""
+    vals = [point[v] for v in poly.variables]
+    total = None
+    for exps, coeff in poly.terms.items():
+        term = coeff.to_complex()
+        for val, k in zip(vals, exps):
+            if k:
+                term = term * val**k
+        total = term if total is None else total + term
+    return 0j if total is None else total
+
+
+def deltoid_points(count, seed=11):
+    """Random points of the closed deltoid domain (torus images)."""
+    t = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(2, count))
+    return z_of_theta(t[0], t[1])
+
+
+def relative_error(got, expected):
+    return np.max(np.abs(got - expected)) / max(np.max(np.abs(expected)), 1e-300)
+
+
+def eigen_pairs(lam, degree):
+    return [e.poly for n, k in pq_indices(degree, include_constant=True)
+            for e in eigen_PQ_lambda(lam, n, k)]
+
+
+class TestCompiledEvaluator:
+    def test_evaluate_matches_term_by_term(self):
+        z = deltoid_points(3000)
+        point = {"Z": z, "Zb": z.conj()}
+        for poly in eigen_pairs(Fraction(11, 2), 5):
+            assert relative_error(poly.evaluate(point), term_by_term(poly, point)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_strategy(VARS, max_degree=5, max_terms=8))
+    def test_real_form_matches_term_by_term(self, poly):
+        z = deltoid_points(500, seed=3)
+        expected = np.real(term_by_term(poly, {"Z": z, "Zb": z.conj()}))
+        got = CompiledPolys([poly, Z * Zb]).real_values(z)[0]
+        assert np.allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(expected))))
+
+    def test_rows_match_single_evaluation(self):
+        polys = eigen_pairs(Fraction(4), 4)
+        compiled = CompiledPolys(polys)
+        z = deltoid_points(2000, seed=5)
+        point = {"Z": z, "Zb": z.conj()}
+        values = compiled.values(point)
+        real = compiled.real_values(z)
+        for i, poly in enumerate(polys):
+            expected = term_by_term(poly, point)
+            assert relative_error(values[i], expected) < 1e-12
+            assert relative_error(real[i], np.real(expected)) < 1e-12
+
+    def test_mean_and_standard_error(self):
+        polys = [p for p in eigen_pairs(Fraction(4), 3) if p.total_degree() > 0]
+        z = deltoid_points(3 * EVAL_CHUNK + 123, seed=7)
+        mean, se = CompiledPolys(polys).real_mean_se(z)
+        for i, poly in enumerate(polys):
+            vals = np.real(term_by_term(poly, {"Z": z, "Zb": z.conj()}))
+            assert abs(mean[i] - vals.mean()) < 1e-14
+            assert abs(se[i] / (vals.std(ddof=1) / np.sqrt(len(vals))) - 1.0) < 1e-12
+
+    def test_partial_last_chunk(self):
+        poly = eigen_pairs(Fraction(7, 3), 4)[-2]
+        z = deltoid_points(2 * EVAL_CHUNK + 37, seed=9)
+        point = {"Z": z, "Zb": z.conj()}
+        expected = term_by_term(poly, point)
+        assert relative_error(poly.evaluate(point), expected) < 1e-12
+        real = CompiledPolys([poly]).real_values(z)[0]
+        assert relative_error(real, np.real(expected)) < 1e-12
+
+    def test_zero_and_constant(self):
+        z = deltoid_points(10).reshape(2, 5)
+        point = {"Z": z, "Zb": z.conj()}
+        zero = MPoly.zero(VARS).evaluate(point)
+        assert zero.shape == (2, 5) and not zero.any()
+        const = MPoly.const(VARS, Fraction(3, 2)).evaluate(point)
+        assert const.shape == (2, 5) and np.all(const == 1.5)
+        compiled = CompiledPolys([MPoly.zero(VARS), MPoly.const(VARS, -2)])
+        assert np.array_equal(compiled.real_values(z), np.stack([np.zeros((2, 5)),
+                                                                 np.full((2, 5), -2.0)]))
+
+    def test_scalar_input(self):
+        f = Z * Z - Zb * Fraction(1, 2) + 1
+        got = f.evaluate({"Z": 0.25 + 0.5j, "Zb": 0.25 - 0.5j})
+        assert isinstance(got, complex)
+        assert abs(got - term_by_term(f, {"Z": 0.25 + 0.5j, "Zb": 0.25 - 0.5j})) < 1e-15
+        assert MPoly.zero(VARS).evaluate({"Z": 1j, "Zb": -1j}) == 0j
+
+    def test_rejects_mixed_rings_and_non_pairs(self):
+        with pytest.raises(VariableMismatchError):
+            CompiledPolys([Z, MPoly.var(("x",), "x")])
+        with pytest.raises(ValueError):
+            CompiledPolys([MPoly.var(("x",), "x")]).real_values(deltoid_points(4))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,32 @@ class TestCli:
         assert err.startswith("usage error: --lambda") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "omega1", "--lambda", "2", "--n", "10"],
+        ["sample", "omega1", "--lambda", "5/2", "--method", "mcmc", "--n", "10"],
+        ["sample", "omega1", "--lambda", "4", "--n", "10"],
+        ["plot", "eigen", "--lambda", "0"],
+    ], ids=["sample-two", "sample-mcmc-five-halves", "sample-rejection-four",
+            "plot-eigen-zero"])
+    def test_out_of_range_lambda_for_samplers_and_plots(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --lambda") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_module_entry_point(self, tmp_path):
+        out = tmp_path / "eigen.json"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "deltoid_lab", "eigen", "--lambda", "7/3",
+             "--degree-max", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(out.read_text())["lambda"] == "7/3"
+
     def test_eigen_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "eigen.json"
         assert main(["eigen", "--lambda", "7/3", "--degree-max", "4", "--out", str(out)]) == 0
@@ -212,6 +239,20 @@ class TestVerifyCli:
         cfg = tmp_path / "v.cfg"
         cfg.write_text("bogus_key = 3\n")
         assert main(["verify", "--config", str(cfg)]) == 3
+
+    def test_non_integer_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("seed = abc\n")
+        assert main(["verify", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'seed'" in err and "'abc'" in err
+
+
+def test_model_registry_matches_docs():
+    from deltoid_lab.models import MODEL_REGISTRY
+
+    docs = json.loads((Path(__file__).parent.parent / "docs" / "models.json").read_text())
+    assert docs == {"models": MODEL_REGISTRY}
 
 
 def test_manifest_matches_docs():

@@ -216,6 +216,42 @@ class TestEigenbasis:
             eigenbasis(model, 2)
 
 
+class TestParameterBasis:
+    def test_probe_pairs_share_one_table(self, monkeypatch):
+        from deltoid_lab import spectral
+        from deltoid_lab.hypergroup import ProbeContext
+
+        calls = []
+
+        def counted(model, poly):
+            calls.append(poly)
+            return l_apply(model, poly)
+
+        lam = Fraction(11, 2)
+        spectral._parameter_basis.cache_clear()
+        monkeypatch.setattr(spectral, "l_apply", counted)
+        ctx = ProbeContext.build(lam, 4)
+        # One L application per monomial of degree <= 4, for all eight pairs.
+        assert len(calls) == 15
+        monkeypatch.undo()
+        model = deltoid_model(lam)
+        for (n, k), pair in ctx.pairs.items():
+            assert pair == eigen_PQ(model, n, k)
+
+    def test_growing_the_table_keeps_earlier_pairs(self):
+        from deltoid_lab import spectral
+
+        lam = Fraction(13, 3)
+        spectral._parameter_basis.cache_clear()
+        low = eigen_PQ_lambda(lam, 1, 1)
+        high = eigen_PQ_lambda(lam, 4, 2)
+        assert eigen_PQ_lambda(lam, 1, 1) is low
+        model = deltoid_model(lam)
+        assert low == eigen_PQ(model, 1, 1) and high == eigen_PQ(model, 4, 2)
+        with pytest.raises(ValueError):
+            eigen_PQ_lambda(lam, -1, 0)
+
+
 class TestPieri:
     @pytest.mark.parametrize("lam", [Fraction(1), Fraction(7, 3), Fraction(4)])
     def test_z_times_r_is_three_term(self, lam):
