@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .quadrature import TorusGrid
+
 
 class UsageError(Exception):
     pass
@@ -78,6 +80,8 @@ def _build_verify_config(args) -> "VerifyConfig":
             if key not in valid:
                 raise UsageError(f"unknown config key {key!r}")
             if key == "negative_control":
+                if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise UsageError(f"config key {key!r} needs 1/true/yes/0/false/no, got {text!r}")
                 values[key] = text.lower() in ("1", "true", "yes")
                 continue
             try:
@@ -85,6 +89,7 @@ def _build_verify_config(args) -> "VerifyConfig":
             except ValueError:
                 raise UsageError(
                     f"config key {key!r} needs an integer, got {text!r}") from None
+        _check_sizes("verify", values, lambda name: f"config key {name!r}")
     for name in (
         "seed", "grid_n", "torus_samples", "su3_samples", "omega1_samples",
         "theta_per_axis", "eigen_degree_max",
@@ -293,6 +298,25 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# The smallest value of each integer option, per command; verify's also bind --config.
+SIZE_MINIMUMS = {
+    "eigen": {"degree_max": 0},
+    "gram": {"degree_max": 1, "grid": TorusGrid.MIN_N},
+    "markov": {"n": 1, "k": 0, "degree_max": 1, "theta_grid": 1, "samples": 2},
+    "sample": {"n": 1},
+    "plot": {"n": 0, "k": 0},
+    "verify": {"grid_n": TorusGrid.MIN_N, "theta_per_axis": 1, "eigen_degree_max": 1,
+               "torus_samples": 2, "su3_samples": 2, "omega1_samples": 2},
+}
+
+
+def _check_sizes(command: str, values: dict, label) -> None:
+    for name, minimum in SIZE_MINIMUMS[command].items():
+        value = values.get(name)
+        if value is not None and value < minimum:
+            raise UsageError(f"{label(name)} must be at least {minimum}, got {value}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="deltoid-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -363,6 +387,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_sizes(args.command, vars(args), lambda name: "--" + name.replace("_", "-"))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

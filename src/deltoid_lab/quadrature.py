@@ -46,6 +46,7 @@ class TorusGrid:
     t2: np.ndarray
     z: np.ndarray
     weight: np.ndarray
+    MIN_N = 16  # the smallest grid, in points per axis, that build accepts
 
     @staticmethod
     def build(lam: RationalLike, n: int) -> "TorusGrid":
@@ -55,8 +56,8 @@ class TorusGrid:
                 f"torus quadrature requires lambda >= 1 (weight bounded); got {lam}. "
                 "Use the sampling module for exploratory smaller parameters."
             )
-        if n < 16:
-            raise ValueError("grid must have at least 16 points per axis")
+        if n < TorusGrid.MIN_N:
+            raise ValueError(f"grid must have at least {TorusGrid.MIN_N} points per axis")
         h = 2.0 * np.pi / n
         axis1 = (np.arange(n) + 0.25) * h
         axis2 = np.arange(n) * h

@@ -5,9 +5,10 @@ and act lower-triangularly on monomials: applying L to a monomial returns
 the monomial itself (the diagonal, a rational multiple) plus monomials that
 are strictly smaller in the grading order.  The eigenpolynomial with a
 prescribed leading monomial is therefore found by back-substitution down
-the order, one exact rational coefficient at a time.  L is applied once per
-monomial into an operator table, and every leading monomial of a basis is
-solved from that one table.
+the order, one exact rational coefficient at a time.  Every entry point
+reads one module-level cache keyed by the operator (variables, Gamma table,
+drift); each entry holds the graded basis, one operator table that grows by
+degree (L applied once per monomial) and the polynomials solved from it.
 
 For the deltoid family the grading is the total degree in (Z, Zb) and the
 eigenvalue of the leading monomial Z^n Zb^k is
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .diffusion import DiffusionModel, l_apply
@@ -200,45 +200,6 @@ def graded_triangular_solve(
     return MPoly(variables, coeffs), mu, collisions
 
 
-def _solve(
-    model: DiffusionModel, basis: GradedBasis, lead: Exponents, table: OperatorTable
-) -> EigenPoly:
-    poly, mu, collisions = graded_triangular_solve(model, lead, basis.order_key, table)
-    return EigenPoly(lead[0], lead[1], mu, poly, basis.flavor, collisions=collisions)
-
-
-def eigenbasis(model: DiffusionModel, max_degree: int) -> dict[Exponents, EigenPoly]:
-    """Every eigenpolynomial of degree <= max_degree, keyed by its leading monomial.
-
-    The model's variables pick the graded basis: R(n, k) keyed (n, k) for the
-    deltoid variables, the G2 basis keyed (r, t) for (s, p).  One operator
-    table serves every solve.
-    """
-    basis = next((b for b in (DELTOID_BASIS, G2_BASIS) if b.variables == model.variables), None)
-    if basis is None:
-        raise ValueError(f"no graded eigenbasis for the variables {model.variables}")
-    table = operator_table(model, basis, max_degree)
-    return {lead: _solve(model, basis, lead, table) for lead in table}
-
-
-# ---------------------------------------------------------------------------
-# Deltoid basis
-# ---------------------------------------------------------------------------
-
-
-def _deltoid_table(model: DiffusionModel, n: int, k: int) -> OperatorTable:
-    if model.variables != DELTOID_VARS:
-        raise ValueError("eigen_R expects a model in the deltoid variables")
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    return operator_table(model, DELTOID_BASIS, n + k)
-
-
-def eigen_R(model: DiffusionModel, n: int, k: int) -> EigenPoly:
-    """Eigenpolynomial with leading term Z^n Zb^k on a deltoid-type model."""
-    return _solve(model, DELTOID_BASIS, (n, k), _deltoid_table(model, n, k))
-
-
 def pq_pair(r_nk: EigenPoly, r_kn: EigenPoly) -> tuple[EigenPoly, EigenPoly]:
     """Symmetric/antisymmetric pair of index (n, k) from R(n, k) and R(k, n).
 
@@ -256,45 +217,79 @@ def pq_pair(r_nk: EigenPoly, r_kn: EigenPoly) -> tuple[EigenPoly, EigenPoly]:
     return p_hat, q_hat
 
 
-def eigen_PQ(model: DiffusionModel, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
-    """(P-hat, Q-hat) in leading-coefficient normalization; see pq_pair."""
-    table = _deltoid_table(model, n, k)
-    r_nk = _solve(model, DELTOID_BASIS, (n, k), table)
-    r_kn = _solve(model, DELTOID_BASIS, (k, n), table) if n != k else r_nk
-    return pq_pair(r_nk, r_kn)
+class _OperatorBasis:
+    """One operator's eigenpolynomials, solved on demand from one growing table.
 
-
-class _ParameterBasis:
-    """The (P-hat, Q-hat) pairs of one deltoid parameter, solved on demand.
-
-    Every solve reads one operator table, which grows to the largest degree
-    asked for; solving from the larger table gives the same polynomial.
+    A solve never reads the monomials above its lead, so the order of the
+    requests changes no polynomial.
     """
 
-    def __init__(self, lam: Fraction):
-        self.model = deltoid_model(lam)
+    def __init__(self, model: DiffusionModel, basis: GradedBasis):
+        self.model = model
+        self.basis = basis
         self.table: OperatorTable = {}
+        self.leads: dict[Exponents, EigenPoly] = {}
         self.pairs: dict[tuple[int, int], tuple[EigenPoly, EigenPoly]] = {}
+
+    def solve(self, lead: Exponents) -> EigenPoly:
+        if lead not in self.leads:
+            if min(lead) < 0:
+                raise ValueError("indices must be nonnegative")
+            operator_table(self.model, self.basis, self.basis.degree(lead), self.table)
+            poly, mu, collisions = graded_triangular_solve(
+                self.model, lead, self.basis.order_key, self.table)
+            self.leads[lead] = EigenPoly(lead[0], lead[1], mu, poly, self.basis.flavor, collisions)
+        return self.leads[lead]
 
     def pq(self, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
         if (n, k) not in self.pairs:
-            if n < 0 or k < 0:
-                raise ValueError("indices must be nonnegative")
-            operator_table(self.model, DELTOID_BASIS, n + k, self.table)
-            r_nk = _solve(self.model, DELTOID_BASIS, (n, k), self.table)
-            r_kn = _solve(self.model, DELTOID_BASIS, (k, n), self.table) if n != k else r_nk
-            self.pairs[(n, k)] = pq_pair(r_nk, r_kn)
+            self.pairs[(n, k)] = pq_pair(self.solve((n, k)), self.solve((k, n)))
         return self.pairs[(n, k)]
 
 
-@lru_cache(maxsize=None)
-def _parameter_basis(lam: Fraction) -> _ParameterBasis:
-    return _ParameterBasis(lam)
+# Keyed by the operator (variables, Gamma table, drift), so that equal models
+# built apart share one entry; the entries live as long as the process.
+_OPERATORS: dict[tuple, _OperatorBasis] = {}
+
+
+def _operator(model: DiffusionModel, flavor: str | None = None) -> _OperatorBasis:
+    """The cache entry of model's operator; flavor, if given, is the basis required."""
+    basis = next((b for b in (DELTOID_BASIS, G2_BASIS) if b.variables == model.variables), None)
+    if basis is None or flavor not in (None, basis.flavor):
+        raise ValueError(f"no {flavor or 'graded'} eigenbasis for the variables {model.variables}")
+    key = (model.variables, frozenset(model.gamma.items()),
+           tuple(model.drift[v] for v in model.variables))
+    return _OPERATORS.setdefault(key, _OperatorBasis(model, basis))
+
+
+def eigenbasis(model: DiffusionModel, max_degree: int) -> dict[Exponents, EigenPoly]:
+    """Every eigenpolynomial of degree <= max_degree, keyed by its leading monomial.
+
+    The model's variables pick the graded basis: R(n, k) keyed (n, k) for the
+    deltoid variables, the G2 basis keyed (r, t) for (s, p).
+    """
+    entry = _operator(model)
+    return {lead: entry.solve(lead) for lead in entry.basis.monomials(max_degree)}
+
+
+# ---------------------------------------------------------------------------
+# Deltoid basis
+# ---------------------------------------------------------------------------
+
+
+def eigen_R(model: DiffusionModel, n: int, k: int) -> EigenPoly:
+    """Eigenpolynomial with leading term Z^n Zb^k on a deltoid-type model."""
+    return _operator(model, "R").solve((n, k))
+
+
+def eigen_PQ(model: DiffusionModel, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
+    """(P-hat, Q-hat) in leading-coefficient normalization; see pq_pair."""
+    return _operator(model, "R").pq(n, k)
 
 
 def eigen_PQ_lambda(lam: RationalLike, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
-    """eigen_PQ on the deltoid model at lam, memoized per parameter."""
-    return _parameter_basis(Fraction(lam)).pq(n, k)
+    """eigen_PQ on the deltoid model at lam."""
+    return eigen_PQ(deltoid_model(lam), n, k)
 
 
 def pq_indices(degree_max: int, include_constant: bool = False) -> list[tuple[int, int]]:
@@ -324,8 +319,8 @@ class RotationReport:
         return self.ok_2x2 and self.ok_scalar
 
 
-def rotation_report(p_hat: EigenPoly, q_hat: EigenPoly) -> RotationReport:
-    """Check the rotation action Z -> jZ on a (P-hat, Q-hat) pair, exactly.
+def verify_rotation(model: DiffusionModel, n: int, k: int) -> RotationReport:
+    """Check the rotation action Z -> jZ on the (P-hat, Q-hat) pair of (n, k), exactly.
 
     The 2x2 form states, with m = n - k, c = (j^m + jbar^m)/2 and
     b = i (j^m - jbar^m)/2:
@@ -335,7 +330,8 @@ def rotation_report(p_hat: EigenPoly, q_hat: EigenPoly) -> RotationReport:
 
     which is equivalent to (P-hat + i Q-hat) picking up the scalar j^m.
     """
-    m = p_hat.n - p_hat.k
+    p_hat, q_hat = eigen_PQ(model, n, k)
+    m = n - k
     jm = j_power(m)
     jmbar = jm.conj()
     c = (jm + jmbar) * Fraction(1, 2)
@@ -347,12 +343,7 @@ def rotation_report(p_hat: EigenPoly, q_hat: EigenPoly) -> RotationReport:
     )
     combo = p_hat.poly + q_hat.poly * I
     ok_scalar = combo.rotate_j(DELTOID_J_WEIGHTS) == combo * jm
-    return RotationReport(p_hat.n, p_hat.k, ok_2x2, ok_scalar, m % 3)
-
-
-def verify_rotation(model: DiffusionModel, n: int, k: int) -> RotationReport:
-    """rotation_report of the (P-hat, Q-hat) pair of index (n, k)."""
-    return rotation_report(*eigen_PQ(model, n, k))
+    return RotationReport(n, k, ok_2x2, ok_scalar, m % 3)
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +357,10 @@ def eigen_g2(model: DiffusionModel, weighted_degree: int) -> list[EigenPoly]:
     The slice r + 2t = weighted_degree is enumerated with r descending,
     matching the triangular structure of the operator.
     """
-    if model.variables != G2_VARS:
-        raise ValueError("eigen_g2 expects a model in the (s, p) variables")
     if weighted_degree < 0:
         raise ValueError("weighted degree must be nonnegative")
-    table = operator_table(model, G2_BASIS, weighted_degree)
-    return [
-        _solve(model, G2_BASIS, (weighted_degree - 2 * t, t), table)
-        for t in range(weighted_degree // 2 + 1)
-    ]
+    entry = _operator(model, "G")
+    return [entry.solve((weighted_degree - 2 * t, t)) for t in range(weighted_degree // 2 + 1)]
 
 
 def rewrite_symmetric_in_sp(poly: MPoly) -> MPoly:

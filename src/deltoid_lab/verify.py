@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +64,7 @@ from .models import (
     omega1_membership,
     p1_p2,
     p1_polar_decomposition_residual,
+    phi_theta,
     psi1_intertwining_factor,
     q1_q2,
     real_cometric_at,
@@ -92,12 +93,12 @@ from .scalars import FieldScalar, ONE
 from .spectral import (
     coefficient_components_ok,
     eigen_PQ_lambda,
+    eigen_R,
     eigenbasis,
     eigenvalue_deltoid,
     pq_indices,
-    pq_pair,
     rewrite_symmetric_in_sp,
-    rotation_report,
+    verify_rotation,
 )
 
 LAMBDA_EIGEN_SET = (Fraction(1), Fraction(5, 2), Fraction(7, 3), Fraction(4), Fraction(11, 2))
@@ -527,19 +528,12 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
 
 def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
     dmax = config.eigen_degree_max
-    # One exact basis per parameter serves every check below; the G2 match and
-    # the cusp scan reach degree 5 whatever dmax is.
-    bases = {lam: eigenbasis(deltoid_model(lam), max(dmax, 5)) for lam in LAMBDA_EIGEN_SET}
-
-    def pq(lam: Fraction, n: int, k: int):
-        return pq_pair(bases[lam][(n, k)], bases[lam][(k, n)])
-
     for lam in LAMBDA_EIGEN_SET:
         model = deltoid_model(lam)
         for d in range(dmax + 1):
             for k in range(d + 1):
                 n = d - k
-                e = bases[lam][(n, k)]
+                e = eigen_R(model, n, k)
                 _require("spectral.eigen_relation",
                          l_apply(model, e.poly) == e.poly * (-e.eigenvalue)
                          and e.eigenvalue == eigenvalue_deltoid(lam, n, k),
@@ -549,24 +543,25 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
                f"{tuple(str(l) for l in LAMBDA_EIGEN_SET)}")
 
     for lam in (Fraction(4), Fraction(7, 3)):
+        basis = eigenbasis(deltoid_model(lam), min(dmax, 6))
         for n, k in pq_indices(min(dmax, 6)):
             _require("spectral.conjugation_swap",
-                     bases[lam][(n, k)].poly.conj_swap(DELTOID_CONJ_PAIRS)
-                     == bases[lam][(k, n)].poly,
+                     basis[(n, k)].poly.conj_swap(DELTOID_CONJ_PAIRS) == basis[(k, n)].poly,
                      f"lambda={lam}, (n,k)=({n},{k})")
     report.add("spectral.conjugation_swap", "eigenbasis-conjugation-swap", "proven-exact",
                "conjugation swap maps R(n,k) to R(k,n) exactly")
 
     for lam in LAMBDA_EIGEN_SET:
+        model = deltoid_model(lam)
         for n, k in pq_indices(min(dmax, 6), include_constant=True):
-            _require("spectral.rotation_relation", rotation_report(*pq(lam, n, k)).ok,
+            _require("spectral.rotation_relation", verify_rotation(model, n, k).ok,
                      f"lambda={lam}, (n,k)=({n},{k})")
     report.add("spectral.rotation_relation", "eigenpair-rotation-action", "proven-exact",
                "2x2 rotation action exact; the pair P + iQ picks up the scalar j**(n-k)")
 
     for lam in (Fraction(4),):
         for n, k in pq_indices(min(dmax, 6)):
-            p_hat, q_hat = pq(lam, n, k)
+            p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
             _require("spectral.coefficient_realness",
                      coefficient_components_ok(p_hat) and coefficient_components_ok(q_hat),
                      f"(n,k)=({n},{k})")
@@ -576,7 +571,7 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
     lam = Fraction(7, 3)
     g2_basis = eigenbasis(g2_from_lambda(lam), 5)
     for n, k in pq_indices(5):
-        p_hat, _ = pq(lam, n, k)
+        p_hat, _ = eigen_PQ_lambda(lam, n, k)
         in_sp = rewrite_symmetric_in_sp(p_hat.poly)
         match = g2_basis[(n - k, k)]
         lead = in_sp.coefficient((n - k, k))
@@ -600,7 +595,7 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
     worst_dist = 0.0
     for lam in (Fraction(4), Fraction(11, 2)):
         for n, k in pq_indices(5, include_constant=True):
-            p_hat, _ = pq(lam, n, k)
+            p_hat, _ = eigen_PQ_lambda(lam, n, k)
             vals = np.abs(p_hat.poly.evaluate({"Z": zgrid, "Zb": np.conj(zgrid)}))
             vals = np.where(closure, vals, -np.inf)
             gmax = float(vals.max())
@@ -748,9 +743,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
         "re_z1sq_zb2": lambda pts: (pts[:, 0] ** 2 * np.conj(pts[:, 1])).real,
     }
     theta = ThetaPair(0.9, 2.1)
-    from .models import phi_theta as _phi
-
-    rotated = replace_points(rejection, _phi(rejection.points, theta))
+    rotated = replace(rejection, points=phi_theta(rejection.points, theta))
     base_m = estimate_moments(rejection, test_funcs)
     rot_m = estimate_moments(rotated, test_funcs)
     worst = max(
@@ -763,7 +756,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
                f"moment shifts under the coordinate rotation within {worst:.2f} "
                "combined standard errors")
 
-    conjugated = replace_points(rejection, np.conj(rejection.points))
+    conjugated = replace(rejection, points=np.conj(rejection.points))
     conj_m = estimate_moments(conjugated, test_funcs)
     worst = max(
         abs(base_m[k].mean - conj_m[k].mean)
@@ -773,12 +766,6 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
     report.add("sampling.conjugation_invariance", "measure-invariance-under-conjugation",
                "numeric-pass" if worst < 4.0 else "numeric-fail",
                f"moment shifts under conjugation within {worst:.2f} combined standard errors")
-
-
-def replace_points(batch, new_points):
-    from dataclasses import replace as _replace
-
-    return _replace(batch, points=new_points)
 
 
 def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:

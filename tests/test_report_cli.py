@@ -136,6 +136,32 @@ class TestCli:
         assert err.startswith("usage error: --lambda") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--lambda", "7/3", "--degree-max", "-1"],
+        ["gram", "--lambda", "4", "--degree-max", "-1"],
+        ["gram", "--lambda", "4", "--grid", "0"],
+        ["markov", "--lambda", "11/2", "--degree-max", "0"],
+        ["markov", "--lambda", "11/2", "--n", "0"],
+        ["markov", "--lambda", "11/2", "--samples", "1"],
+        ["markov", "--lambda", "11/2", "--theta-grid", "0"],
+        ["sample", "torus", "--n", "0"],
+        ["plot", "eigen", "--k", "-1"],
+        ["verify", "--theta-per-axis", "0"],
+        ["verify", "--grid-n", "8"],
+        ["verify", "--eigen-degree-max", "0"],
+        ["verify", "--torus-samples", "1"],
+    ], ids=["eigen-degree", "gram-degree", "gram-grid", "markov-degree", "markov-n",
+            "markov-samples", "markov-theta-grid", "sample-n", "plot-k",
+            "verify-theta-per-axis", "verify-grid-n", "verify-eigen-degree",
+            "verify-torus-samples"])
+    def test_out_of_range_size_exit_code(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --") and err.count("\n") == 1
+        assert "must be at least" in err
+        assert not out.exists()
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "eigen.json"
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -246,6 +272,37 @@ class TestVerifyCli:
         assert main(["verify", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'seed'" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("line,key", [
+        ("negative_control = maybe", "negative_control"),
+        ("theta_per_axis = 0", "theta_per_axis"),
+    ])
+    def test_bad_config_value(self, line, key, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["verify", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: config key") and err.count("\n") == 1
+        assert repr(key) in err
+
+    def test_boolean_config_spellings(self, tmp_path):
+        from deltoid_lab.cli import _build_verify_config, build_parser
+
+        cfg = tmp_path / "v.cfg"
+        for text, expected in (("YES", True), ("1", True), ("False", False), ("no", False)):
+            cfg.write_text(f"negative_control = {text}\n")
+            args = build_parser().parse_args(["verify", "--config", str(cfg)])
+            assert _build_verify_config(args).negative_control is expected
+
+
+def test_hypergroup_scan_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "hypergroup_scan.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--samples", "2000", "--theta-grid", "2",
+         "--degree-max", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "worst orthonormalized block bound" in done.stdout
 
 
 def test_model_registry_matches_docs():

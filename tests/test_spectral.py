@@ -10,7 +10,11 @@ from deltoid_lab.models import (
     g2_from_lambda,
 )
 from deltoid_lab.poly import MPoly
+from deltoid_lab import spectral
 from deltoid_lab.spectral import (
+    DELTOID_BASIS,
+    G2_BASIS,
+    EigenPoly,
     EigenvalueCollisionError,
     coefficient_components_ok,
     eigen_g2,
@@ -20,8 +24,10 @@ from deltoid_lab.spectral import (
     eigenbasis,
     eigenvalue_deltoid,
     g2_weighted_degree,
+    graded_triangular_solve,
     operator_table,
     pq_indices,
+    pq_pair,
     rewrite_symmetric_in_sp,
     verify_rotation,
 )
@@ -30,6 +36,44 @@ LAM = Fraction(7, 3)
 MODEL = deltoid_model(LAM)
 Z = MPoly.var(DELTOID_VARS, "Z")
 Zb = MPoly.var(DELTOID_VARS, "Zb")
+
+
+def reference_solve(model, basis, lead):
+    """The eigenpolynomial of lead solved from a fresh table, outside the cache."""
+    table = operator_table(model, basis, basis.degree(lead))
+    poly, mu, collisions = graded_triangular_solve(model, lead, basis.order_key, table)
+    return EigenPoly(lead[0], lead[1], mu, poly, basis.flavor, collisions)
+
+
+def reference_pq(model, n, k):
+    return pq_pair(reference_solve(model, DELTOID_BASIS, (n, k)),
+                   reference_solve(model, DELTOID_BASIS, (k, n)))
+
+
+def weird_model():
+    """A legal triangular operator whose drift is tuned so that the (0,1)
+    mode shares the (3,1) eigenvalue *and* receives a nonzero feed."""
+    g = MPoly.variables_ring(DELTOID_VARS)
+    gamma = {
+        ("Z", "Z"): g["Zb"] - g["Z"] ** 2,
+        ("Zb", "Zb"): g["Z"] - g["Zb"] ** 2,
+        ("Z", "Zb"): (1 - g["Z"] * g["Zb"]) * Fraction(1, 2),
+    }
+    return DiffusionModel(DELTOID_VARS, gamma, {"Z": g["Z"] * 3, "Zb": -g["Zb"]})
+
+
+@pytest.fixture
+def l_apply_calls(monkeypatch):
+    """Empty the eigenbasis cache and record every L application it makes."""
+    calls = []
+
+    def counted(model, poly):
+        calls.append(poly)
+        return l_apply(model, poly)
+
+    spectral._OPERATORS.clear()
+    monkeypatch.setattr(spectral, "l_apply", counted)
+    return calls
 
 
 class TestEigenR:
@@ -73,17 +117,8 @@ class TestEigenR:
         assert l_apply(model, e.poly) == e.poly * (-e.eigenvalue)
 
     def test_inconsistent_collision_raises(self):
-        # A legal triangular operator whose drift is tuned so that the (0,1)
-        # mode shares the (3,1) eigenvalue *and* receives a nonzero feed.
-        g = MPoly.variables_ring(DELTOID_VARS)
-        gamma = {
-            ("Z", "Z"): g["Zb"] - g["Z"] ** 2,
-            ("Zb", "Zb"): g["Z"] - g["Zb"] ** 2,
-            ("Z", "Zb"): (1 - g["Z"] * g["Zb"]) * Fraction(1, 2),
-        }
-        weird = DiffusionModel(DELTOID_VARS, gamma, {"Z": g["Z"] * 3, "Zb": -g["Zb"]})
         with pytest.raises(EigenvalueCollisionError) as err:
-            eigen_R(weird, 3, 1)
+            eigen_R(weird_model(), 3, 1)
         assert err.value.witness == (0, 1)
 
 
@@ -163,8 +198,6 @@ class TestG2Eigen:
 
 class TestGradedBasis:
     def test_operator_preserves_grading(self):
-        from deltoid_lab.spectral import DELTOID_BASIS, G2_BASIS
-
         for basis, model in ((DELTOID_BASIS, deltoid_model(Fraction(5, 2))),
                              (G2_BASIS, g2_from_lambda(Fraction(5, 2)))):
             table = operator_table(model, basis, 6)
@@ -182,23 +215,14 @@ class TestGradedBasis:
 
 
 class TestEigenbasis:
-    def test_deltoid_basis_matches_eigen_R(self, monkeypatch):
-        from deltoid_lab import spectral
-
-        calls = []
-
-        def counted(model, poly):
-            calls.append(poly)
-            return l_apply(model, poly)
-
-        monkeypatch.setattr(spectral, "l_apply", counted)
+    def test_deltoid_basis_matches_eigen_R(self, l_apply_calls, monkeypatch):
         model = deltoid_model(1)
         basis = eigenbasis(model, 8)
         # One L application per monomial of degree <= 8, shared by every solve.
-        assert len(calls) == len(basis) == 45
+        assert len(l_apply_calls) == len(basis) == 45
         monkeypatch.undo()
         for (n, k), e in basis.items():
-            assert e == eigen_R(model, n, k)
+            assert e == reference_solve(model, DELTOID_BASIS, (n, k))
         # The benign flat-parameter collision survives the shared table.
         assert (7, 0) in basis[(3, 5)].collisions
 
@@ -207,7 +231,7 @@ class TestEigenbasis:
         basis = eigenbasis(model, 6)
         for d in range(7):
             for e in eigen_g2(model, d):
-                assert basis[(e.n, e.k)] == e
+                assert basis[(e.n, e.k)] == e == reference_solve(model, G2_BASIS, (e.n, e.k))
 
     def test_rejects_unknown_variables(self):
         g = MPoly.variables_ring(("x",))
@@ -217,39 +241,63 @@ class TestEigenbasis:
 
 
 class TestParameterBasis:
-    def test_probe_pairs_share_one_table(self, monkeypatch):
-        from deltoid_lab import spectral
+    def test_probe_pairs_share_one_table(self, l_apply_calls, monkeypatch):
         from deltoid_lab.hypergroup import ProbeContext
 
-        calls = []
-
-        def counted(model, poly):
-            calls.append(poly)
-            return l_apply(model, poly)
-
         lam = Fraction(11, 2)
-        spectral._parameter_basis.cache_clear()
-        monkeypatch.setattr(spectral, "l_apply", counted)
         ctx = ProbeContext.build(lam, 4)
         # One L application per monomial of degree <= 4, for all eight pairs.
-        assert len(calls) == 15
+        assert len(l_apply_calls) == 15
         monkeypatch.undo()
         model = deltoid_model(lam)
         for (n, k), pair in ctx.pairs.items():
-            assert pair == eigen_PQ(model, n, k)
+            assert pair == reference_pq(model, n, k)
 
     def test_growing_the_table_keeps_earlier_pairs(self):
-        from deltoid_lab import spectral
-
         lam = Fraction(13, 3)
-        spectral._parameter_basis.cache_clear()
+        spectral._OPERATORS.clear()
         low = eigen_PQ_lambda(lam, 1, 1)
         high = eigen_PQ_lambda(lam, 4, 2)
         assert eigen_PQ_lambda(lam, 1, 1) is low
         model = deltoid_model(lam)
-        assert low == eigen_PQ(model, 1, 1) and high == eigen_PQ(model, 4, 2)
+        assert low == reference_pq(model, 1, 1) and high == reference_pq(model, 4, 2)
         with pytest.raises(ValueError):
             eigen_PQ_lambda(lam, -1, 0)
+
+
+class TestOperatorCache:
+    def test_equal_model_reuses_the_table(self, l_apply_calls):
+        basis = eigenbasis(deltoid_model(LAM), 8)
+        assert len(l_apply_calls) == 45
+        again = deltoid_model(LAM)  # a second object, equal in value
+        for n, k in pq_indices(6, include_constant=True):
+            assert verify_rotation(again, n, k).ok
+        assert eigen_R(again, 4, 2) is basis[(4, 2)]
+        assert len(l_apply_calls) == 45
+
+    def test_g2_slices_share_one_table(self, l_apply_calls):
+        model = g2_from_lambda(LAM)
+        for d in range(6):
+            eigen_g2(model, d)
+        # 12 monomials s^r p^t with r + 2t <= 5, each L-applied once.
+        assert len(l_apply_calls) == 12
+
+    def test_other_drift_gets_its_own_entry(self, l_apply_calls):
+        r31 = eigen_R(MODEL, 3, 1)
+        before = len(l_apply_calls)
+        # weird_model shares the deltoid Gamma table and differs in drift only.
+        with pytest.raises(EigenvalueCollisionError):
+            eigen_R(weird_model(), 3, 1)
+        assert len(l_apply_calls) > before
+        assert eigen_R(MODEL, 3, 1) is r31
+
+    def test_request_order_changes_no_polynomial(self):
+        lam = Fraction(17, 4)
+        spectral._OPERATORS.clear()
+        high_first = (eigen_PQ_lambda(lam, 4, 2), eigen_PQ_lambda(lam, 1, 1))
+        spectral._OPERATORS.clear()
+        low_first = eigen_PQ_lambda(lam, 1, 1)
+        assert (eigen_PQ_lambda(lam, 4, 2), low_first) == high_first
 
 
 class TestPieri:
