@@ -111,6 +111,9 @@ def cmd_verify(args) -> int:
     if args.out:
         emit_report(report, args.out)
     for entry in report.entries:
+        if entry.status == "exact-fail":
+            print(f"EXACT IDENTITY FAILURE: {entry.name}: {entry.details}")
+    for entry in report.entries:
         print(f"{entry.status:26s} {entry.name}")
     print(f"total {len(report.entries)} identities; exit code {code}")
     return code
@@ -304,9 +307,14 @@ SIZE_MINIMUMS = {
     "gram": {"degree_max": 1, "grid": TorusGrid.MIN_N},
     "markov": {"n": 1, "k": 0, "degree_max": 1, "theta_grid": 1, "samples": 2},
     "sample": {"n": 1},
-    "plot": {"n": 0, "k": 0},
+    # Three samples are the three cusps, the fewest that close the curve.
+    "plot": {"n": 0, "k": 0, "samples": 3, "theta_grid": 1},
+    # probe_degree_max 2 gives block_diagonality two eigenvalues to correlate;
+    # selfadjoint_pairs 2 gives one pair per parameter.
     "verify": {"grid_n": TorusGrid.MIN_N, "theta_per_axis": 1, "eigen_degree_max": 1,
-               "torus_samples": 2, "su3_samples": 2, "omega1_samples": 2},
+               "torus_samples": 2, "su3_samples": 2, "omega1_samples": 2,
+               "gram_degree_max": 1, "probe_degree_max": 2, "selfadjoint_pairs": 2,
+               "coverage_theta_n": 1, "coverage_omega_n": 1, "cusp_grid_n": 2},
 }
 
 

@@ -280,22 +280,6 @@ def divergence_sums(model: DiffusionModel) -> dict[str, MPoly]:
     return out
 
 
-def divergence_identity_check(
-    model: DiffusionModel, expected_coefficient: Fraction
-) -> dict[str, tuple[bool, MPoly]]:
-    """Compare each divergence sum against expected_coefficient * variable.
-
-    Returns per variable (matches, computed sum); the exact computation is
-    divergence_sums, this only attaches the expectation.
-    """
-    sums = divergence_sums(model)
-    out: dict[str, tuple[bool, MPoly]] = {}
-    for v, total in sums.items():
-        expected = MPoly.var(model.variables, v) * expected_coefficient
-        out[v] = (total == expected, total)
-    return out
-
-
 @dataclass(frozen=True)
 class InterpolationProof:
     """Result of proving a parameter-polynomial identity by sampling."""

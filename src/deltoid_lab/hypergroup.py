@@ -51,9 +51,6 @@ class MarkovMatrix:
     delta: float
     provenance: dict  # entry -> ("exact", 0.0) | ("estimated", standard_error)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.alpha, self.beta], [self.gamma, self.delta]])
-
 
 @dataclass(frozen=True)
 class ProbeContext:
@@ -388,7 +385,8 @@ def coverage_check(theta_per_axis: int = 600, omega_per_axis: int = 100) -> dict
     """Surjectivity of theta -> Z(theta) onto the domain, cell by cell.
 
     Every cell of the omega grid whose center lies strictly inside the
-    domain must receive at least one image point of the theta grid.
+    domain must receive at least one image point of the theta grid, and
+    there must be such a cell.
     """
     two_pi = 2.0 * math.pi
     ts = np.arange(theta_per_axis) * two_pi / theta_per_axis
@@ -404,11 +402,12 @@ def coverage_check(theta_per_axis: int = 600, omega_per_axis: int = 100) -> dict
     centers_y = -y_hi + (np.arange(omega_per_axis) + 0.5) * (2.0 * y_hi) / omega_per_axis
     cx, cy = np.meshgrid(centers_x, centers_y, indexing="ij")
     interior = np.asarray(deltoid_boundary_values(cx + 1j * cy)) > 0.0
+    cells = int(interior.sum())
     missed = int(np.count_nonzero(interior & ~hit))
     return {
-        "interior_cells": int(interior.sum()),
+        "interior_cells": cells,
         "missed_cells": missed,
-        "ok": missed == 0,
+        "ok": cells > 0 and missed == 0,
     }
 
 

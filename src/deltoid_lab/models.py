@@ -173,12 +173,6 @@ PI_IMAGES = {
 }
 
 
-def project_sixdim_to_deltoid(lam: RationalLike) -> DiffusionModel:
-    """Pushforward of the lifted model through the average map."""
-    lam = Fraction(lam)
-    return pushforward(sixdim_model(lam), PI_IMAGES, {"lambda": lam})
-
-
 # ---------------------------------------------------------------------------
 # Numeric membership and geometry helpers
 # ---------------------------------------------------------------------------
@@ -548,15 +542,6 @@ PSI_IMAGES = {
     "s": MPoly.var(DELTOID_VARS, "Z") + MPoly.var(DELTOID_VARS, "Zb"),
     "p": MPoly.var(DELTOID_VARS, "Z") * MPoly.var(DELTOID_VARS, "Zb"),
 }
-
-
-def project_deltoid_to_g2(lam: RationalLike) -> DiffusionModel:
-    """Pushforward of the deltoid model through s = Z + Zb, p = Z Zb."""
-    lam = Fraction(lam)
-    a2 = (2 * lam - 5) / 6
-    return pushforward(
-        deltoid_model(lam), PSI_IMAGES, {"alpha1": Fraction(-1, 2), "alpha2": a2}
-    )
 
 
 # The self-map of the G2 domain exchanging the two boundary components.  The

@@ -646,16 +646,6 @@ def solve_field_linear(
     return solution
 
 
-def poly_matrix(variables: Sequence[str], entries: Sequence[Sequence["MPoly | CoeffLike"]]) -> list[list[MPoly]]:
-    """Coerce a nested sequence of polynomials/constants to a matrix."""
-    out: list[list[MPoly]] = []
-    for row in entries:
-        out.append(
-            [e if isinstance(e, MPoly) else MPoly.const(variables, e) for e in row]
-        )
-    return out
-
-
 GammaTable = dict[tuple[str, str], MPoly]
 
 

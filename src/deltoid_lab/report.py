@@ -2,15 +2,22 @@
 
 Every identity the laboratory certifies is registered as one entry with a
 stable name, a machine-readable anchor naming the mathematical fact, a
-status and free-form details.  Statuses:
+status and free-form details.  A report is built with the registry's
+name -> anchor map; ``add`` looks the anchor up and rejects a name that is
+not registered.  Statuses:
 
     proven-exact             symbolic identity, zero tolerance
     proven-by-interpolation  exact at enough parameter values to pin the
                              polynomial identity for every parameter
+    exact-fail               an exact identity failed; details hold the
+                             first witness
     numeric-pass             numeric check within its stated tolerance
     numeric-fail             numeric check outside tolerance
     discrepancy-noted        a printed formula disagrees with the computed
                              resolution; both values attached
+
+Exit codes, by precedence: 2 if any entry is exact-fail, else 1 if any is
+numeric-fail, else 0.
 
 Emitters are deterministic: identical inputs give byte-identical files.
 """
@@ -21,6 +28,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +38,7 @@ from .models import z_of_theta
 STATUSES = (
     "proven-exact",
     "proven-by-interpolation",
+    "exact-fail",
     "numeric-pass",
     "numeric-fail",
     "discrepancy-noted",
@@ -51,32 +60,40 @@ class IdentityEntry:
 @dataclass
 class VerificationReport:
     config: dict
+    anchors: dict[str, str]  # registered name -> anchor
     entries: list[IdentityEntry] = field(default_factory=list)
     models: dict = field(default_factory=dict)  # name -> DiffusionModel JSON
 
-    def add(self, name: str, anchor: str, status: str, details: str = "") -> IdentityEntry:
+    def add(self, name: str, status: str, details: str = "") -> IdentityEntry:
+        if name not in self.anchors:
+            raise ValueError(f"identity {name!r} is not registered")
         if any(e.name == name for e in self.entries):
             raise ValueError(f"identity {name!r} registered twice")
-        entry = IdentityEntry(name, anchor, status, details)
+        entry = IdentityEntry(name, self.anchors[name], status, details)
         self.entries.append(entry)
         return entry
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def failures(self) -> list[IdentityEntry]:
-        return [e for e in self.entries if e.status == "numeric-fail"]
-
     def discrepancies(self) -> list[IdentityEntry]:
         return [e for e in self.entries if e.status == "discrepancy-noted"]
 
     def exit_code(self) -> int:
-        # 0 all pass, 1 numeric failure, 2 exact-identity failure.
-        if any(e.status == "numeric-fail" for e in self.entries):
-            return 1
-        return 0
+        statuses = {e.status for e in self.entries}
+        if "exact-fail" in statuses:
+            return 2
+        return 1 if "numeric-fail" in statuses else 0
 
     def to_jsonable(self) -> dict:
+        counts = Counter(e.status for e in self.entries)
+        summary = {
+            "total": len(self.entries),
+            "discrepancy-noted": counts["discrepancy-noted"],
+            "numeric-fail": counts["numeric-fail"],
+        }
+        if counts["exact-fail"]:
+            summary["exact-fail"] = counts["exact-fail"]
         return {
             "config": {k: str(v) for k, v in sorted(self.config.items())},
             "models": self.models,
@@ -89,11 +106,7 @@ class VerificationReport:
                 }
                 for e in self.entries
             ],
-            "summary": {
-                "total": len(self.entries),
-                "discrepancy-noted": len(self.discrepancies()),
-                "numeric-fail": len(self.failures()),
-            },
+            "summary": summary,
         }
 
 

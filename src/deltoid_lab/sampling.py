@@ -39,10 +39,6 @@ class MomentEstimate:
     standard_error: float
     n: int
 
-    def consistent_with(self, value: float, sigmas: float = 4.0) -> bool:
-        spread = self.standard_error if self.standard_error > 0 else 1e-300
-        return abs(self.mean - value) <= sigmas * spread
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -318,8 +314,3 @@ def pushforward_deltoid(batch: SampleBatch) -> np.ndarray:
     if batch.kind == "omega1":
         return batch.points.mean(axis=1)
     raise ValueError(f"unknown batch kind {batch.kind!r}")
-
-
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derived per-worker seeds; deterministic in (seed, count)."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]

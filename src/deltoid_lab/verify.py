@@ -9,6 +9,12 @@ self-adjointness, the distributional sampling identities, and the Markov
 block probe.  Exactly three checks resolve a printed formula against a
 computed one and are reported as discrepancy-noted with both values.
 
+IDENTITY_MANIFEST is the one registry: each name and anchor is written
+there, and each name once more at its check site.  Each exact identity is
+one ``with _exact(...)`` block; a failed ``require`` ends only that block and
+records the identity as exact-fail with its witness, so every run reports
+every registered identity.
+
 Exit codes: 0 all pass, 1 numeric failure, 2 exact-identity failure,
 3 usage error.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -106,12 +113,7 @@ LAMBDA_INTERP = (Fraction(2), Fraction(3))
 
 
 class ExactIdentityFailure(AssertionError):
-    """A zero-tolerance identity failed; carries the witness."""
-
-    def __init__(self, name: str, witness: str):
-        self.name = name
-        self.witness = witness
-        super().__init__(f"exact identity {name} failed: {witness}")
+    """A zero-tolerance identity failed; the message is the witness."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,8 @@ class VerifyConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# Machine-readable anchors: each names the mathematical fact being checked.
+# The identity registry (scripts/make_goldens.py writes it to docs/identities.json):
+# each name with the machine-readable anchor of the mathematical fact it checks.
 IDENTITY_MANIFEST: tuple[tuple[str, str], ...] = (
     ("algebra.field_axioms", "field-QiSqrt3-axioms"),
     ("algebra.conjugation_involution", "coefficient-conjugation-involution"),
@@ -196,9 +199,24 @@ IDENTITY_MANIFEST: tuple[tuple[str, str], ...] = (
 )
 
 
-def _require(name: str, condition: bool, witness: str) -> None:
-    if not condition:
-        raise ExactIdentityFailure(name, witness)
+@contextmanager
+def _exact(report: VerificationReport, name: str, details: str, status: str = "proven-exact"):
+    """One exact identity as a block; ``require(ok, witness)`` ends only this block.
+
+    A block that completes records ``status`` with ``details``; the first
+    failed ``require`` records exact-fail with its witness instead.
+    """
+
+    def require(condition: bool, witness: str) -> None:
+        if not condition:
+            raise ExactIdentityFailure(witness)
+
+    try:
+        yield require
+    except ExactIdentityFailure as failure:
+        report.add(name, "exact-fail", str(failure))
+    else:
+        report.add(name, status, details)
 
 
 def _random_scalar(rng: random.Random) -> FieldScalar:
@@ -228,48 +246,45 @@ def _random_poly(rng: random.Random, variables, degree: int, terms: int) -> MPol
 
 def _suite_algebra(report: VerificationReport, config: VerifyConfig) -> None:
     rng = random.Random(config.seed)
-    for _ in range(40):
-        x, y, z = (_random_scalar(rng) for _ in range(3))
-        _require("algebra.field_axioms", (x * y) * z == x * (y * z), f"assoc at {x},{y},{z}")
-        _require("algebra.field_axioms", x * (y + z) == x * y + x * z, f"dist at {x},{y},{z}")
-        if x:
-            _require("algebra.field_axioms", x * x.inverse() == ONE, f"inverse at {x}")
-    report.add("algebra.field_axioms", "field-QiSqrt3-axioms", "proven-exact",
-               "40 random triples: associativity, distributivity, inverses")
+    with _exact(report, "algebra.field_axioms",
+                "40 random triples: associativity, distributivity, inverses") as require:
+        for _ in range(40):
+            x, y, z = (_random_scalar(rng) for _ in range(3))
+            require((x * y) * z == x * (y * z), f"assoc at {x},{y},{z}")
+            require(x * (y + z) == x * y + x * z, f"dist at {x},{y},{z}")
+            if x:
+                require(x * x.inverse() == ONE, f"inverse at {x}")
 
-    for _ in range(15):
-        f = _random_poly(rng, SIXDIM_VARS, 3, 5)
-        pairs = (("z1", "zb1"), ("z2", "zb2"), ("z3", "zb3"))
-        _require("algebra.conjugation_involution",
-                 f.conj_swap(pairs).conj_swap(pairs) == f, "involution failed")
-    report.add("algebra.conjugation_involution", "coefficient-conjugation-involution",
-               "proven-exact", "conjugation swap is an involution on random polynomials")
+    with _exact(report, "algebra.conjugation_involution",
+                "conjugation swap is an involution on random polynomials") as require:
+        for _ in range(15):
+            f = _random_poly(rng, SIXDIM_VARS, 3, 5)
+            pairs = (("z1", "zb1"), ("z2", "zb2"), ("z3", "zb3"))
+            require(f.conj_swap(pairs).conj_swap(pairs) == f, "involution failed")
 
-    for _ in range(15):
-        f = _random_poly(rng, DELTOID_VARS, 4, 5)
-        w = {"Z": 1, "Zb": -1}
-        _require("algebra.rotation_period",
-                 f.rotate_j(w).rotate_j(w).rotate_j(w) == f, "period-three failed")
-    report.add("algebra.rotation_period", "j-rotation-period-three", "proven-exact",
-               "triple j-rotation is the identity on random polynomials")
+    with _exact(report, "algebra.rotation_period",
+                "triple j-rotation is the identity on random polynomials") as require:
+        for _ in range(15):
+            f = _random_poly(rng, DELTOID_VARS, 4, 5)
+            w = {"Z": 1, "Zb": -1}
+            require(f.rotate_j(w).rotate_j(w).rotate_j(w) == f, "period-three failed")
 
-    for size in (2, 3, 4):
-        for _ in range(4):
-            m = [[_random_poly(rng, DELTOID_VARS, 1, 2) for _ in range(size)] for _ in range(size)]
-            _require("algebra.determinant_cross_check",
-                     det_fraction_free(m) == det_cofactor(m), f"{size}x{size} mismatch")
-    report.add("algebra.determinant_cross_check", "bareiss-vs-cofactor-determinant",
-               "proven-exact", "fraction-free elimination agrees with cofactor expansion")
+    with _exact(report, "algebra.determinant_cross_check",
+                "fraction-free elimination agrees with cofactor expansion") as require:
+        for size in (2, 3, 4):
+            for _ in range(4):
+                m = [[_random_poly(rng, DELTOID_VARS, 1, 2) for _ in range(size)]
+                     for _ in range(size)]
+                require(det_fraction_free(m) == det_cofactor(m), f"{size}x{size} mismatch")
 
-    for _ in range(12):
-        f = _random_poly(rng, G2_VARS, 3, 4)
-        g = _random_poly(rng, G2_VARS, 2, 3)
-        if g.is_zero():
-            continue
-        _require("algebra.exact_division_roundtrip",
-                 divide_exact(f * g, g) == f, "roundtrip failed")
-    report.add("algebra.exact_division_roundtrip", "polynomial-exact-division",
-               "proven-exact", "divide_exact(f*g, g) = f on random polynomials")
+    with _exact(report, "algebra.exact_division_roundtrip",
+                "divide_exact(f*g, g) = f on random polynomials") as require:
+        for _ in range(12):
+            f = _random_poly(rng, G2_VARS, 3, 4)
+            g = _random_poly(rng, G2_VARS, 2, 3)
+            if g.is_zero():
+                continue
+            require(divide_exact(f * g, g) == f, "roundtrip failed")
 
 
 def _deltoid_gamma(corrupt: bool = False) -> DiffusionModel:
@@ -286,28 +301,26 @@ def _deltoid_gamma(corrupt: bool = False) -> DiffusionModel:
 
 def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
     p_poly = deltoid_boundary_poly()
-    base = _deltoid_gamma(corrupt=config.negative_control)
+    with _exact(report, "deltoid.metric_determinant",
+                "2x2 metric determinant equals -P for the quartic boundary P") as require:
+        base = _deltoid_gamma(corrupt=config.negative_control)
+        det2 = det_fraction_free(
+            [[base.gamma_entry("Z", "Z"), base.gamma_entry("Z", "Zb")],
+             [base.gamma_entry("Zb", "Z"), base.gamma_entry("Zb", "Zb")]]
+        )
+        expected2 = (
+            base.gamma_entry("Z", "Zb") ** 2
+            - base.gamma_entry("Z", "Z") * base.gamma_entry("Zb", "Zb")
+        )
+        require(det2 == -expected2 and expected2 == p_poly, f"det = {det2}")
 
-    det2 = det_fraction_free(
-        [[base.gamma_entry("Z", "Z"), base.gamma_entry("Z", "Zb")],
-         [base.gamma_entry("Zb", "Z"), base.gamma_entry("Zb", "Zb")]]
-    )
-    expected2 = (
-        base.gamma_entry("Z", "Zb") ** 2
-        - base.gamma_entry("Z", "Z") * base.gamma_entry("Zb", "Zb")
-    )
-    _require("deltoid.metric_determinant", det2 == -expected2 and expected2 == p_poly,
-             f"det = {det2}")
-    report.add("deltoid.metric_determinant", "deltoid-metric-det-equals-minus-boundary",
-               "proven-exact", "2x2 metric determinant equals -P for the quartic boundary P")
-
-    cof = boundary_ideal_check(deltoid_model(1), p_poly)
     zvar = MPoly.var(DELTOID_VARS, "Z")
     zbvar = MPoly.var(DELTOID_VARS, "Zb")
-    _require("deltoid.boundary_cofactors",
-             cof["Z"] == zvar * (-3) and cof["Zb"] == zbvar * (-3), str({k: str(v) for k, v in cof.items()}))
-    report.add("deltoid.boundary_cofactors", "deltoid-boundary-ideal-cofactors",
-               "proven-exact", "Gamma(P, Z) = -3 Z P and Gamma(P, Zb) = -3 Zb P")
+    with _exact(report, "deltoid.boundary_cofactors",
+                "Gamma(P, Z) = -3 Z P and Gamma(P, Zb) = -3 Zb P") as require:
+        cof = boundary_ideal_check(deltoid_model(1), p_poly)
+        require(cof["Z"] == zvar * (-3) and cof["Zb"] == zbvar * (-3),
+                str({k: str(v) for k, v in cof.items()}))
 
     def deltoid_drift_check(lam: Fraction) -> bool:
         m = deltoid_model(lam)
@@ -315,40 +328,37 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
         derived = drift_from_measure(DELTOID_VARS, m.gamma, [(p_poly, alpha)])
         return derived == dict(m.drift)
 
-    proof = identity_for_all_lambda(deltoid_drift_check, 1, LAMBDA_INTERP)
-    _require("deltoid.measure_drift", proof.passed, f"witnesses {proof.witnesses}")
-    report.add("deltoid.measure_drift", "deltoid-powerlaw-measure-drift",
-               "proven-by-interpolation",
-               f"P**((2l-5)/6) density gives drift (-l Z, -l Zb); exact at l in {proof.tested}")
+    with _exact(report, "deltoid.measure_drift",
+                "P**((2l-5)/6) density gives drift (-l Z, -l Zb); exact at l in "
+                f"{LAMBDA_INTERP}", "proven-by-interpolation") as require:
+        proof = identity_for_all_lambda(deltoid_drift_check, 1, LAMBDA_INTERP)
+        require(proof.passed, f"witnesses {proof.witnesses}")
 
-    div = divergence_sums(deltoid_model(1))
-    _require("deltoid.divergence_sum",
-             div["Z"] == zvar * Fraction(-5, 2) and div["Zb"] == zbvar * Fraction(-5, 2),
-             str({k: str(v) for k, v in div.items()}))
-    report.add("deltoid.divergence_sum", "deltoid-cometric-divergence", "proven-exact",
-               "column divergence of the deltoid cometric is -(5/2) per coordinate")
+    with _exact(report, "deltoid.divergence_sum",
+                "column divergence of the deltoid cometric is -(5/2) per coordinate") as require:
+        div = divergence_sums(deltoid_model(1))
+        require(div["Z"] == zvar * Fraction(-5, 2) and div["Zb"] == zbvar * Fraction(-5, 2),
+                str({k: str(v) for k, v in div.items()}))
 
     # Lifted model.
     sm = sixdim_model(2)
     p1, p2 = p1_p2()
-    mat = [[sm.gamma_entry(u, v) for v in SIXDIM_VARS] for u in SIXDIM_VARS]
-    det6 = det_fraction_free(mat)
-    _require("sixdim.metric_determinant", det6 == p1 * p2 * Fraction(243, 64),
-             f"det has {len(det6.terms)} terms")
-    report.add("sixdim.metric_determinant", "lifted-metric-det-factorization",
-               "proven-exact", "6x6 metric determinant equals (243/64) P1 P2")
+    with _exact(report, "sixdim.metric_determinant",
+                "6x6 metric determinant equals (243/64) P1 P2") as require:
+        det6 = det_fraction_free([[sm.gamma_entry(u, v) for v in SIXDIM_VARS] for u in SIXDIM_VARS])
+        require(det6 == p1 * p2 * Fraction(243, 64), f"det has {len(det6.terms)} terms")
 
-    cof1 = boundary_ideal_check(sm, p1)
-    ok = all(cof1[v] == MPoly.var(SIXDIM_VARS, v) * (-3) for v in SIXDIM_VARS)
-    _require("sixdim.boundary_cofactors", ok, str({k: str(v) for k, v in cof1.items()}))
-    report.add("sixdim.boundary_cofactors", "lifted-boundary-ideal-cofactors",
-               "proven-exact", "Gamma(P1, w) = -3 w P1 for all six coordinates")
+    with _exact(report, "sixdim.boundary_cofactors",
+                "Gamma(P1, w) = -3 w P1 for all six coordinates") as require:
+        cof1 = boundary_ideal_check(sm, p1)
+        require(all(cof1[v] == MPoly.var(SIXDIM_VARS, v) * (-3) for v in SIXDIM_VARS),
+                str({k: str(v) for k, v in cof1.items()}))
 
-    div6 = divergence_sums(sm)
-    ok = all(div6[v] == MPoly.var(SIXDIM_VARS, v) * Fraction(-11, 2) for v in SIXDIM_VARS)
-    _require("sixdim.divergence_sum", ok, str({k: str(v) for k, v in div6.items()}))
-    report.add("sixdim.divergence_sum", "lifted-cometric-divergence", "proven-exact",
-               "column divergence of the lifted cometric is -(11/2) per coordinate")
+    with _exact(report, "sixdim.divergence_sum",
+                "column divergence of the lifted cometric is -(11/2) per coordinate") as require:
+        div6 = divergence_sums(sm)
+        require(all(div6[v] == MPoly.var(SIXDIM_VARS, v) * Fraction(-11, 2) for v in SIXDIM_VARS),
+                str({k: str(v) for k, v in div6.items()}))
 
     def sixdim_drift_check(lam: Fraction) -> bool:
         m = sixdim_model(lam)
@@ -356,82 +366,84 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
         derived = drift_from_measure(SIXDIM_VARS, m.gamma, [(p1, beta)])
         return derived == dict(m.drift)
 
-    proof = identity_for_all_lambda(sixdim_drift_check, 1, (Fraction(3), Fraction(6)))
-    _require("sixdim.measure_drift", proof.passed, f"witnesses {proof.witnesses}")
-    report.add("sixdim.measure_drift", "lifted-powerlaw-measure-drift",
-               "proven-by-interpolation",
-               "P1**((2l-11)/6) density gives drift -l per coordinate; exact at l in (3, 6)")
+    with _exact(report, "sixdim.measure_drift",
+                "P1**((2l-11)/6) density gives drift -l per coordinate; exact at l in (3, 6)",
+                "proven-by-interpolation") as require:
+        proof = identity_for_all_lambda(sixdim_drift_check, 1, (Fraction(3), Fraction(6)))
+        require(proof.passed, f"witnesses {proof.witnesses}")
 
     def projection_check(lam: Fraction) -> bool:
         return pushforward(sixdim_model(lam), PI_IMAGES, {"lambda": lam}) == deltoid_model(lam)
 
-    proof = identity_for_all_lambda(projection_check, 1, LAMBDA_INTERP)
-    _require("sixdim.projection_to_deltoid", proof.passed, f"witnesses {proof.witnesses}")
-    report.add("sixdim.projection_to_deltoid", "average-map-projection",
-               "proven-by-interpolation",
-               f"average map carries the lifted model onto the deltoid model; exact at l in {proof.tested}")
+    with _exact(report, "sixdim.projection_to_deltoid",
+                "average map carries the lifted model onto the deltoid model; exact at l in "
+                f"{LAMBDA_INTERP}", "proven-by-interpolation") as require:
+        proof = identity_for_all_lambda(projection_check, 1, LAMBDA_INTERP)
+        require(proof.passed, f"witnesses {proof.witnesses}")
 
     def g2_projection_check(lam: Fraction) -> bool:
         image = pushforward(deltoid_model(lam), PSI_IMAGES)
         target = g2_from_lambda(lam)
         return dict(image.gamma) == dict(target.gamma) and dict(image.drift) == dict(target.drift)
 
-    proof = identity_for_all_lambda(g2_projection_check, 1, LAMBDA_INTERP)
-    _require("deltoid.projection_to_g2", proof.passed, f"witnesses {proof.witnesses}")
-    report.add("deltoid.projection_to_g2", "symmetric-coordinates-projection",
-               "proven-by-interpolation",
-               f"(s, p) projection carries the deltoid model onto the G2 model; exact at l in {proof.tested}")
+    with _exact(report, "deltoid.projection_to_g2",
+                "(s, p) projection carries the deltoid model onto the G2 model; exact at l in "
+                f"{LAMBDA_INTERP}", "proven-by-interpolation") as require:
+        proof = identity_for_all_lambda(g2_projection_check, 1, LAMBDA_INTERP)
+        require(proof.passed, f"witnesses {proof.witnesses}")
 
     # G2 family.
     q1, q2 = q1_q2()
-    gamma = g2_gamma_table()
-    detg = gamma[("s", "s")] * gamma[("p", "p")] - gamma[("s", "p")] ** 2
-    _require("g2.metric_determinant", detg == q1 * q2 * Fraction(1, 4), f"det = {detg}")
-    report.add("g2.metric_determinant", "g2-metric-det-factorization", "proven-exact",
-               "2x2 metric determinant equals (1/4) q1 q2 with q2 defined by exact division")
+    with _exact(report, "g2.metric_determinant",
+                "2x2 metric determinant equals (1/4) q1 q2 with q2 defined by exact division"
+                ) as require:
+        gamma = g2_gamma_table()
+        detg = gamma[("s", "s")] * gamma[("p", "p")] - gamma[("s", "p")] ** 2
+        require(detg == q1 * q2 * Fraction(1, 4), f"det = {detg}")
 
     svar = MPoly.var(G2_VARS, "s")
     pvar = MPoly.var(G2_VARS, "p")
-    gm = g2_model(Fraction(-1, 2), Fraction(1, 2))
-    cq1 = boundary_ideal_check(gm, q1)
-    cq2 = boundary_ideal_check(gm, q2)
-    ok = (
-        cq1["s"] == svar * (-2) - 2
-        and cq1["p"] == pvar * (-3) - svar * 2 + 1
-        and cq2["s"] == svar * (-3)
-        and cq2["p"] == pvar * (-6)
-    )
-    _require("g2.boundary_cofactors", ok,
-             str({k: str(v) for k, v in (cq1 | {f"2{k}": v for k, v in cq2.items()}).items()}))
-    report.add("g2.boundary_cofactors", "g2-boundary-ideal-cofactors", "proven-exact",
-               "Gamma(log q1, .) = (-2s-2, -3p-2s+1); Gamma(log q2, .) = (-3s, -6p)")
+    with _exact(report, "g2.boundary_cofactors",
+                "Gamma(log q1, .) = (-2s-2, -3p-2s+1); Gamma(log q2, .) = (-3s, -6p)") as require:
+        gm = g2_model(Fraction(-1, 2), Fraction(1, 2))
+        cq1 = boundary_ideal_check(gm, q1)
+        cq2 = boundary_ideal_check(gm, q2)
+        ok = (
+            cq1["s"] == svar * (-2) - 2
+            and cq1["p"] == pvar * (-3) - svar * 2 + 1
+            and cq2["s"] == svar * (-3)
+            and cq2["p"] == pvar * (-6)
+        )
+        require(ok, str({k: str(v)
+                         for k, v in (cq1 | {f"2{k}": v for k, v in cq2.items()}).items()}))
 
     def g2_drift_check(lam: Fraction) -> bool:
         m = g2_from_lambda(lam)
         return m.drift["s"] == svar * (-lam) and m.drift["p"] == pvar * (-(2 * lam + 1)) + 1
 
-    proof = identity_for_all_lambda(g2_drift_check, 1, LAMBDA_INTERP)
-    _require("g2.measure_drift", proof.passed, f"witnesses {proof.witnesses}")
-    report.add("g2.measure_drift", "g2-powerlaw-measure-drift", "proven-by-interpolation",
-               "q1**(-1/2) q2**((2l-5)/6) density gives drift (-l s, 1-(2l+1) p)")
+    with _exact(report, "g2.measure_drift",
+                "q1**(-1/2) q2**((2l-5)/6) density gives drift (-l s, 1-(2l+1) p)",
+                "proven-by-interpolation") as require:
+        proof = identity_for_all_lambda(g2_drift_check, 1, LAMBDA_INTERP)
+        require(proof.passed, f"witnesses {proof.witnesses}")
 
-    factors = []
-    for a2 in (Fraction(0), Fraction(1, 2), Fraction(3, 2)):
-        factors.append(psi1_intertwining_factor(a2))
-    _require("g2.psi1_intertwining", all(f == 3 for f in factors), f"factors {factors}")
-    report.add("g2.psi1_intertwining", "boundary-exchange-selfmap-intertwining",
-               "proven-exact",
-               "image of the (-1/2, a2) operator under the self-map equals exactly "
-               "3 x the (a2, -1/2) operator (equivalently: one third of the image is the "
-               "parameter-swapped operator), at a2 in (0, 1/2, 3/2)")
+    with _exact(report, "g2.psi1_intertwining",
+                "image of the (-1/2, a2) operator under the self-map equals exactly "
+                "3 x the (a2, -1/2) operator (equivalently: one third of the image is the "
+                "parameter-swapped operator), at a2 in (0, 1/2, 3/2)") as require:
+        factors = [psi1_intertwining_factor(a2)
+                   for a2 in (Fraction(0), Fraction(1, 2), Fraction(3, 2))]
+        require(all(f == 3 for f in factors), f"factors {factors}")
 
-    try:
-        pushforward(g2_model(0, Fraction(1, 2)), PSI1_IMAGES)
-        _require("g2.psi1_not_closed", False, "pushforward unexpectedly closed at a1 = 0")
-    except NotClosedError:
-        pass
-    report.add("g2.psi1_not_closed", "selfmap-image-fails-off-halfinteger", "proven-exact",
-               "the self-map does not carry the operator when a1 = 0 (image drift not polynomial)")
+    with _exact(report, "g2.psi1_not_closed",
+                "the self-map does not carry the operator when a1 = 0 (image drift not polynomial)"
+                ) as require:
+        try:
+            pushforward(g2_model(0, Fraction(1, 2)), PSI1_IMAGES)
+        except NotClosedError:
+            pass
+        else:
+            require(False, "pushforward unexpectedly closed at a1 = 0")
 
     big = MPoly.variables_ring(("S", "P"))
     q1_big = big["S"] ** 2 - big["P"] * 4
@@ -440,33 +452,26 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
     )
     sub = {"S": PSI1_IMAGES["S"], "P": PSI1_IMAGES["P"]}
     pull_q1 = q1_big.subs(sub)
-    pull_q2 = q2_big.subs(sub)
-    cofactor = try_divide(pull_q2, q1)
-    _require("g2.psi1_boundary_exchange", pull_q1 == q2 * 3 and cofactor is not None,
-             f"q1 pullback = {pull_q1}")
-    report.add("g2.psi1_boundary_exchange", "selfmap-exchanges-boundary-factors",
-               "proven-exact",
-               f"q1 pulls back to 3 q2; q2 pulls back to q1 * ({cofactor})")
+    cofactor = try_divide(q2_big.subs(sub), q1)
+    with _exact(report, "g2.psi1_boundary_exchange",
+                f"q1 pulls back to 3 q2; q2 pulls back to q1 * ({cofactor})") as require:
+        require(pull_q1 == q2 * 3 and cofactor is not None, f"q1 pullback = {pull_q1}")
 
-    zvar_, zbvar_ = MPoly.var(DELTOID_VARS, "Z"), MPoly.var(DELTOID_VARS, "Zb")
-    sub_psi = {"s": PSI_IMAGES["s"], "p": PSI_IMAGES["p"]}
-    _require("g2.boundary_pullback_to_deltoid",
-             q2.subs(sub_psi) == p_poly * (-4) and q1.subs(sub_psi) == (zvar_ - zbvar_) ** 2,
-             "pullbacks do not match")
-    report.add("g2.boundary_pullback_to_deltoid", "g2-boundary-factors-under-projection",
-               "proven-exact",
-               "under (s, p) = (Z + Zb, Z Zb): q2 = -4 P and q1 = (Z - Zb)^2")
+    with _exact(report, "g2.boundary_pullback_to_deltoid",
+                "under (s, p) = (Z + Zb, Z Zb): q2 = -4 P and q1 = (Z - Zb)^2") as require:
+        sub_psi = {"s": PSI_IMAGES["s"], "p": PSI_IMAGES["p"]}
+        require(q2.subs(sub_psi) == p_poly * (-4) and q1.subs(sub_psi) == (zvar - zbvar) ** 2,
+                "pullbacks do not match")
 
 
 def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> None:
     sign = flat_torus_sign_report(1000, seed=config.seed)
     status = "numeric-pass" if sign["deviation_minus_variant"] < 1e-10 else "numeric-fail"
-    report.add("flat_torus.constraint_match", "flat-gradient-table-on-constraint-set", status,
+    report.add("flat_torus.constraint_match", status,
                f"gradient table matches the lifted table on the constraint set to "
                f"{sign['deviation_minus_variant']:.2e} over {sign['points']} points")
     report.add(
-        "discrepancy.flat_torus_cross_term_sign", "flat-table-cross-term-sign",
-        "discrepancy-noted",
+        "discrepancy.flat_torus_cross_term_sign", "discrepancy-noted",
         "printed cross term +(1/2) z_i zb_j vs gradient-derived -(1/2) z_i zb_j: the "
         f"minus sign matches the lifted table (deviation {sign['deviation_minus_variant']:.2e}) "
         f"while the plus sign deviates by {sign['deviation_plus_variant']:.2e}; resolution: -(1/2) z_i zb_j",
@@ -475,15 +480,14 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
     rng = np.random.default_rng(config.seed + 1)
     pts = np.sqrt(rng.uniform(size=(1000, 3))) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(1000, 3)))
     resid = p1_polar_decomposition_residual(pts)
-    report.add("sixdim.p1_polar_form", "p1-polar-product-decomposition",
+    report.add("sixdim.p1_polar_form",
                "numeric-pass" if resid < 1e-10 else "numeric-fail",
                f"polar product form matches P1 to {resid:.2e} on 1000 random points")
 
     q1, q2 = q1_q2()
     named = str(q2)
     report.add(
-        "discrepancy.g2_boundary_cubic_printings", "g2-cubic-factor-two-printings",
-        "discrepancy-noted",
+        "discrepancy.g2_boundary_cubic_printings", "discrepancy-noted",
         "two printed variants of the quintic's cubic factor (3p^2+12sp+6p-4s^3-1 vs "
         "3s^2+12sp+6p-4s^3-1): exact division of the metric determinant by q1/4 is the "
         f"resolution and yields {named}, matching the first variant and refuting the "
@@ -496,7 +500,7 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
         res = su3_gamma_pointwise(g)
         worst = max(worst, res["residual_gamma_zz"], res["residual_gamma_zzb"],
                     res["residual_l_z"], res["residual_trace_identity"])
-    report.add("su3.casimir_pointwise", "su3-casimir-trace-reduction",
+    report.add("su3.casimir_pointwise",
                "numeric-pass" if worst < 1e-8 else "numeric-fail",
                f"scaled Casimir values match the deltoid table at parameter 4 to {worst:.2e} "
                "on 1000 Haar samples (scale 1/2 for the unit-normalized entry table)")
@@ -507,7 +511,7 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
     for z in batch.points[:200]:
         point = {f"z{i+1}": z[i] for i in range(3)} | {f"zb{i+1}": np.conj(z[i]) for i in range(3)}
         min_eig = min(min_eig, float(np.linalg.eigvalsh(real_cometric_at(m, point)).min()))
-    report.add("sixdim.ellipticity", "lifted-cometric-positive-definite",
+    report.add("sixdim.ellipticity",
                "numeric-pass" if min_eig > 0 else "numeric-fail",
                f"smallest real-cometric eigenvalue over 200 domain samples: {min_eig:.3e} > 0")
 
@@ -520,7 +524,7 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
         1 for z, pv in zip(zbox[keep], pvals[keep])
         if (membership_deltoid(complex(z)) == "interior") != (pv > 0)
     )
-    report.add("deltoid.membership_consistency", "cubic-roots-vs-boundary-sign",
+    report.add("deltoid.membership_consistency",
                "numeric-pass" if mismatches == 0 else "numeric-fail",
                f"{mismatches} disagreements between root classifier and boundary sign "
                f"on {int(keep.sum())} box points (1e-6 boundary band excluded)")
@@ -528,59 +532,52 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
 
 def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
     dmax = config.eigen_degree_max
-    for lam in LAMBDA_EIGEN_SET:
-        model = deltoid_model(lam)
-        for d in range(dmax + 1):
-            for k in range(d + 1):
-                n = d - k
-                e = eigen_R(model, n, k)
-                _require("spectral.eigen_relation",
-                         l_apply(model, e.poly) == e.poly * (-e.eigenvalue)
-                         and e.eigenvalue == eigenvalue_deltoid(lam, n, k),
-                         f"lambda={lam}, (n,k)=({n},{k})")
-    report.add("spectral.eigen_relation", "eigenpolynomial-relation", "proven-exact",
-               f"L(R) = -((l-1)(n+k)+n^2+k^2+nk) R for n+k <= {dmax} at l in "
-               f"{tuple(str(l) for l in LAMBDA_EIGEN_SET)}")
+    with _exact(report, "spectral.eigen_relation",
+                f"L(R) = -((l-1)(n+k)+n^2+k^2+nk) R for n+k <= {dmax} at l in "
+                f"{tuple(str(l) for l in LAMBDA_EIGEN_SET)}") as require:
+        for lam in LAMBDA_EIGEN_SET:
+            model = deltoid_model(lam)
+            for d in range(dmax + 1):
+                for k in range(d + 1):
+                    n = d - k
+                    e = eigen_R(model, n, k)
+                    require(l_apply(model, e.poly) == e.poly * (-e.eigenvalue)
+                            and e.eigenvalue == eigenvalue_deltoid(lam, n, k),
+                            f"lambda={lam}, (n,k)=({n},{k})")
 
-    for lam in (Fraction(4), Fraction(7, 3)):
-        basis = eigenbasis(deltoid_model(lam), min(dmax, 6))
+    with _exact(report, "spectral.conjugation_swap",
+                "conjugation swap maps R(n,k) to R(k,n) exactly") as require:
+        for lam in (Fraction(4), Fraction(7, 3)):
+            basis = eigenbasis(deltoid_model(lam), min(dmax, 6))
+            for n, k in pq_indices(min(dmax, 6)):
+                require(basis[(n, k)].poly.conj_swap(DELTOID_CONJ_PAIRS) == basis[(k, n)].poly,
+                        f"lambda={lam}, (n,k)=({n},{k})")
+
+    with _exact(report, "spectral.rotation_relation",
+                "2x2 rotation action exact; the pair P + iQ picks up the scalar j**(n-k)"
+                ) as require:
+        for lam in LAMBDA_EIGEN_SET:
+            model = deltoid_model(lam)
+            for n, k in pq_indices(min(dmax, 6), include_constant=True):
+                require(verify_rotation(model, n, k).ok, f"lambda={lam}, (n,k)=({n},{k})")
+
+    with _exact(report, "spectral.coefficient_realness",
+                "R, P coefficients rational; Q coefficients purely imaginary") as require:
         for n, k in pq_indices(min(dmax, 6)):
-            _require("spectral.conjugation_swap",
-                     basis[(n, k)].poly.conj_swap(DELTOID_CONJ_PAIRS) == basis[(k, n)].poly,
-                     f"lambda={lam}, (n,k)=({n},{k})")
-    report.add("spectral.conjugation_swap", "eigenbasis-conjugation-swap", "proven-exact",
-               "conjugation swap maps R(n,k) to R(k,n) exactly")
+            p_hat, q_hat = eigen_PQ_lambda(Fraction(4), n, k)
+            require(coefficient_components_ok(p_hat) and coefficient_components_ok(q_hat),
+                    f"(n,k)=({n},{k})")
 
-    for lam in LAMBDA_EIGEN_SET:
-        model = deltoid_model(lam)
-        for n, k in pq_indices(min(dmax, 6), include_constant=True):
-            _require("spectral.rotation_relation", verify_rotation(model, n, k).ok,
-                     f"lambda={lam}, (n,k)=({n},{k})")
-    report.add("spectral.rotation_relation", "eigenpair-rotation-action", "proven-exact",
-               "2x2 rotation action exact; the pair P + iQ picks up the scalar j**(n-k)")
-
-    for lam in (Fraction(4),):
-        for n, k in pq_indices(min(dmax, 6)):
-            p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
-            _require("spectral.coefficient_realness",
-                     coefficient_components_ok(p_hat) and coefficient_components_ok(q_hat),
-                     f"(n,k)=({n},{k})")
-    report.add("spectral.coefficient_realness", "eigenbasis-coefficient-components",
-               "proven-exact", "R, P coefficients rational; Q coefficients purely imaginary")
-
-    lam = Fraction(7, 3)
-    g2_basis = eigenbasis(g2_from_lambda(lam), 5)
-    for n, k in pq_indices(5):
-        p_hat, _ = eigen_PQ_lambda(lam, n, k)
-        in_sp = rewrite_symmetric_in_sp(p_hat.poly)
-        match = g2_basis[(n - k, k)]
-        lead = in_sp.coefficient((n - k, k))
-        _require("spectral.g2_eigen_match", in_sp == match.poly * lead,
-                 f"(n,k)=({n},{k})")
-    report.add("spectral.g2_eigen_match", "g2-weighted-eigenbasis-matches-symmetric-pairs",
-               "proven-exact",
-               "symmetric pairs rewritten in (s, p) equal the weighted-graded eigenbasis "
-               "up to leading-coefficient scale, n+k <= 5")
+    with _exact(report, "spectral.g2_eigen_match",
+                "symmetric pairs rewritten in (s, p) equal the weighted-graded eigenbasis "
+                "up to leading-coefficient scale, n+k <= 5") as require:
+        lam = Fraction(7, 3)
+        g2_basis = eigenbasis(g2_from_lambda(lam), 5)
+        for n, k in pq_indices(5):
+            p_hat, _ = eigen_PQ_lambda(lam, n, k)
+            in_sp = rewrite_symmetric_in_sp(p_hat.poly)
+            lead = in_sp.coefficient((n - k, k))
+            require(in_sp == g2_basis[(n - k, k)].poly * lead, f"(n,k)=({n},{k})")
 
     # Maximum at the reference cusp.  The grid is aligned so that the cusp
     # Z = 1 and the real axis are lattice points of the closed domain; the
@@ -604,7 +601,7 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
             if near_max < gmax * (1.0 - 1e-12):
                 zstar = zgrid.ravel()[int(np.argmax(vals))]
                 worst_dist = max(worst_dist, abs(zstar - 1.0))
-    report.add("spectral.max_at_cusp", "eigen-maximum-at-reference-cusp",
+    report.add("spectral.max_at_cusp",
                "numeric-pass" if worst_dist == 0.0 else "numeric-fail",
                f"grid max of |P| attained within one cell of Z = 1 for n+k <= 5 at "
                f"parameters 4 and 11/2 on a {ngrid}x{ngrid} grid"
@@ -615,7 +612,6 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
     audit = jacobian_weight_audit(64)
     ok = audit["max_relative_deviation"] < 1e-9 and audit["lambda1_weight_deviation"] < 1e-9
     report.add("quadrature.jacobian_discriminant",
-               "orbit-map-jacobian-proportional-to-boundary",
                "numeric-pass" if ok else "numeric-fail",
                f"|J|^2 / P constant to {audit['max_relative_deviation']:.2e} "
                f"(kappa = {audit['kappa']:.12f}); flat-parameter weight constant to "
@@ -644,11 +640,11 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
                     worst_norm,
                     abs(math.sqrt(gmat[i, i].real) - math.sqrt(gmat[j, j].real)),
                 )
-    report.add("quadrature.gram_orthogonality", "quadrature-gram-diagonal",
+    report.add("quadrature.gram_orthogonality",
                "numeric-pass" if worst_off < 1e-8 else "numeric-fail",
                f"max off-diagonal Gram entry {worst_off:.2e} at parameters 1 and 4, "
                f"grid {config.grid_n}, degree <= {config.gram_degree_max}")
-    report.add("quadrature.norm_equality", "pair-norm-equality-off-residue-class",
+    report.add("quadrature.norm_equality",
                "numeric-pass" if worst_norm < 1e-8 else "numeric-fail",
                f"|norm(P) - norm(Q)| <= {worst_norm:.2e} for n - k not divisible by 3")
 
@@ -665,11 +661,11 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
             g = g + g.conj_swap(DELTOID_CONJ_PAIRS)
             worst_sa = max(worst_sa, selfadjoint_check(model, f, g, grid))
             worst_inv = max(worst_inv, measure_invariance_residual(model, f, grid))
-    report.add("quadrature.selfadjointness", "integration-by-parts-residual",
+    report.add("quadrature.selfadjointness",
                "numeric-pass" if worst_sa < 1e-9 else "numeric-fail",
                f"max |int f L(g) + int Gamma(f,g)| = {worst_sa:.2e} over "
                f"{config.selfadjoint_pairs} random real pairs")
-    report.add("quadrature.measure_invariance", "generator-integrates-to-zero",
+    report.add("quadrature.measure_invariance",
                "numeric-pass" if worst_inv < 1e-9 else "numeric-fail",
                f"max |int L(f)| = {worst_inv:.2e}")
 
@@ -681,7 +677,7 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
             p_hat, _ = eigen_PQ_lambda(lam, n, k)
             rec = eigenvalue_recovery(model, p_hat.poly, grid)
             worst_eig = max(worst_eig, abs(rec + float(eigenvalue_deltoid(lam, n, k))))
-    report.add("quadrature.eigenvalue_recovery", "rayleigh-quotient-recovers-eigenvalue",
+    report.add("quadrature.eigenvalue_recovery",
                "numeric-pass" if worst_eig < 1e-7 else "numeric-fail",
                f"max |Rayleigh quotient + eigenvalue| = {worst_eig:.2e}")
 
@@ -697,14 +693,14 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
     torus = sample_torus(config.torus_samples, config.seed + 10)
     z_torus = pushforward_deltoid(torus)
     worst = _eigen_mean_worst_z(z_torus, Fraction(1), 4)
-    report.add("sampling.torus_moments", "uniform-torus-realizes-lambda-one",
+    report.add("sampling.torus_moments",
                "numeric-pass" if worst < 4.0 else "numeric-fail",
                f"all eigenfunction means within {worst:.2f} standard errors of zero "
                f"({config.torus_samples} samples, 1 <= n+k <= 4)")
 
     z_su3 = su3_trace_samples(config.su3_samples, config.seed + 11)
     worst = _eigen_mean_worst_z(z_su3, Fraction(4), 4)
-    report.add("sampling.su3_moments", "haar-trace-realizes-lambda-four",
+    report.add("sampling.su3_moments",
                "numeric-pass" if worst < 4.0 else "numeric-fail",
                f"all eigenfunction means within {worst:.2f} standard errors of zero "
                f"({config.su3_samples} samples, 1 <= n+k <= 4)")
@@ -712,7 +708,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
     lam = Fraction(11, 2)
     rejection = sample_omega1(lam, config.omega1_samples, config.seed + 12, method="rejection")
     member_ok = bool(np.all(omega1_membership(rejection.points)))
-    report.add("sampling.omega1_predicate", "lifted-sampler-membership",
+    report.add("sampling.omega1_predicate",
                "numeric-pass" if member_ok else "numeric-fail",
                f"every accepted point satisfies P1 > 0, P2 < 0, max|z| < 1 "
                f"(acceptance rate {rejection.stats['acceptance_rate']:.4f})")
@@ -724,7 +720,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
     m_mc = estimate_moments(mcmc, funcs)["S1"]
     combined = math.hypot(m_rej.standard_error, m_mc.standard_error)
     zscore = abs(m_rej.mean - m_mc.mean) / combined
-    report.add("sampling.two_sampler_agreement", "rejection-vs-mcmc-cross-validation",
+    report.add("sampling.two_sampler_agreement",
                "numeric-pass" if zscore < 4.0 else "numeric-fail",
                f"E[S1]: rejection {m_rej.mean:.5f} vs MCMC {m_mc.mean:.5f} "
                f"({zscore:.2f} combined standard errors; MCMC ESS {mcmc.stats['ess']:.0f})")
@@ -732,7 +728,6 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
     z_proj = pushforward_deltoid(rejection)
     worst = _eigen_mean_worst_z(z_proj, lam, 4)
     report.add("sampling.omega1_pushforward_moments",
-               "lifted-samples-project-to-deltoid-measure",
                "numeric-pass" if worst < 4.0 else "numeric-fail",
                f"projected eigenfunction means within {worst:.2f} standard errors of zero")
 
@@ -751,7 +746,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
         / math.hypot(base_m[k].standard_error, rot_m[k].standard_error)
         for k in test_funcs
     )
-    report.add("sampling.phi_theta_invariance", "measure-invariance-under-rotations",
+    report.add("sampling.phi_theta_invariance",
                "numeric-pass" if worst < 4.0 else "numeric-fail",
                f"moment shifts under the coordinate rotation within {worst:.2f} "
                "combined standard errors")
@@ -763,7 +758,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
         / max(math.hypot(base_m[k].standard_error, conj_m[k].standard_error), 1e-300)
         for k in test_funcs
     )
-    report.add("sampling.conjugation_invariance", "measure-invariance-under-conjugation",
+    report.add("sampling.conjugation_invariance",
                "numeric-pass" if worst < 4.0 else "numeric-fail",
                f"moment shifts under conjugation within {worst:.2f} combined standard errors")
 
@@ -789,7 +784,7 @@ def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
                 d_rot = rotation_delta_exact(ctx, n, k, theta)
                 if d_rot is not None:
                     worst_z = max(worst_z, abs(est.delta - d_rot) / est.provenance["delta"][1])
-    report.add("hypergroup.exact_vs_estimated", "kernel-block-closed-forms-vs-monte-carlo",
+    report.add("hypergroup.exact_vs_estimated",
                "numeric-pass" if worst_z < 4.0 else "numeric-fail",
                f"exact block entries reproduced within {worst_z:.2f} standard errors "
                f"over a {config.theta_per_axis}x{config.theta_per_axis} grid, "
@@ -797,19 +792,19 @@ def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
 
     crosses = block_cross_correlations(ctx, thetas[len(thetas) // 2], batch)
     worst_cross = max(abs(c["correlation"]) / c["standard_error"] for c in crosses)
-    report.add("hypergroup.block_diagonality", "kernel-commutes-cross-correlations-vanish",
+    report.add("hypergroup.block_diagonality",
                "numeric-pass" if worst_cross < 4.0 else "numeric-fail",
                f"cross-eigenvalue correlations within {worst_cross:.2f} standard errors "
                f"of zero ({len(crosses)} pairs)")
 
     scan = positivity_scan(ctx, thetas)
-    report.add("hypergroup.positivity_scan", "kernel-blocks-are-contractions",
+    report.add("hypergroup.positivity_scan",
                "numeric-pass" if scan["ok"] else "numeric-fail",
                f"largest exact block bound {scan['worst_block_bound']:.6f} <= 1; "
                f"max |alpha| = {scan['max_abs_alpha']:.6f}")
 
     cov = coverage_check(config.coverage_theta_n, config.coverage_omega_n)
-    report.add("hypergroup.theta_coverage", "rotation-orbit-covers-domain",
+    report.add("hypergroup.theta_coverage",
                "numeric-pass" if cov["ok"] else "numeric-fail",
                f"{cov['interior_cells']} interior cells, {cov['missed_cells']} missed")
 
@@ -826,7 +821,7 @@ def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
     # The 11/2-parameter weight is only C^2, so quadrature carries ~1e-8
     # absolute error into the moment coefficients.
     ok = repc["contraction_ok"] and repc_cusp["contraction_ok"] and mu_zero < 1e-6 and abs(a10[0] - 1.0) < 0.05
-    report.add("hypergroup.representation_check", "moment-coefficients-define-contraction",
+    report.add("hypergroup.representation_check",
                "numeric-pass" if ok else "numeric-fail",
                f"invariant measure gives vanishing coefficients (max {mu_zero:.2e}); "
                f"near-cusp point mass gives a(1,0) = {a10[0]:.4f} ~ 1; all rows contract "
@@ -836,8 +831,7 @@ def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
     pick = next((n, k) for (n, k) in sorted(ctx.pairs) if (n - k) % 3 != 0)
     drep = delta_report(ctx, pick[0], pick[1], theta_mid, batch)
     report.add(
-        "discrepancy.markov_delta_closed_form", "second-diagonal-entry-closed-form",
-        "discrepancy-noted",
+        "discrepancy.markov_delta_closed_form", "discrepancy-noted",
         f"index {drep['index']} at theta = ({theta_mid.t1:.3f}, {theta_mid.t2:.3f}): "
         f"Monte-Carlo delta = {drep['monte_carlo']:.4f} +- {drep['monte_carlo_se']:.4f}; "
         f"rotation-derived delta = alpha = {drep['rotation_derived']:.4f}; printed "
@@ -849,28 +843,22 @@ def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
 
 def run_verify(config: VerifyConfig) -> tuple[VerificationReport, int]:
     """Execute the full verification suite; returns (report, exit_code)."""
-    report = VerificationReport(config=config.to_dict())
+    report = VerificationReport(config=config.to_dict(), anchors=dict(IDENTITY_MANIFEST))
     reference = Fraction(7, 3)
     report.models = {
         "deltoid": deltoid_model(reference).to_jsonable(),
         "sixdim": sixdim_model(reference).to_jsonable(),
         "g2": g2_from_lambda(reference).to_jsonable(),
     }
-    try:
-        _suite_algebra(report, config)
-        _suite_symbolic(report, config)
-        _suite_models_numeric(report, config)
-        _suite_spectral(report, config)
-        _suite_quadrature(report, config)
-        _suite_sampling(report, config)
-        _suite_hypergroup(report, config)
-    except ExactIdentityFailure as failure:
-        print(f"EXACT IDENTITY FAILURE: {failure.name}: {failure.witness}")
-        return report, 2
-    manifest_names = [name for name, _ in IDENTITY_MANIFEST]
-    got = report.names()
-    if sorted(got) != sorted(manifest_names):
-        missing = sorted(set(manifest_names) - set(got))
-        extra = sorted(set(got) - set(manifest_names))
-        raise RuntimeError(f"identity registry out of sync: missing {missing}, extra {extra}")
+    _suite_algebra(report, config)
+    _suite_symbolic(report, config)
+    _suite_models_numeric(report, config)
+    _suite_spectral(report, config)
+    _suite_quadrature(report, config)
+    _suite_sampling(report, config)
+    _suite_hypergroup(report, config)
+    # add() rejects unregistered and repeated names, so only a missing check is left.
+    missing = sorted(set(report.anchors) - set(report.names()))
+    if missing:
+        raise RuntimeError(f"identity registry out of sync: missing {missing}")
     return report, report.exit_code()

@@ -166,15 +166,6 @@ def test_divergence_deltoid():
     assert div["Zb"] == Zb * Fraction(-5, 2)
 
 
-def test_divergence_identity_check_report():
-    from deltoid_lab.diffusion import divergence_identity_check
-
-    report = divergence_identity_check(sixdim_model(2), Fraction(-11, 2))
-    assert all(ok for ok, _ in report.values())
-    wrong = divergence_identity_check(MODEL, Fraction(-11, 2))
-    assert not any(ok for ok, _ in wrong.values())
-
-
 def test_identity_for_all_lambda_pass_and_witness():
     proof = identity_for_all_lambda(
         lambda lam: dict(deltoid_model(lam).drift)

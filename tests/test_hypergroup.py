@@ -209,6 +209,11 @@ class TestPositivityAndCoverage:
         cov = coverage_check(300, 50)
         assert cov["ok"]
 
+    def test_coverage_without_interior_cells_fails(self):
+        # A 2x2 omega grid has no cell center inside the domain.
+        cov = coverage_check(300, 2)
+        assert cov["interior_cells"] == 0 and not cov["ok"]
+
 
 class TestRepresentation:
     def test_invariant_measure_gives_zero(self, ctx):

@@ -83,9 +83,8 @@ class TestSixdimModel:
         assert not p1.evaluate_exact(ones)  # (1,1,1) lies on the boundary
 
     def test_projection_to_deltoid(self):
-        from deltoid_lab.models import PI_IMAGES, project_sixdim_to_deltoid
+        from deltoid_lab.models import PI_IMAGES
 
-        assert project_sixdim_to_deltoid(2) == deltoid_model(2)
         assert pushforward(sixdim_model(3), PI_IMAGES, {"lambda": Fraction(3)}) == deltoid_model(3)
 
     def test_boundary_cofactors(self):

@@ -30,21 +30,38 @@ class TestReport:
             IdentityEntry("x", "y", "unknown-status")
 
     def test_duplicate_registration_rejected(self):
-        report = VerificationReport(config={})
-        report.add("a", "anchor", "proven-exact")
+        report = VerificationReport(config={}, anchors={"a": "anchor"})
+        assert report.add("a", "proven-exact").anchor == "anchor"
         with pytest.raises(ValueError):
-            report.add("a", "anchor", "proven-exact")
+            report.add("a", "proven-exact")
+
+    def test_unregistered_name_rejected(self):
+        report = VerificationReport(config={}, anchors={"a": "anchor"})
+        with pytest.raises(ValueError, match="not registered"):
+            report.add("b", "proven-exact")
+        assert report.entries == []
 
     def test_exit_code_logic(self):
-        report = VerificationReport(config={})
-        report.add("a", "x", "numeric-pass")
+        report = VerificationReport(config={}, anchors={"a": "x", "b": "y"})
+        report.add("a", "numeric-pass")
         assert report.exit_code() == 0
-        report.add("b", "y", "numeric-fail")
+        report.add("b", "numeric-fail")
         assert report.exit_code() == 1
+        # A report without exact failures keeps the summary keys it always had.
+        assert set(report.to_jsonable()["summary"]) == {"total", "discrepancy-noted", "numeric-fail"}
+
+    def test_exact_failure_outranks_numeric_failure(self):
+        report = VerificationReport(config={}, anchors={"a": "x", "b": "y", "c": "z"})
+        report.add("a", "numeric-fail")
+        report.add("b", "exact-fail", "witness")
+        report.add("c", "numeric-pass")
+        assert report.exit_code() == 2
+        summary = report.to_jsonable()["summary"]
+        assert summary["exact-fail"] == 1 and summary["numeric-fail"] == 1
 
     def test_emission_deterministic(self, tmp_path):
-        report = VerificationReport(config={"seed": 1})
-        report.add("a", "x", "proven-exact", "details")
+        report = VerificationReport(config={"seed": 1}, anchors={"a": "x"})
+        report.add("a", "proven-exact", "details")
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         emit_report(report, str(p1))
         emit_report(report, str(p2))
@@ -146,12 +163,16 @@ class TestCli:
         ["markov", "--lambda", "11/2", "--theta-grid", "0"],
         ["sample", "torus", "--n", "0"],
         ["plot", "eigen", "--k", "-1"],
+        ["plot", "deltoid", "--samples", "0"],
+        ["plot", "deltoid", "--samples", "2"],
+        ["plot", "coverage", "--theta-grid", "0"],
         ["verify", "--theta-per-axis", "0"],
         ["verify", "--grid-n", "8"],
         ["verify", "--eigen-degree-max", "0"],
         ["verify", "--torus-samples", "1"],
     ], ids=["eigen-degree", "gram-degree", "gram-grid", "markov-degree", "markov-n",
             "markov-samples", "markov-theta-grid", "sample-n", "plot-k",
+            "plot-samples-zero", "plot-samples-two", "plot-theta-grid",
             "verify-theta-per-axis", "verify-grid-n", "verify-eigen-degree",
             "verify-torus-samples"])
     def test_out_of_range_size_exit_code(self, argv, tmp_path, capsys):
@@ -244,6 +265,22 @@ class TestVerifyCli:
         assert "EXACT IDENTITY FAILURE" in captured.out
         assert "deltoid.metric_determinant" in captured.out
 
+    def test_negative_control_report_names_the_failure(self, tmp_path, capsys):
+        from deltoid_lab.verify import IDENTITY_MANIFEST
+
+        out = tmp_path / "report.json"
+        assert main(["verify", "--negative-control", *self.FAST, "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        entries = {e["name"]: e for e in doc["entries"]}
+        assert len(doc["entries"]) == 54 and set(entries) == {n for n, _ in IDENTITY_MANIFEST}
+        failed = entries["deltoid.metric_determinant"]
+        assert failed["status"] == "exact-fail" and failed["details"].startswith("det = ")
+        assert failed["details"] in capsys.readouterr().out
+        # The next symbolic identity still runs, and so do the later suites.
+        assert entries["deltoid.boundary_cofactors"]["status"] == "proven-exact"
+        assert entries["hypergroup.theta_coverage"]["status"] == "numeric-pass"
+        assert doc["summary"]["exact-fail"] == 1 and doc["summary"]["total"] == 54
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(
@@ -276,6 +313,12 @@ class TestVerifyCli:
     @pytest.mark.parametrize("line,key", [
         ("negative_control = maybe", "negative_control"),
         ("theta_per_axis = 0", "theta_per_axis"),
+        ("selfadjoint_pairs = 1", "selfadjoint_pairs"),
+        ("gram_degree_max = 0", "gram_degree_max"),
+        ("probe_degree_max = 1", "probe_degree_max"),
+        ("coverage_theta_n = 0", "coverage_theta_n"),
+        ("coverage_omega_n = 0", "coverage_omega_n"),
+        ("cusp_grid_n = 1", "cusp_grid_n"),
     ])
     def test_bad_config_value(self, line, key, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"
@@ -316,5 +359,20 @@ def test_manifest_matches_docs():
     from deltoid_lab.verify import IDENTITY_MANIFEST
 
     docs = json.loads((Path(__file__).parent.parent / "docs" / "identities.json").read_text())
-    doc_pairs = {(e["name"], e["anchor"]) for e in docs["identities"]}
-    assert doc_pairs == set(IDENTITY_MANIFEST)
+    assert [(e["name"], e["anchor"]) for e in docs["identities"]] == list(IDENTITY_MANIFEST)
+    names = [name for name, _ in IDENTITY_MANIFEST]
+    anchors = [anchor for _, anchor in IDENTITY_MANIFEST]
+    assert len(set(names)) == len(names) and len(set(anchors)) == len(anchors)
+
+
+def test_each_identity_is_written_at_one_check_site():
+    import ast
+
+    from deltoid_lab import verify
+
+    tree = ast.parse(Path(verify.__file__).read_text())
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    for name, anchor in verify.IDENTITY_MANIFEST:
+        assert literals.count(name) == 2, name  # the manifest and the check site
+        assert literals.count(anchor) == 1, anchor  # the manifest only

@@ -12,7 +12,6 @@ from deltoid_lab.sampling import (
     sample_omega1,
     sample_su3_haar,
     sample_torus,
-    spawn_seeds,
     su3_trace_samples,
 )
 from deltoid_lab.spectral import eigen_PQ_lambda, pq_indices
@@ -28,11 +27,6 @@ def test_determinism():
     e = sample_omega1(Fraction(11, 2), 200, 5).points
     f = sample_omega1(Fraction(11, 2), 200, 5).points
     assert np.array_equal(e, f)
-
-
-def test_spawned_seeds_are_stable():
-    assert spawn_seeds(123, 3) == spawn_seeds(123, 3)
-    assert spawn_seeds(123, 3) != spawn_seeds(124, 3)
 
 
 def test_torus_in_range():
@@ -151,4 +145,4 @@ def test_moment_consistency_api():
     est = estimate_moments(batch, {"abs_z_sq": lambda pts: np.abs(
         (np.exp(1j * pts[:, 0]) + np.exp(1j * pts[:, 1]) + np.exp(-1j * (pts[:, 0] + pts[:, 1]))) / 3.0
     ) ** 2})["abs_z_sq"]
-    assert est.consistent_with(float(np.mean(np.abs(zs) ** 2)), sigmas=0.1)
+    assert abs(est.mean - float(np.mean(np.abs(zs) ** 2))) <= 0.1 * est.standard_error
