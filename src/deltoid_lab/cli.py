@@ -310,11 +310,13 @@ SIZE_MINIMUMS = {
     # Three samples are the three cusps, the fewest that close the curve.
     "plot": {"n": 0, "k": 0, "samples": 3, "theta_grid": 1},
     # probe_degree_max 2 gives block_diagonality two eigenvalues to correlate;
-    # selfadjoint_pairs 2 gives one pair per parameter.
+    # selfadjoint_pairs 2 gives one pair per parameter; cusp_grid_n 5 is the
+    # smallest grid whose closed domain has a point more than 1.5 cells from
+    # Z = 1, so max_at_cusp can see a stray maximum.
     "verify": {"grid_n": TorusGrid.MIN_N, "theta_per_axis": 1, "eigen_degree_max": 1,
                "torus_samples": 2, "su3_samples": 2, "omega1_samples": 2,
                "gram_degree_max": 1, "probe_degree_max": 2, "selfadjoint_pairs": 2,
-               "coverage_theta_n": 1, "coverage_omega_n": 1, "cusp_grid_n": 2},
+               "coverage_theta_n": 1, "coverage_omega_n": 1, "cusp_grid_n": 5},
 }
 
 

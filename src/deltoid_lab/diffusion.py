@@ -93,15 +93,6 @@ class DiffusionModel:
         }
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Power-law measure density: product of base**exponent factors."""
-
-    density_factors: tuple[tuple[MPoly, Fraction], ...]
-    domain_tag: str
-    normalization: float | None = None
-
-
 def gamma_apply(model: DiffusionModel, f: MPoly, g: MPoly) -> MPoly:
     """Gamma(f, g) = sum_ij gamma[i][j] d_i f d_j g, exactly."""
     if f.variables != model.variables or g.variables != model.variables:

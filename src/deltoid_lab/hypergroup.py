@@ -15,8 +15,8 @@ unconditional correlations
     E[u(pi(Phi_theta xi)) v(pi(xi))] = M[u, v] * ||v||^2 ,
 
 normalized by quadrature norms.  The module also hosts the parity and
-positivity scans, the basis change to the rotated cusp bases, and the
-moment-sequence representation check for measures on the domain.
+positivity scans and the moment-sequence representation check for measures
+on the domain.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .quadrature import TorusGrid
 from .sampling import SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
 from .spectral import EigenPoly, eigen_PQ_lambda, eigenvalue_deltoid, pq_indices
-
-SQRT3 = math.sqrt(3.0)
-
 
 @dataclass(frozen=True)
 class MarkovMatrix:
@@ -243,31 +240,6 @@ def delta_report(
     }
 
 
-def basis_change(matrix: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Congruence to the basis symmetric about a rotated cusp axis.
-
-    With (a, b, c) the symmetric block entries, the transformed block is
-
-        (1/4) [ a + 2 e sqrt(3) b + 3 c,  -e sqrt(3) a - 2 b + e sqrt(3) c ]
-              [ -e sqrt(3) a - 2 b + e sqrt(3) c,  3 a - 2 e sqrt(3) b + c ]
-
-    with e = +1 for n - k = 1 and e = -1 for n - k = 2 (mod 3); the identity
-    when n - k = 0 (mod 3).
-    """
-    m = np.asarray(matrix, dtype=float)
-    eps = {0: 0, 1: 1, 2: -1}[(n - k) % 3]
-    if eps == 0:
-        return m.copy()
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    off = (-eps * SQRT3 * a - 2.0 * b + eps * SQRT3 * c) / 4.0
-    return np.array(
-        [
-            [(a + 2.0 * eps * SQRT3 * b + 3.0 * c) / 4.0, off],
-            [off, (3.0 * a - 2.0 * eps * SQRT3 * b + c) / 4.0],
-        ]
-    )
-
-
 def representation_coefficients(
     ctx: ProbeContext,
     points: np.ndarray,
@@ -304,7 +276,6 @@ def representation_check(
     ctx: ProbeContext,
     points: np.ndarray,
     weights: np.ndarray | None = None,
-    tolerance: float = 1e-9,
 ) -> dict:
     """Row-contraction test of the representation coefficients.
 
@@ -324,12 +295,12 @@ def representation_check(
         "coefficients": coeffs,
         "worst_row_norm_sq": worst,
         "worst_index": worst_index,
-        "contraction_ok": worst <= 1.0 + tolerance,
+        "contraction_ok": worst <= 1.0 + 1e-9,
     }
 
 
-def theta_grid(per_axis: int, margin: float = 1e-3) -> list[ThetaPair]:
-    """Deterministic theta grid avoiding the degenerate lines by the margin."""
+def theta_grid(per_axis: int) -> list[ThetaPair]:
+    """Deterministic theta grid avoiding the degenerate lines by 1e-3."""
     two_pi = 2.0 * math.pi
     axis1 = [(i + 0.31) * two_pi / per_axis for i in range(per_axis)]
     axis2 = [(j + 0.618) * two_pi / per_axis for j in range(per_axis)]
@@ -337,7 +308,7 @@ def theta_grid(per_axis: int, margin: float = 1e-3) -> list[ThetaPair]:
     for t1 in axis1:
         for t2 in axis2:
             pair = ThetaPair(t1, t2)
-            if pair.is_interior(margin):
+            if pair.is_interior(1e-3):
                 out.append(pair)
     return out
 
@@ -345,7 +316,6 @@ def theta_grid(per_axis: int, margin: float = 1e-3) -> list[ThetaPair]:
 def positivity_scan(
     ctx: ProbeContext,
     thetas: Sequence[ThetaPair],
-    tolerance: float = 1e-9,
 ) -> dict:
     """Contraction bounds for the exact entries over a theta grid.
 
@@ -377,7 +347,7 @@ def positivity_scan(
         "worst_block_bound": worst,
         "worst_at": worst_at,
         "max_abs_alpha": alpha_bound,
-        "ok": worst <= 1.0 + tolerance,
+        "ok": worst <= 1.0 + 1e-9,
     }
 
 

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .diffusion import (
-    DiffusionModel,
-    MeasureSpec,
-    drift_from_measure,
-    pushforward,
-)
+from .diffusion import DiffusionModel, drift_from_measure, pushforward
 from .poly import MPoly, divide_exact
 from .scalars import RationalLike
 
@@ -40,12 +35,9 @@ SIXDIM_VARS = ("z1", "z2", "z3", "zb1", "zb2", "zb3")
 G2_VARS = ("s", "p")
 
 DELTOID_CONJ_PAIRS = (("Z", "Zb"),)
-SIXDIM_CONJ_PAIRS = (("z1", "zb1"), ("z2", "zb2"), ("z3", "zb3"))
-G2_CONJ_PAIRS = (("s", "s"), ("p", "p"))
 
-# j-rotation weights: Z -> j Z, Zb -> jbar Zb, and the 6-variable analogue.
+# j-rotation weights: Z -> j Z, Zb -> jbar Zb.
 DELTOID_J_WEIGHTS = {"Z": 1, "Zb": -1}
-SIXDIM_J_WEIGHTS = {"z1": 1, "z2": 1, "z3": 1, "zb1": -1, "zb2": -1, "zb3": -1}
 
 
 class IntegrabilityError(ValueError):
@@ -85,13 +77,6 @@ def deltoid_boundary_poly() -> MPoly:
     gzbzb = m.gamma_entry("Zb", "Zb")
     gzzb = m.gamma_entry("Z", "Zb")
     return gzzb * gzzb - gzz * gzbzb
-
-
-def deltoid_measure(lam: RationalLike) -> MeasureSpec:
-    """Reversible measure density P**alpha with alpha = (2*lambda - 5)/6."""
-    lam = Fraction(lam)
-    alpha = (2 * lam - 5) / 6
-    return MeasureSpec(((deltoid_boundary_poly(), alpha),), domain_tag="deltoid")
 
 
 def deltoid_boundary_values(z: np.ndarray | complex) -> np.ndarray | float:
@@ -155,16 +140,6 @@ def p1_p2() -> tuple[MPoly, MPoly]:
     return p1, p2
 
 
-def sixdim_measure(lam: RationalLike) -> MeasureSpec:
-    """Reversible measure density P1**beta with beta = (2*lambda - 11)/6."""
-    lam = Fraction(lam)
-    beta = (2 * lam - 11) / 6
-    if beta <= -1:
-        raise IntegrabilityError(f"P1 exponent {beta} <= -1 is not integrable")
-    p1, _ = p1_p2()
-    return MeasureSpec(((p1, beta),), domain_tag="omega1")
-
-
 PI_IMAGES = {
     "Z": (MPoly.var(SIXDIM_VARS, "z1") + MPoly.var(SIXDIM_VARS, "z2") + MPoly.var(SIXDIM_VARS, "z3"))
     * Fraction(1, 3),
@@ -178,16 +153,16 @@ PI_IMAGES = {
 # ---------------------------------------------------------------------------
 
 
-def membership_deltoid(z: complex, tol: float = 1e-9, collision_tol: float = 1e-4) -> str:
+def membership_deltoid(z: complex) -> str:
     """Classify a point against the deltoid domain via cube-root moduli.
 
     The three roots of X^3 - 3 Z X^2 + 3 conj(Z) X - 1 all lie on the unit
     circle and are pairwise distinct exactly for interior points; a root
     collision signals the boundary.  Root collisions cannot be resolved to
     machine precision (a double/triple root perturbs the computed roots by
-    eps**(1/2) / eps**(1/3)), so the collision band is wider than tol and is
-    confirmed by the boundary polynomial vanishing, which is exactly the
-    discriminant condition for a collision.
+    eps**(1/2) / eps**(1/3)), so the collision band 1e-4 is wider than the
+    modulus tolerance 1e-9 and is confirmed by the boundary polynomial
+    vanishing, which is exactly the discriminant condition for a collision.
     """
     z = complex(z)
     roots = np.roots([1.0, -3.0 * z, 3.0 * np.conj(z), -1.0])
@@ -195,24 +170,24 @@ def membership_deltoid(z: complex, tol: float = 1e-9, collision_tol: float = 1e-
     min_gap = min(
         abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)
     )
-    if min_gap <= collision_tol and abs(deltoid_boundary_values(z)) < 1e-8:
+    if min_gap <= 1e-4 and abs(deltoid_boundary_values(z)) < 1e-8:
         return "boundary"
-    if moduli_dev < tol and min_gap > collision_tol:
+    if moduli_dev < 1e-9 and min_gap > 1e-4:
         return "interior"
     return "exterior"
 
 
-def omega1_membership(points: np.ndarray, boundary_tol: float = 1e-14) -> np.ndarray:
+def omega1_membership(points: np.ndarray) -> np.ndarray:
     """Vectorized membership for the lifted domain.
 
     points: (..., 3) complex.  The practical predicate is P1 > 0, P2 < 0 and
-    max |z_i| < 1; contact with {P1 = 0} within boundary_tol counts as
-    outside (zero-measure set, keeps log densities finite).
+    max |z_i| < 1; contact with {P1 = 0} within 1e-14 counts as outside
+    (zero-measure set, keeps log densities finite).
     """
     pts = np.asarray(points, dtype=complex)
     p1, p2 = omega1_boundary_values(pts)
     radii_ok = np.max(np.abs(pts), axis=-1) < 1.0
-    return (p1 > boundary_tol) & (p2 < 0.0) & radii_ok
+    return (p1 > 1e-14) & (p2 < 0.0) & radii_ok
 
 
 def omega1_boundary_values(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,23 +226,6 @@ def p1_polar_decomposition_residual(points: np.ndarray) -> float:
     alt = big_s * np.cos(theta / 2.0) ** 2 + big_d * np.sin(theta / 2.0) ** 2
     p1, _ = omega1_boundary_values(pts)
     return float(np.max(np.abs(alt - p1)))
-
-
-def omega1_segment_audit(
-    points: np.ndarray, steps: int = 64, boundary_tol: float = 1e-14
-) -> bool:
-    """Continuity audit: the segment to the origin stays in the predicate set.
-
-    The domain is defined as a connected component; the practical membership
-    predicate is validated by checking sign constancy along straight rays to
-    the center.  Returns True when no sampled segment leaves the set.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    ts = np.linspace(0.0, 1.0, steps + 1)[1:]
-    for t in ts:
-        if not bool(np.all(omega1_membership(pts * t, boundary_tol))):
-            return False
-    return True
 
 
 def real_cometric_at(model: DiffusionModel, point: dict[str, complex]) -> np.ndarray:
@@ -395,7 +353,7 @@ def flat_torus_sign_report(n: int = 1000, seed: int = 7) -> dict:
 SU3_CASIMIR_SCALE = 0.5
 
 
-def su3_gamma_pointwise(g: np.ndarray, tol: float = 1e-10) -> dict:
+def su3_gamma_pointwise(g: np.ndarray) -> dict:
     """Evaluate the scaled Casimir Gamma/L on the normalized trace at g.
 
     Returns the three values Gamma(Z,Z), Gamma(Z,Zb), L(Z) computed from the
@@ -407,7 +365,7 @@ def su3_gamma_pointwise(g: np.ndarray, tol: float = 1e-10) -> dict:
         raise ValueError("expected a 3x3 matrix")
     unitary_residual = float(np.linalg.norm(g.conj().T @ g - np.eye(3)))
     det_residual = abs(np.linalg.det(g) - 1.0)
-    if unitary_residual > tol or det_residual > tol:
+    if unitary_residual > 1e-10 or det_residual > 1e-10:
         raise ValueError(
             f"matrix is not special unitary: |g*g - I| = {unitary_residual:.3e}, "
             f"|det - 1| = {det_residual:.3e}"
@@ -524,14 +482,6 @@ def g2_model(a1: RationalLike, a2: RationalLike) -> DiffusionModel:
     return DiffusionModel(G2_VARS, gamma, drift, {"alpha1": a1, "alpha2": a2})
 
 
-def g2_measure(a1: RationalLike, a2: RationalLike) -> MeasureSpec:
-    a1, a2 = Fraction(a1), Fraction(a2)
-    if not g2_integrability_ok(a1, a2):
-        raise IntegrabilityError(f"({a1}, {a2}) not integrable")
-    q1, q2 = q1_q2()
-    return MeasureSpec(((q1, a1), (q2, a2)), domain_tag="g2")
-
-
 def g2_from_lambda(lam: RationalLike) -> DiffusionModel:
     """G2 model matching the deltoid parameter: (a1, a2) = (-1/2, (2 lam - 5)/6)."""
     lam = Fraction(lam)
@@ -554,17 +504,6 @@ PSI1_IMAGES = {
     - MPoly.var(G2_VARS, "p") * 6
     + 1,
 }
-
-
-def psi1_map(s, p):
-    """Numeric self-map (s, p) -> (3p - 1, 1 + 3 s^3 - 9 p s - 6 p)."""
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    big_s = 3.0 * p - 1.0
-    big_p = 1.0 + 3.0 * s**3 - 9.0 * p * s - 6.0 * p
-    if big_s.shape:
-        return big_s, big_p
-    return float(big_s), float(big_p)
 
 
 def psi1_intertwining_factor(a2: RationalLike) -> Fraction:

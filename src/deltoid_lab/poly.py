@@ -646,9 +646,6 @@ def solve_field_linear(
     return solution
 
 
-GammaTable = dict[tuple[str, str], MPoly]
-
-
 def monomials_up_to(
     variables: Sequence[str], bound: int, weight: Callable[[Exponents], int] | None = None
 ) -> list[Exponents]:

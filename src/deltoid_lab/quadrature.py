@@ -17,13 +17,13 @@ The covering multiplicity cancels in every normalized ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionModel, MeasureSpec, gamma_apply, l_apply
+from .diffusion import DiffusionModel, gamma_apply, l_apply
 from .models import LAMBDA_RANGES, deltoid_boundary_values, z_of_theta
 from .poly import MPoly
 from .scalars import RationalLike
@@ -77,15 +77,8 @@ class TorusGrid:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, f: MPoly | Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        if isinstance(f, MPoly):
-            values = f.evaluate({"Z": self.z, "Zb": np.conj(self.z)})
-        else:
-            values = f(self.z)
-        values = np.asarray(values)
-        if values.shape != self.z.shape:  # a callable may return a scalar
-            values = np.broadcast_to(values, self.z.shape)
-        return values
+    def evaluate(self, f: MPoly) -> np.ndarray:
+        return f.evaluate({"Z": self.z, "Zb": np.conj(self.z)})
 
     def mean(self, values: np.ndarray) -> float | complex:
         """Weighted mean = integral against the normalized measure."""
@@ -96,25 +89,6 @@ class TorusGrid:
         if np.iscomplexobj(values) and abs(np.imag(result)) > 0:
             return complex(result)
         return float(np.real(result))
-
-    def mean_exact_sum(self, values: np.ndarray) -> float:
-        """Oracle summation: every float summand added as an exact rational.
-
-        Validates the compensated/pairwise reduction order on small grids.
-        """
-        flat = np.ravel(np.real(values * self.weight))
-        wflat = np.ravel(self.weight)
-        total = sum(Fraction(float(v)) for v in flat)
-        norm = sum(Fraction(float(w)) for w in wflat)
-        return float(total / norm)
-
-
-def integrate(
-    f: MPoly | Callable[[np.ndarray], np.ndarray], lam: RationalLike, n: int
-) -> float | complex:
-    """Integral of f against the deltoid measure for the given parameter."""
-    grid = TorusGrid.build(lam, n)
-    return grid.mean(grid.evaluate(f))
 
 
 def gram(polys: Sequence[MPoly], grid: TorusGrid) -> np.ndarray:
@@ -150,46 +124,17 @@ def eigenvalue_recovery(model: DiffusionModel, poly: MPoly, grid: TorusGrid) -> 
     return float(num / den)
 
 
-def normalization_constant(lam: RationalLike, n: int = 96) -> float:
-    """The constant making P**alpha a probability density on the domain.
-
-    The 6-fold covering of the orbit map gives
-
-        1/C = (1/6) * sum P(Z(t))**alpha |J(t)| h^2
-
-    over the torus grid.  At lambda = 5/2 (alpha = 0) this is the reciprocal
-    area of the domain, 9/(2 pi).
-    """
-    lam = Fraction(lam)
-    if not LAMBDA_RANGES["quadrature"].admits(lam):
-        raise ValueError("normalization requires lambda >= 1")
-    grid = TorusGrid.build(lam, n)
-    alpha = float((2 * lam - 5) / 6)
-    pvals = np.maximum(np.asarray(deltoid_boundary_values(grid.z)), 0.0)
-    jac = np.abs(torus_jacobian(grid.t1, grid.t2))
-    h = 2.0 * np.pi / n
-    total = float(np.sum(pvals**alpha * jac)) * h * h / 6.0
-    return 1.0 / total
-
-
-def normalized_measure(spec: MeasureSpec, lam: RationalLike, n: int = 96) -> MeasureSpec:
-    """Fill the numeric normalization constant of a deltoid measure spec."""
-    if spec.domain_tag != "deltoid":
-        raise ValueError("only the deltoid measure is normalized by torus quadrature")
-    return replace(spec, normalization=normalization_constant(lam, n))
-
-
-def jacobian_weight_audit(n: int = 64, interior_cut: float = 1e-6) -> dict:
+def jacobian_weight_audit(n: int = 64) -> dict:
     """Audit the proportionality |J(t)|^2 = kappa * P(Z(t)) on grid nodes.
 
     Also reports the spread of the lambda = 1 weight P**(-1/2) |J|, which the
     proportionality forces to be constant.  Deviations are relative to the
-    median over nodes with P > interior_cut.
+    median over nodes with P > 1e-6.
     """
     grid = TorusGrid.build(1, n)
     pvals = np.asarray(deltoid_boundary_values(grid.z))
     jac2 = torus_jacobian(grid.t1, grid.t2) ** 2
-    mask = pvals > interior_cut
+    mask = pvals > 1e-6
     ratio = jac2[mask] / pvals[mask]
     kappa = float(np.median(ratio))
     max_dev = float(np.max(np.abs(ratio / kappa - 1.0)))

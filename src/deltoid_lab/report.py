@@ -76,9 +76,6 @@ class VerificationReport:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def discrepancies(self) -> list[IdentityEntry]:
-        return [e for e in self.entries if e.status == "discrepancy-noted"]
-
     def exit_code(self) -> int:
         statuses = {e.status for e in self.entries}
         if "exact-fail" in statuses:
@@ -154,25 +151,6 @@ def markov_matrices_to_csv(matrices) -> str:
     return buf.getvalue()
 
 
-def markov_matrices_from_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        out.append(
-            {
-                "n": int(row["n"]),
-                "k": int(row["k"]),
-                "theta": (float(row["theta1"]), float(row["theta2"])),
-                "alpha": float(row["alpha"]),
-                "beta": float(row["beta"]),
-                "gamma": float(row["gamma"]),
-                "delta": float(row["delta"]),
-                "provenance": row["provenance"],
-            }
-        )
-    return out
-
-
 def emit_csv(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -192,8 +170,14 @@ def _svg_header(width: int, height: int) -> list[str]:
     ]
 
 
-def _to_pixel(x: float, y: float, width: int, height: int, box=(-1.15, 1.15)) -> tuple[float, float]:
-    lo, hi = box
+# Plots are SVG_SIZE pixels square unless asked otherwise and frame PLOT_BOX
+# on both axes.
+SVG_SIZE = 480
+PLOT_BOX = (-1.15, 1.15)
+
+
+def _to_pixel(x: float, y: float, width: int, height: int) -> tuple[float, float]:
+    lo, hi = PLOT_BOX
     px = (x - lo) / (hi - lo) * width
     py = (1.0 - (y - lo) / (hi - lo)) * height
     return px, py
@@ -213,7 +197,7 @@ def deltoid_curve_points(samples: int = 720) -> list[tuple[float, float]]:
     return out
 
 
-def deltoid_svg(width: int = 480, height: int = 480, samples: int = 720) -> str:
+def deltoid_svg(width: int = SVG_SIZE, height: int = SVG_SIZE, samples: int = 720) -> str:
     """Boundary curve with the three cusps 1, j, jbar marked."""
     lines = _svg_header(width, height)
     pts = deltoid_curve_points(samples)
@@ -229,45 +213,44 @@ def deltoid_svg(width: int = 480, height: int = 480, samples: int = 720) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eigen_levels_svg(poly, grid_n: int = 120, width: int = 480, height: int = 480, bands: int = 12) -> str:
+def eigen_levels_svg(poly) -> str:
     """Level-set bands of |poly| over the domain, as colored cells."""
     from .models import deltoid_boundary_values
 
-    lines = _svg_header(width, height)
-    lo, hi = -1.15, 1.15
-    xs = np.linspace(lo, hi, grid_n)
-    ys = np.linspace(lo, hi, grid_n)
+    grid_n, bands = 120, 12
+    lines = _svg_header(SVG_SIZE, SVG_SIZE)
+    xs = np.linspace(*PLOT_BOX, grid_n)
+    ys = np.linspace(*PLOT_BOX, grid_n)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     z = gx + 1j * gy
     inside = np.asarray(deltoid_boundary_values(z)) > 0.0
     vals = np.abs(poly.evaluate({"Z": z, "Zb": np.conj(z)}))
     vmax = float(vals[inside].max()) if inside.any() else 1.0
-    cell_w = width / grid_n
-    cell_h = height / grid_n
+    cell = SVG_SIZE / grid_n
     for i in range(grid_n):
         for j in range(grid_n):
             if not inside[i, j]:
                 continue
             level = min(bands - 1, int(vals[i, j] / vmax * bands))
             shade = 255 - int(level * 255 / max(bands - 1, 1))
-            px, py = _to_pixel(xs[i], ys[j], width, height)
+            px, py = _to_pixel(xs[i], ys[j], SVG_SIZE, SVG_SIZE)
             lines.append(
-                f'<rect x="{px - cell_w / 2:.2f}" y="{py - cell_h / 2:.2f}" '
-                f'width="{cell_w:.2f}" height="{cell_h:.2f}" '
+                f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" '
+                f'width="{cell:.2f}" height="{cell:.2f}" '
                 f'fill="rgb({shade},{shade},255)"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def theta_coverage_svg(theta_per_axis: int = 120, width: int = 480, height: int = 480) -> str:
+def theta_coverage_svg(theta_per_axis: int = 120) -> str:
     """Image points Z(theta) of a uniform theta grid."""
-    lines = _svg_header(width, height)
+    lines = _svg_header(SVG_SIZE, SVG_SIZE)
     ts = np.arange(theta_per_axis) * 2.0 * math.pi / theta_per_axis
     t1, t2 = np.meshgrid(ts, ts, indexing="ij")
     z = np.asarray(z_of_theta(t1, t2)).ravel()
     for zz in z:
-        px, py = _to_pixel(zz.real, zz.imag, width, height)
+        px, py = _to_pixel(zz.real, zz.imag, SVG_SIZE, SVG_SIZE)
         lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="0.8" fill="navy"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

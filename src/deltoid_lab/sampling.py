@@ -13,7 +13,7 @@ Three sample spaces feed the distributional checks:
   through the envelope P1 <= 1).
 
 Everything is reproducible: a batch is a pure function of (parameters,
-seed), and worker streams are derived by seed-sequence spawning.
+seed).
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ import numpy as np
 
 from .models import LAMBDA_RANGES, omega1_boundary_values, omega1_membership
 from .scalars import RationalLike
+
+
+# An MCMC batch reports its effective sample size from ESS_BATCHES batch
+# means and is refused below MIN_ESS.
+MIN_ESS = 100.0
+ESS_BATCHES = 32
 
 
 class SamplingError(RuntimeError):
@@ -142,7 +148,6 @@ def sample_omega1(
     step: float = 0.15,
     burn_in: int = 10_000,
     thinning: int = 10,
-    min_ess: float = 100.0,
 ) -> SampleBatch:
     """Samples of the lifted domain under the density P1**beta.
 
@@ -153,7 +158,7 @@ def sample_omega1(
 
     method='mcmc' runs a symmetric Gaussian random walk with Metropolis
     correction, burn-in and thinning; the batch records an effective sample
-    size from batch means and refuses runs with ESS below min_ess.
+    size from batch means and refuses runs with ESS below MIN_ESS.
     """
     lam = Fraction(lam)
     if not LAMBDA_RANGES["lifted_sampler"].admits(lam):
@@ -166,7 +171,7 @@ def sample_omega1(
     if method == "rejection":
         return _omega1_rejection(lam, beta, n, seed)
     if method == "mcmc":
-        return _omega1_mcmc(lam, beta, n, seed, step, burn_in, thinning, min_ess)
+        return _omega1_mcmc(lam, beta, n, seed, step, burn_in, thinning)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -212,7 +217,6 @@ def _omega1_mcmc(
     step: float,
     burn_in: int,
     thinning: int,
-    min_ess: float,
 ) -> SampleBatch:
     rng = np.random.default_rng(seed)
     beta_f = float(beta)
@@ -249,22 +253,22 @@ def _omega1_mcmc(
         "thinning": thinning,
         "step": step,
     }
-    if ess < min_ess:
-        raise SamplingError(f"MCMC effective sample size {ess:.1f} < {min_ess}")
+    if ess < MIN_ESS:
+        raise SamplingError(f"MCMC effective sample size {ess:.1f} < {MIN_ESS}")
     return SampleBatch(
         "omega1", seed, {"lambda": lam, "beta": beta, "n": n, "method": "mcmc"},
         kept, stats, correlated=True,
     )
 
 
-def _batch_means_ess(values: np.ndarray, n_batches: int = 32) -> float:
+def _batch_means_ess(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
-    m = len(values) // n_batches
+    m = len(values) // ESS_BATCHES
     if m < 2:
         return float(len(values))
-    trimmed = values[: m * n_batches].reshape(n_batches, m)
+    trimmed = values[: m * ESS_BATCHES].reshape(ESS_BATCHES, m)
     batch_means = trimmed.mean(axis=1)
-    var_bm = batch_means.var(ddof=1) / n_batches
+    var_bm = batch_means.var(ddof=1) / ESS_BATCHES
     var_iid = values.var(ddof=1)
     if var_bm <= 0:
         return float(len(values))

@@ -11,9 +11,9 @@ computed one and are reported as discrepancy-noted with both values.
 
 IDENTITY_MANIFEST is the one registry: each name and anchor is written
 there, and each name once more at its check site.  Each exact identity is
-one ``with _exact(...)`` block; a failed ``require`` ends only that block and
-records the identity as exact-fail with its witness, so every run reports
-every registered identity.
+one ``with _exact(...)`` block; a failed ``require``, or any other exception
+raised inside it, ends only that block and records the identity as
+exact-fail with its witness, so every run reports every registered identity.
 
 Exit codes: 0 all pass, 1 numeric failure, 2 exact-identity failure,
 3 usage error.
@@ -204,7 +204,9 @@ def _exact(report: VerificationReport, name: str, details: str, status: str = "p
     """One exact identity as a block; ``require(ok, witness)`` ends only this block.
 
     A block that completes records ``status`` with ``details``; the first
-    failed ``require`` records exact-fail with its witness instead.
+    failed ``require`` records exact-fail with its witness instead, and any
+    other exception raised in the block records exact-fail with
+    ``type: message`` as the witness.
     """
 
     def require(condition: bool, witness: str) -> None:
@@ -215,6 +217,8 @@ def _exact(report: VerificationReport, name: str, details: str, status: str = "p
         yield require
     except ExactIdentityFailure as failure:
         report.add(name, "exact-fail", str(failure))
+    except Exception as error:
+        report.add(name, "exact-fail", f"{type(error).__name__}: {error}")
     else:
         report.add(name, status, details)
 
@@ -651,10 +655,12 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
     rng = random.Random(config.seed + 5)
     worst_sa = 0.0
     worst_inv = 0.0
+    pairs = 0
     for lam in (Fraction(1), Fraction(4)):
         grid = TorusGrid.build(lam, config.grid_n)
         model = deltoid_model(lam)
         for _ in range(config.selfadjoint_pairs // 2):
+            pairs += 1
             f = _random_poly(rng, DELTOID_VARS, 3, 4)
             g = _random_poly(rng, DELTOID_VARS, 3, 4)
             f = f + f.conj_swap(DELTOID_CONJ_PAIRS)
@@ -664,7 +670,7 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
     report.add("quadrature.selfadjointness",
                "numeric-pass" if worst_sa < 1e-9 else "numeric-fail",
                f"max |int f L(g) + int Gamma(f,g)| = {worst_sa:.2e} over "
-               f"{config.selfadjoint_pairs} random real pairs")
+               f"{pairs} random real pairs")
     report.add("quadrature.measure_invariance",
                "numeric-pass" if worst_inv < 1e-9 else "numeric-fail",
                f"max |int L(f)| = {worst_inv:.2e}")

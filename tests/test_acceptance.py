@@ -372,7 +372,7 @@ def test_criterion_11_discrepancy_ledger():
     )
     report, code = run_verify(config)
     assert code == 0
-    discrepancies = report.discrepancies()
+    discrepancies = [e for e in report.entries if e.status == "discrepancy-noted"]
     assert len(discrepancies) == 3
     names = {e.name for e in discrepancies}
     assert names == {

@@ -6,7 +6,6 @@ import pytest
 
 from deltoid_lab.hypergroup import (
     ProbeContext,
-    basis_change,
     block_cross_correlations,
     coverage_check,
     delta_report,
@@ -157,33 +156,6 @@ class TestBatchMemo:
             point = {"Z": z, "Zb": np.conj(z)}
             assert np.allclose(p_vals, np.real(p_hat.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
             assert np.allclose(q_vals, np.real(q_hat.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
-
-
-class TestBasisChange:
-    def test_identity_fixed(self):
-        m = np.eye(2)
-        assert np.allclose(basis_change(m, 2, 1), m)
-        assert np.allclose(basis_change(m, 3, 1), m)
-
-    def test_class_zero_untouched(self):
-        m = np.array([[0.3, 0.1], [0.1, 0.8]])
-        assert np.array_equal(basis_change(m, 3, 0), m)
-
-    def test_trace_preserved(self):
-        m = np.array([[0.7, 0.2], [0.2, 0.4]])
-        for n, k in ((2, 1), (3, 1)):
-            assert np.trace(basis_change(m, n, k)) == pytest.approx(np.trace(m))
-
-    def test_is_rotation_congruence(self):
-        # The printed congruence is conjugation by the rotation through
-        # 2 pi (n - k)/3 acting on the pair.
-        m = np.array([[0.6, -0.1], [-0.1, 0.2]])
-        for n, k, eps in ((2, 1, 1), (3, 1, -1)):
-            phi = 2 * math.pi * (n - k) / 3
-            c, s = math.cos(phi), math.sin(phi)
-            rot = np.array([[c, -s], [s, c]])
-            assert np.allclose(basis_change(m, n, k), rot @ m @ rot.T)
-            assert eps == (1 if (n - k) % 3 == 1 else -1)
 
 
 class TestPositivityAndCoverage:

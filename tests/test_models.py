@@ -24,12 +24,10 @@ from deltoid_lab.models import (
     membership_deltoid,
     omega1_boundary_values,
     omega1_membership,
-    omega1_segment_audit,
     p1_p2,
     p1_polar_decomposition_residual,
     phi_theta,
     psi1_intertwining_factor,
-    psi1_map,
     q1_q2,
     real_cometric_at,
     sixdim_model,
@@ -37,6 +35,7 @@ from deltoid_lab.models import (
     z_of_theta,
 )
 from deltoid_lab.poly import MPoly, divide_exact, try_divide
+from deltoid_lab.scalars import FieldScalar
 
 J = complex(-0.5, math.sqrt(3) / 2)
 
@@ -93,17 +92,6 @@ class TestSixdimModel:
         cof = boundary_ideal_check(m, p1)
         for v in SIXDIM_VARS:
             assert cof[v] == MPoly.var(SIXDIM_VARS, v) * (-3)
-
-    def test_measure_spec_integrability(self):
-        from deltoid_lab.models import sixdim_measure
-
-        spec = sixdim_measure(4)
-        (base, exponent), = spec.density_factors
-        assert exponent == Fraction(2 * 4 - 11, 6)
-        assert spec.domain_tag == "omega1"
-        with pytest.raises(IntegrabilityError):
-            sixdim_measure(Fraction(5, 2))  # exponent -1 is not integrable
-
 
 class TestG2Model:
     def test_gamma_table(self):
@@ -162,14 +150,9 @@ class TestG2Model:
 
 class TestPsi1:
     def test_fixed_bitangent_point(self):
-        assert psi1_map(2.0, 1.0) == (2.0, 1.0)
-
-    def test_parabola_maps_to_cubic(self):
-        q1, q2 = q1_q2()
-        for x in np.linspace(-0.9, 0.9, 7):
-            s, p = 2 * x, x * x  # on the parabola q1 = 0
-            S, P = psi1_map(s, p)
-            assert abs(3 * P * P + 12 * S * P + 6 * P - 4 * S ** 3 - 1) < 1e-12
+        point = {"s": 2, "p": 1}
+        assert PSI1_IMAGES["S"].evaluate_exact(point) == FieldScalar(2)
+        assert PSI1_IMAGES["P"].evaluate_exact(point) == FieldScalar(1)
 
     def test_boundary_factor_exchange_exact(self):
         q1, q2 = q1_q2()
@@ -263,6 +246,14 @@ class TestMembership:
             assert (membership_deltoid(complex(zz)) == "interior") == (pv > 0)
 
 
+def _segment_audit(points: np.ndarray) -> bool:
+    """True when every segment from a point to the origin, sampled at 64
+    steps, stays in the membership set: the domain is the connected component
+    of the origin."""
+    ts = np.linspace(0.0, 1.0, 65)[1:]
+    return all(bool(np.all(omega1_membership(points * t))) for t in ts)
+
+
 class TestOmega1:
     def test_membership_and_audit(self):
         rng = np.random.default_rng(8)
@@ -275,7 +266,7 @@ class TestOmega1:
         p1, p2 = omega1_boundary_values(inside)
         assert np.all(p1 > 0) and np.all(p2 < 0)
         # Segment audit: rays to the origin stay inside.
-        assert omega1_segment_audit(inside[:50])
+        assert _segment_audit(inside[:50])
 
     def test_polar_decomposition(self):
         rng = np.random.default_rng(9)

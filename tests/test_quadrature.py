@@ -10,7 +10,6 @@ from deltoid_lab.quadrature import (
     TorusGrid,
     eigenvalue_recovery,
     gram,
-    integrate,
     jacobian_weight_audit,
     measure_invariance_residual,
     selfadjoint_check,
@@ -23,7 +22,8 @@ Zb = MPoly.var(DELTOID_VARS, "Zb")
 
 
 def test_normalization():
-    assert integrate(MPoly.const(DELTOID_VARS, 1), 4, 32) == pytest.approx(1.0)
+    grid = TorusGrid.build(4, 32)
+    assert grid.mean(grid.evaluate(MPoly.const(DELTOID_VARS, 1))) == pytest.approx(1.0)
 
 
 def test_lambda_below_one_refused():
@@ -44,14 +44,16 @@ def test_grid_avoids_critical_lines():
 
 def test_mean_zero_eigenfunction():
     p_hat, _ = eigen_PQ_lambda(Fraction(4), 1, 0)
-    assert abs(integrate(p_hat.poly, 4, 64)) < 1e-10
+    grid = TorusGrid.build(4, 64)
+    assert abs(grid.mean(grid.evaluate(p_hat.poly))) < 1e-10
 
 
 def test_cross_oracle_with_monte_carlo():
     # |Z|^2 at the flat parameter: quadrature vs uniform torus sampling.
     from deltoid_lab.sampling import pushforward_deltoid, sample_torus
 
-    quad = integrate(Z * Zb, 1, 64)
+    grid = TorusGrid.build(1, 64)
+    quad = grid.mean(grid.evaluate(Z * Zb))
     zs = pushforward_deltoid(sample_torus(400_000, 99))
     vals = np.abs(zs) ** 2
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -156,30 +158,16 @@ def test_eigenvalue_recovery():
     assert abs(rec + float(eigenvalue_deltoid(lam, 2, 1))) < 1e-7
 
 
-def test_normalization_constant_against_area():
-    # alpha = 0 at parameter 5/2: the constant is the reciprocal area of the
-    # domain, 9/(2 pi).  The integrand |J| has kinks on the critical lines,
-    # so convergence is quadratic rather than spectral.
-    from deltoid_lab.quadrature import normalization_constant
-
-    c96 = normalization_constant(Fraction(5, 2), 96)
-    exact = 9.0 / (2.0 * math.pi)
-    assert abs(c96 / exact - 1.0) < 1e-3
-    c192 = normalization_constant(Fraction(5, 2), 192)
-    assert abs(c192 / exact - 1.0) < abs(c96 / exact - 1.0)
-
-
-def test_normalized_measure_spec():
-    from deltoid_lab.models import deltoid_measure, g2_measure
-    from deltoid_lab.quadrature import normalized_measure
-
-    spec = normalized_measure(deltoid_measure(Fraction(4)), Fraction(4))
-    assert spec.normalization is not None and spec.normalization > 0
-    with pytest.raises(ValueError):
-        normalized_measure(g2_measure(0, 0), Fraction(4))
+def _mean_exact_sum(grid: TorusGrid, values: np.ndarray) -> float:
+    """Oracle summation: every float summand added as an exact rational."""
+    flat = np.ravel(np.real(values * grid.weight))
+    total = sum(Fraction(float(v)) for v in flat)
+    norm = sum(Fraction(float(w)) for w in np.ravel(grid.weight))
+    return float(total / norm)
 
 
 def test_exact_sum_oracle():
+    # Validates the pairwise reduction order of TorusGrid.mean on a small grid.
     grid = TorusGrid.build(Fraction(4), 32)
     values = grid.evaluate(Z * Zb + Z + Zb)
-    assert abs(grid.mean(np.real(values)) - grid.mean_exact_sum(values)) < 1e-13
+    assert abs(grid.mean(np.real(values)) - _mean_exact_sum(grid, values)) < 1e-13

@@ -1,5 +1,7 @@
+import contextlib
+import csv
+import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -16,12 +18,28 @@ from deltoid_lab.report import (
     VerificationReport,
     deltoid_svg,
     emit_report,
-    markov_matrices_from_csv,
     markov_matrices_to_csv,
     theta_coverage_svg,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def markov_matrices_from_csv(text: str) -> list[dict]:
+    """Read back the rows markov_matrices_to_csv writes."""
+    out = []
+    for row in csv.DictReader(io.StringIO(text)):
+        out.append({
+            "n": int(row["n"]),
+            "k": int(row["k"]),
+            "theta": (float(row["theta1"]), float(row["theta2"])),
+            "alpha": float(row["alpha"]),
+            "beta": float(row["beta"]),
+            "gamma": float(row["gamma"]),
+            "delta": float(row["delta"]),
+            "provenance": row["provenance"],
+        })
+    return out
 
 
 class TestReport:
@@ -258,24 +276,31 @@ class TestVerifyCli:
         "--omega1-samples", "5000", "--eigen-degree-max", "3",
     ]
 
-    def test_negative_control_exits_two(self, tmp_path, capsys):
-        code = main(["verify", "--negative-control", *self.FAST])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "EXACT IDENTITY FAILURE" in captured.out
-        assert "deltoid.metric_determinant" in captured.out
+    @pytest.fixture(scope="class")
+    def negative_control_run(self, tmp_path_factory):
+        """One FAST negative-control verify: (exit code, stdout, report JSON)."""
+        out = tmp_path_factory.mktemp("negative_control") / "report.json"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["verify", "--negative-control", *self.FAST, "--out", str(out)])
+        return code, stdout.getvalue(), json.loads(out.read_text())
 
-    def test_negative_control_report_names_the_failure(self, tmp_path, capsys):
+    def test_negative_control_exits_two(self, negative_control_run):
+        code, stdout, _ = negative_control_run
+        assert code == 2
+        assert "EXACT IDENTITY FAILURE" in stdout
+        assert "deltoid.metric_determinant" in stdout
+
+    def test_negative_control_report_names_the_failure(self, negative_control_run):
         from deltoid_lab.verify import IDENTITY_MANIFEST
 
-        out = tmp_path / "report.json"
-        assert main(["verify", "--negative-control", *self.FAST, "--out", str(out)]) == 2
-        doc = json.loads(out.read_text())
+        code, stdout, doc = negative_control_run
+        assert code == 2
         entries = {e["name"]: e for e in doc["entries"]}
         assert len(doc["entries"]) == 54 and set(entries) == {n for n, _ in IDENTITY_MANIFEST}
         failed = entries["deltoid.metric_determinant"]
         assert failed["status"] == "exact-fail" and failed["details"].startswith("det = ")
-        assert failed["details"] in capsys.readouterr().out
+        assert failed["details"] in stdout
         # The next symbolic identity still runs, and so do the later suites.
         assert entries["deltoid.boundary_cofactors"]["status"] == "proven-exact"
         assert entries["hypergroup.theta_coverage"]["status"] == "numeric-pass"
@@ -319,6 +344,7 @@ class TestVerifyCli:
         ("coverage_theta_n = 0", "coverage_theta_n"),
         ("coverage_omega_n = 0", "coverage_omega_n"),
         ("cusp_grid_n = 1", "cusp_grid_n"),
+        ("cusp_grid_n = 4", "cusp_grid_n"),
     ])
     def test_bad_config_value(self, line, key, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"

@@ -1,0 +1,33 @@
+"""Unit checks of single verify suites, run apart from the full suite."""
+
+from deltoid_lab import verify
+from deltoid_lab.report import VerificationReport
+
+
+def _report() -> VerificationReport:
+    return VerificationReport(config={}, anchors=dict(verify.IDENTITY_MANIFEST))
+
+
+def test_error_inside_exact_block_is_recorded_and_the_run_goes_on(monkeypatch):
+    def broken(matrix):
+        raise RuntimeError("cofactor expansion broke")
+
+    monkeypatch.setattr(verify, "det_cofactor", broken)
+    report = _report()
+    verify._suite_algebra(report, verify.VerifyConfig())
+    entries = {e.name: e for e in report.entries}
+    failed = entries["algebra.determinant_cross_check"]
+    assert failed.status == "exact-fail"
+    assert failed.details == "RuntimeError: cofactor expansion broke"
+    # The identity after the broken one still runs.
+    assert entries["algebra.exact_division_roundtrip"].status == "proven-exact"
+    assert len(report.entries) == 5 and report.exit_code() == 2
+
+
+def test_selfadjointness_reports_the_pairs_it_ran():
+    # Three pairs asked for run as one pair per parameter, two in all.
+    config = verify.VerifyConfig(grid_n=16, gram_degree_max=1, selfadjoint_pairs=3)
+    report = _report()
+    verify._suite_quadrature(report, config)
+    (entry,) = [e for e in report.entries if e.name == "quadrature.selfadjointness"]
+    assert entry.details.endswith(" over 2 random real pairs")
