@@ -44,6 +44,9 @@ def main() -> int:
 
     for entry in report.entries:
         print(f"{entry.status:26s} {entry.name}")
+    print()
+    for suite, seconds in report.suite_seconds.items():
+        print(f"{seconds:8.2f}s  {suite}")
     print(f"\n{len(report.entries)} identities in {elapsed:.1f}s; exit code {code}")
     print(f"report: {outdir / 'verify_report.json'}")
     return code

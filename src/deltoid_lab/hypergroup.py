@@ -35,6 +35,10 @@ from .sampling import SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
 from .spectral import EigenPoly, eigen_PQ_lambda, eigenvalue_deltoid, pq_indices
 
+# A block bound or squared row norm at most this counts as a contraction.
+CONTRACTION_BOUND = 1.0 + 1e-9
+
+
 @dataclass(frozen=True)
 class MarkovMatrix:
     """2x2 kernel block on (P-hat, Q-hat) with per-entry provenance."""
@@ -284,18 +288,11 @@ def representation_check(
     all indices in the context.
     """
     coeffs = representation_coefficients(ctx, points, weights)
-    worst = 0.0
-    worst_index = None
-    for index, (a, b) in coeffs.items():
-        row = a * a + b * b
-        if row > worst:
-            worst = row
-            worst_index = index
+    worst = max([0.0, *(a * a + b * b for a, b in coeffs.values())])
     return {
         "coefficients": coeffs,
         "worst_row_norm_sq": worst,
-        "worst_index": worst_index,
-        "contraction_ok": worst <= 1.0 + 1e-9,
+        "contraction_ok": worst <= CONTRACTION_BOUND,
     }
 
 
@@ -326,7 +323,6 @@ def positivity_scan(
     singular value and must itself be <= 1.
     """
     worst = 0.0
-    worst_at = None
     alpha_bound = 0.0
     for theta in thetas:
         for (n, k) in ctx.pairs:
@@ -340,18 +336,15 @@ def positivity_scan(
             else:
                 ratio2 = p_norm2 / q_norm2
                 value = math.sqrt(alpha * alpha + gamma * gamma * ratio2)
-            if value > worst:
-                worst = value
-                worst_at = ((n, k), (theta.t1, theta.t2))
+            worst = max(worst, value)
     return {
         "worst_block_bound": worst,
-        "worst_at": worst_at,
         "max_abs_alpha": alpha_bound,
-        "ok": worst <= 1.0 + 1e-9,
+        "ok": worst <= CONTRACTION_BOUND,
     }
 
 
-def coverage_check(theta_per_axis: int = 600, omega_per_axis: int = 100) -> dict:
+def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
     """Surjectivity of theta -> Z(theta) onto the domain, cell by cell.
 
     Every cell of the omega grid whose center lies strictly inside the

@@ -19,6 +19,10 @@ not registered.  Statuses:
 Exit codes, by precedence: 2 if any entry is exact-fail, else 1 if any is
 numeric-fail, else 0.
 
+A numeric entry also keeps its gates (measured value, bound, comparison)
+and the report each suite's wall seconds; neither is emitted, so the report
+bytes depend on the statuses and details alone.
+
 Emitters are deterministic: identical inputs give byte-identical files.
 """
 
@@ -28,6 +32,7 @@ import csv
 import io
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -44,6 +49,20 @@ STATUSES = (
     "discrepancy-noted",
 )
 
+COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One measured value of a numeric identity, its bound and how they must compare."""
+
+    measured: float
+    bound: float
+    comparison: str = "<"
+
+    def holds(self) -> bool:
+        return COMPARISONS[self.comparison](self.measured, self.bound)
+
 
 @dataclass(frozen=True)
 class IdentityEntry:
@@ -51,6 +70,7 @@ class IdentityEntry:
     anchor: str
     status: str
     details: str = ""
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -63,13 +83,15 @@ class VerificationReport:
     anchors: dict[str, str]  # registered name -> anchor
     entries: list[IdentityEntry] = field(default_factory=list)
     models: dict = field(default_factory=dict)  # name -> DiffusionModel JSON
+    suite_seconds: dict[str, float] = field(default_factory=dict)  # suite -> wall seconds
 
-    def add(self, name: str, status: str, details: str = "") -> IdentityEntry:
+    def add(self, name: str, status: str, details: str = "",
+            gates: tuple[Gate, ...] = ()) -> IdentityEntry:
         if name not in self.anchors:
             raise ValueError(f"identity {name!r} is not registered")
         if any(e.name == name for e in self.entries):
             raise ValueError(f"identity {name!r} registered twice")
-        entry = IdentityEntry(name, self.anchors[name], status, details)
+        entry = IdentityEntry(name, self.anchors[name], status, details, gates)
         self.entries.append(entry)
         return entry
 

@@ -15,14 +15,26 @@ one ``with _exact(...)`` block; a failed ``require``, or any other exception
 raised inside it, ends only that block and records the identity as
 exact-fail with its witness, so every run reports every registered identity.
 
+Each numeric identity, and each discrepancy-noted one, is one
+``with _numeric(...) as record:`` block ending in ``record(details, *gates)``.
+A gate is one measured value, its bound and its comparison; ``_numeric`` is
+the one place that turns gates into numeric-pass or numeric-fail, and it
+records an exception raised in the block as numeric-fail with
+``type: message`` as the witness.  A computation several identities share
+(a Gram loop, a sample batch) is cached; if it raises, it raises again in
+each identity that reads it, and the identities that do not still run.
+Gates and per-suite wall seconds stay on the in-memory report, unemitted.
+
 Exit codes: 0 all pass, 1 numeric failure, 2 exact-identity failure,
 3 usage error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -40,6 +52,7 @@ from .diffusion import (
     pushforward,
 )
 from .hypergroup import (
+    CONTRACTION_BOUND,
     ProbeContext,
     ThetaPair,
     block_cross_correlations,
@@ -87,7 +100,7 @@ from .quadrature import (
     measure_invariance_residual,
     selfadjoint_check,
 )
-from .report import VerificationReport
+from .report import Gate, VerificationReport
 from .sampling import (
     estimate_moments,
     pushforward_deltoid,
@@ -110,6 +123,7 @@ from .spectral import (
 
 LAMBDA_EIGEN_SET = (Fraction(1), Fraction(5, 2), Fraction(7, 3), Fraction(4), Fraction(11, 2))
 LAMBDA_INTERP = (Fraction(2), Fraction(3))
+Z_GATE = 4.0  # standard errors: every Monte-Carlo z-score must stay below this
 
 
 class ExactIdentityFailure(AssertionError):
@@ -221,6 +235,25 @@ def _exact(report: VerificationReport, name: str, details: str, status: str = "p
         report.add(name, "exact-fail", f"{type(error).__name__}: {error}")
     else:
         report.add(name, status, details)
+
+
+@contextmanager
+def _numeric(report: VerificationReport, name: str, status: str | None = None):
+    """One numeric identity as a block that ends with ``record(details, *gates)``.
+
+    numeric-pass when every gate holds, else numeric-fail; a given ``status``
+    (discrepancy-noted) is recorded as it is.  An exception raised in the
+    block records numeric-fail with ``type: message`` as the witness.
+    """
+
+    def record(details: str, *gates: Gate) -> None:
+        verdict = status or ("numeric-pass" if all(g.holds() for g in gates) else "numeric-fail")
+        report.add(name, verdict, details, gates)
+
+    try:
+        yield record
+    except Exception as error:
+        report.add(name, "numeric-fail", f"{type(error).__name__}: {error}")
 
 
 def _random_scalar(rng: random.Random) -> FieldScalar:
@@ -469,69 +502,66 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
 
 
 def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> None:
-    sign = flat_torus_sign_report(1000, seed=config.seed)
-    status = "numeric-pass" if sign["deviation_minus_variant"] < 1e-10 else "numeric-fail"
-    report.add("flat_torus.constraint_match", status,
-               f"gradient table matches the lifted table on the constraint set to "
-               f"{sign['deviation_minus_variant']:.2e} over {sign['points']} points")
-    report.add(
-        "discrepancy.flat_torus_cross_term_sign", "discrepancy-noted",
-        "printed cross term +(1/2) z_i zb_j vs gradient-derived -(1/2) z_i zb_j: the "
-        f"minus sign matches the lifted table (deviation {sign['deviation_minus_variant']:.2e}) "
-        f"while the plus sign deviates by {sign['deviation_plus_variant']:.2e}; resolution: -(1/2) z_i zb_j",
-    )
+    sign_report = functools.cache(lambda: flat_torus_sign_report(1000, seed=config.seed))
+    with _numeric(report, "flat_torus.constraint_match") as record:
+        sign = sign_report()
+        record(f"gradient table matches the lifted table on the constraint set to "
+               f"{sign['deviation_minus_variant']:.2e} over {sign['points']} points",
+               Gate(sign["deviation_minus_variant"], 1e-10))
 
-    rng = np.random.default_rng(config.seed + 1)
-    pts = np.sqrt(rng.uniform(size=(1000, 3))) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(1000, 3)))
-    resid = p1_polar_decomposition_residual(pts)
-    report.add("sixdim.p1_polar_form",
-               "numeric-pass" if resid < 1e-10 else "numeric-fail",
-               f"polar product form matches P1 to {resid:.2e} on 1000 random points")
+    with _numeric(report, "discrepancy.flat_torus_cross_term_sign", "discrepancy-noted") as record:
+        sign = sign_report()
+        record("printed cross term +(1/2) z_i zb_j vs gradient-derived -(1/2) z_i zb_j: the "
+               f"minus sign matches the lifted table (deviation {sign['deviation_minus_variant']:.2e}) "
+               f"while the plus sign deviates by {sign['deviation_plus_variant']:.2e}; resolution: -(1/2) z_i zb_j")
 
-    q1, q2 = q1_q2()
-    named = str(q2)
-    report.add(
-        "discrepancy.g2_boundary_cubic_printings", "discrepancy-noted",
-        "two printed variants of the quintic's cubic factor (3p^2+12sp+6p-4s^3-1 vs "
-        "3s^2+12sp+6p-4s^3-1): exact division of the metric determinant by q1/4 is the "
-        f"resolution and yields {named}, matching the first variant and refuting the "
-        "second (which does not even vanish at the bitangent point (2,1))",
-    )
+    with _numeric(report, "sixdim.p1_polar_form") as record:
+        rng = np.random.default_rng(config.seed + 1)
+        pts = np.sqrt(rng.uniform(size=(1000, 3))) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(1000, 3)))
+        resid = p1_polar_decomposition_residual(pts)
+        record(f"polar product form matches P1 to {resid:.2e} on 1000 random points",
+               Gate(resid, 1e-10))
 
-    gs = sample_su3_haar(1000, config.seed + 2).points
-    worst = 0.0
-    for g in gs:
-        res = su3_gamma_pointwise(g)
-        worst = max(worst, res["residual_gamma_zz"], res["residual_gamma_zzb"],
-                    res["residual_l_z"], res["residual_trace_identity"])
-    report.add("su3.casimir_pointwise",
-               "numeric-pass" if worst < 1e-8 else "numeric-fail",
-               f"scaled Casimir values match the deltoid table at parameter 4 to {worst:.2e} "
-               "on 1000 Haar samples (scale 1/2 for the unit-normalized entry table)")
+    with _numeric(report, "discrepancy.g2_boundary_cubic_printings", "discrepancy-noted") as record:
+        _, q2 = q1_q2()
+        record("two printed variants of the quintic's cubic factor (3p^2+12sp+6p-4s^3-1 vs "
+               "3s^2+12sp+6p-4s^3-1): exact division of the metric determinant by q1/4 is the "
+               f"resolution and yields {q2}, matching the first variant and refuting the "
+               "second (which does not even vanish at the bitangent point (2,1))")
 
-    batch = sample_omega1(Fraction(11, 2), 500, config.seed + 3, method="rejection")
-    m = sixdim_model(3)
-    min_eig = math.inf
-    for z in batch.points[:200]:
-        point = {f"z{i+1}": z[i] for i in range(3)} | {f"zb{i+1}": np.conj(z[i]) for i in range(3)}
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(real_cometric_at(m, point)).min()))
-    report.add("sixdim.ellipticity",
-               "numeric-pass" if min_eig > 0 else "numeric-fail",
-               f"smallest real-cometric eigenvalue over 200 domain samples: {min_eig:.3e} > 0")
+    with _numeric(report, "su3.casimir_pointwise") as record:
+        worst = 0.0
+        for g in sample_su3_haar(1000, config.seed + 2).points:
+            res = su3_gamma_pointwise(g)
+            worst = max(worst, res["residual_gamma_zz"], res["residual_gamma_zzb"],
+                        res["residual_l_z"], res["residual_trace_identity"])
+        record(f"scaled Casimir values match the deltoid table at parameter 4 to {worst:.2e} "
+               "on 1000 Haar samples (scale 1/2 for the unit-normalized entry table)",
+               Gate(worst, 1e-8))
 
-    rng = np.random.default_rng(config.seed + 4)
-    box = rng.uniform(-1.2, 1.2, size=(10_000, 2))
-    zbox = box[:, 0] + 1j * box[:, 1]
-    pvals = np.asarray(deltoid_boundary_values(zbox))
-    keep = np.abs(pvals) > 1e-6
-    mismatches = sum(
-        1 for z, pv in zip(zbox[keep], pvals[keep])
-        if (membership_deltoid(complex(z)) == "interior") != (pv > 0)
-    )
-    report.add("deltoid.membership_consistency",
-               "numeric-pass" if mismatches == 0 else "numeric-fail",
-               f"{mismatches} disagreements between root classifier and boundary sign "
-               f"on {int(keep.sum())} box points (1e-6 boundary band excluded)")
+    with _numeric(report, "sixdim.ellipticity") as record:
+        batch = sample_omega1(Fraction(11, 2), 500, config.seed + 3, method="rejection")
+        m = sixdim_model(3)
+        min_eig = math.inf
+        for z in batch.points[:200]:
+            point = {f"z{i+1}": z[i] for i in range(3)} | {f"zb{i+1}": np.conj(z[i]) for i in range(3)}
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(real_cometric_at(m, point)).min()))
+        record(f"smallest real-cometric eigenvalue over 200 domain samples: {min_eig:.3e} > 0",
+               Gate(min_eig, 0.0, ">"))
+
+    with _numeric(report, "deltoid.membership_consistency") as record:
+        rng = np.random.default_rng(config.seed + 4)
+        box = rng.uniform(-1.2, 1.2, size=(10_000, 2))
+        zbox = box[:, 0] + 1j * box[:, 1]
+        pvals = np.asarray(deltoid_boundary_values(zbox))
+        keep = np.abs(pvals) > 1e-6
+        mismatches = sum(
+            1 for z, pv in zip(zbox[keep], pvals[keep])
+            if (membership_deltoid(complex(z)) == "interior") != (pv > 0)
+        )
+        record(f"{mismatches} disagreements between root classifier and boundary sign "
+               f"on {int(keep.sum())} box points (1e-6 boundary band excluded)",
+               Gate(mismatches, 0, "=="))
 
 
 def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
@@ -551,9 +581,9 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
 
     with _exact(report, "spectral.conjugation_swap",
                 "conjugation swap maps R(n,k) to R(k,n) exactly") as require:
-        for lam in (Fraction(4), Fraction(7, 3)):
-            basis = eigenbasis(deltoid_model(lam), min(dmax, 6))
-            for n, k in pq_indices(min(dmax, 6)):
+        for lam in LAMBDA_EIGEN_SET:
+            basis = eigenbasis(deltoid_model(lam), dmax)
+            for n, k in pq_indices(dmax):
                 require(basis[(n, k)].poly.conj_swap(DELTOID_CONJ_PAIRS) == basis[(k, n)].poly,
                         f"lambda={lam}, (n,k)=({n},{k})")
 
@@ -562,12 +592,12 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
                 ) as require:
         for lam in LAMBDA_EIGEN_SET:
             model = deltoid_model(lam)
-            for n, k in pq_indices(min(dmax, 6), include_constant=True):
+            for n, k in pq_indices(dmax, include_constant=True):
                 require(verify_rotation(model, n, k).ok, f"lambda={lam}, (n,k)=({n},{k})")
 
     with _exact(report, "spectral.coefficient_realness",
                 "R, P coefficients rational; Q coefficients purely imaginary") as require:
-        for n, k in pq_indices(min(dmax, 6)):
+        for n, k in pq_indices(dmax):
             p_hat, q_hat = eigen_PQ_lambda(Fraction(4), n, k)
             require(coefficient_components_ok(p_hat) and coefficient_components_ok(q_hat),
                     f"(n,k)=({n},{k})")
@@ -586,106 +616,115 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
     # Maximum at the reference cusp.  The grid is aligned so that the cusp
     # Z = 1 and the real axis are lattice points of the closed domain; the
     # grid max of |P| must then land within one cell of the cusp.
-    ngrid = config.cusp_grid_n
-    cell = 2.3 / (ngrid - 1)
-    xs = 1.0 - cell * np.arange(ngrid - 1, -1, -1)
-    ys = cell * (np.arange(ngrid) - (ngrid // 2))
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    zgrid = gx + 1j * gy
-    closure = np.asarray(deltoid_boundary_values(zgrid)) >= 0.0
-    worst_dist = 0.0
-    for lam in (Fraction(4), Fraction(11, 2)):
-        for n, k in pq_indices(5, include_constant=True):
-            p_hat, _ = eigen_PQ_lambda(lam, n, k)
-            vals = np.abs(p_hat.poly.evaluate({"Z": zgrid, "Zb": np.conj(zgrid)}))
-            vals = np.where(closure, vals, -np.inf)
-            gmax = float(vals.max())
-            near = (np.abs(zgrid - 1.0) <= cell * 1.5) & closure
-            near_max = float(vals[near].max())
-            if near_max < gmax * (1.0 - 1e-12):
-                zstar = zgrid.ravel()[int(np.argmax(vals))]
-                worst_dist = max(worst_dist, abs(zstar - 1.0))
-    report.add("spectral.max_at_cusp",
-               "numeric-pass" if worst_dist == 0.0 else "numeric-fail",
-               f"grid max of |P| attained within one cell of Z = 1 for n+k <= 5 at "
+    with _numeric(report, "spectral.max_at_cusp") as record:
+        ngrid = config.cusp_grid_n
+        cell = 2.3 / (ngrid - 1)
+        xs = 1.0 - cell * np.arange(ngrid - 1, -1, -1)
+        ys = cell * (np.arange(ngrid) - (ngrid // 2))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        zgrid = gx + 1j * gy
+        closure = np.asarray(deltoid_boundary_values(zgrid)) >= 0.0
+        worst_dist = 0.0
+        for lam in (Fraction(4), Fraction(11, 2)):
+            for n, k in pq_indices(5, include_constant=True):
+                p_hat, _ = eigen_PQ_lambda(lam, n, k)
+                vals = np.abs(p_hat.poly.evaluate({"Z": zgrid, "Zb": np.conj(zgrid)}))
+                vals = np.where(closure, vals, -np.inf)
+                gmax = float(vals.max())
+                near = (np.abs(zgrid - 1.0) <= cell * 1.5) & closure
+                near_max = float(vals[near].max())
+                if near_max < gmax * (1.0 - 1e-12):
+                    zstar = zgrid.ravel()[int(np.argmax(vals))]
+                    worst_dist = max(worst_dist, abs(zstar - 1.0))
+        record(f"grid max of |P| attained within one cell of Z = 1 for n+k <= 5 at "
                f"parameters 4 and 11/2 on a {ngrid}x{ngrid} grid"
-               + ("" if worst_dist == 0.0 else f"; worst stray argmax at distance {worst_dist:.3f}"))
+               + ("" if worst_dist == 0.0 else f"; worst stray argmax at distance {worst_dist:.3f}"),
+               Gate(worst_dist, 0.0, "=="))
 
 
 def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
-    audit = jacobian_weight_audit(64)
-    ok = audit["max_relative_deviation"] < 1e-9 and audit["lambda1_weight_deviation"] < 1e-9
-    report.add("quadrature.jacobian_discriminant",
-               "numeric-pass" if ok else "numeric-fail",
-               f"|J|^2 / P constant to {audit['max_relative_deviation']:.2e} "
+    with _numeric(report, "quadrature.jacobian_discriminant") as record:
+        audit = jacobian_weight_audit(64)
+        record(f"|J|^2 / P constant to {audit['max_relative_deviation']:.2e} "
                f"(kappa = {audit['kappa']:.12f}); flat-parameter weight constant to "
-               f"{audit['lambda1_weight_deviation']:.2e}")
+               f"{audit['lambda1_weight_deviation']:.2e}",
+               Gate(audit["max_relative_deviation"], 1e-9),
+               Gate(audit["lambda1_weight_deviation"], 1e-9))
 
-    worst_off = 0.0
-    worst_norm = 0.0
-    for lam in (Fraction(1), Fraction(4)):
-        grid = TorusGrid.build(lam, config.grid_n)
-        polys = []
-        labels = []
-        for n, k in pq_indices(config.gram_degree_max):
-            p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
-            polys.append(p_hat.poly)
-            labels.append(("P", n, k))
-            if n != k:
-                polys.append(q_hat.poly)
-                labels.append(("Q", n, k))
-        gmat = gram(polys, grid)
-        off = gmat - np.diag(np.diag(gmat))
-        worst_off = max(worst_off, float(np.max(np.abs(off))))
-        for i, (flavor, n, k) in enumerate(labels):
-            if flavor == "P" and (n - k) % 3 != 0:
-                j = labels.index(("Q", n, k))
-                worst_norm = max(
-                    worst_norm,
-                    abs(math.sqrt(gmat[i, i].real) - math.sqrt(gmat[j, j].real)),
-                )
-    report.add("quadrature.gram_orthogonality",
-               "numeric-pass" if worst_off < 1e-8 else "numeric-fail",
-               f"max off-diagonal Gram entry {worst_off:.2e} at parameters 1 and 4, "
-               f"grid {config.grid_n}, degree <= {config.gram_degree_max}")
-    report.add("quadrature.norm_equality",
-               "numeric-pass" if worst_norm < 1e-8 else "numeric-fail",
-               f"|norm(P) - norm(Q)| <= {worst_norm:.2e} for n - k not divisible by 3")
+    @functools.cache
+    def gram_worst() -> tuple[float, float]:
+        worst_off = 0.0
+        worst_norm = 0.0
+        for lam in (Fraction(1), Fraction(4)):
+            grid = TorusGrid.build(lam, config.grid_n)
+            polys = []
+            labels = []
+            for n, k in pq_indices(config.gram_degree_max):
+                p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
+                polys.append(p_hat.poly)
+                labels.append(("P", n, k))
+                if n != k:
+                    polys.append(q_hat.poly)
+                    labels.append(("Q", n, k))
+            gmat = gram(polys, grid)
+            off = gmat - np.diag(np.diag(gmat))
+            worst_off = max(worst_off, float(np.max(np.abs(off))))
+            for i, (flavor, n, k) in enumerate(labels):
+                if flavor == "P" and (n - k) % 3 != 0:
+                    j = labels.index(("Q", n, k))
+                    worst_norm = max(
+                        worst_norm,
+                        abs(math.sqrt(gmat[i, i].real) - math.sqrt(gmat[j, j].real)),
+                    )
+        return worst_off, worst_norm
 
-    rng = random.Random(config.seed + 5)
-    worst_sa = 0.0
-    worst_inv = 0.0
-    pairs = 0
-    for lam in (Fraction(1), Fraction(4)):
+    with _numeric(report, "quadrature.gram_orthogonality") as record:
+        worst_off, _ = gram_worst()
+        record(f"max off-diagonal Gram entry {worst_off:.2e} at parameters 1 and 4, "
+               f"grid {config.grid_n}, degree <= {config.gram_degree_max}",
+               Gate(worst_off, 1e-8))
+    with _numeric(report, "quadrature.norm_equality") as record:
+        _, worst_norm = gram_worst()
+        record(f"|norm(P) - norm(Q)| <= {worst_norm:.2e} for n - k not divisible by 3",
+               Gate(worst_norm, 1e-8))
+
+    @functools.cache
+    def selfadjoint_worst() -> tuple[float, float, int]:
+        rng = random.Random(config.seed + 5)
+        worst_sa = 0.0
+        worst_inv = 0.0
+        pairs = 0
+        for lam in (Fraction(1), Fraction(4)):
+            grid = TorusGrid.build(lam, config.grid_n)
+            model = deltoid_model(lam)
+            for _ in range(config.selfadjoint_pairs // 2):
+                pairs += 1
+                f = _random_poly(rng, DELTOID_VARS, 3, 4)
+                g = _random_poly(rng, DELTOID_VARS, 3, 4)
+                f = f + f.conj_swap(DELTOID_CONJ_PAIRS)
+                g = g + g.conj_swap(DELTOID_CONJ_PAIRS)
+                worst_sa = max(worst_sa, selfadjoint_check(model, f, g, grid))
+                worst_inv = max(worst_inv, measure_invariance_residual(model, f, grid))
+        return worst_sa, worst_inv, pairs
+
+    with _numeric(report, "quadrature.selfadjointness") as record:
+        worst_sa, _, pairs = selfadjoint_worst()
+        record(f"max |int f L(g) + int Gamma(f,g)| = {worst_sa:.2e} over "
+               f"{pairs} random real pairs", Gate(worst_sa, 1e-9))
+    with _numeric(report, "quadrature.measure_invariance") as record:
+        _, worst_inv, _ = selfadjoint_worst()
+        record(f"max |int L(f)| = {worst_inv:.2e}", Gate(worst_inv, 1e-9))
+
+    with _numeric(report, "quadrature.eigenvalue_recovery") as record:
+        lam = Fraction(4)
         grid = TorusGrid.build(lam, config.grid_n)
         model = deltoid_model(lam)
-        for _ in range(config.selfadjoint_pairs // 2):
-            pairs += 1
-            f = _random_poly(rng, DELTOID_VARS, 3, 4)
-            g = _random_poly(rng, DELTOID_VARS, 3, 4)
-            f = f + f.conj_swap(DELTOID_CONJ_PAIRS)
-            g = g + g.conj_swap(DELTOID_CONJ_PAIRS)
-            worst_sa = max(worst_sa, selfadjoint_check(model, f, g, grid))
-            worst_inv = max(worst_inv, measure_invariance_residual(model, f, grid))
-    report.add("quadrature.selfadjointness",
-               "numeric-pass" if worst_sa < 1e-9 else "numeric-fail",
-               f"max |int f L(g) + int Gamma(f,g)| = {worst_sa:.2e} over "
-               f"{pairs} random real pairs")
-    report.add("quadrature.measure_invariance",
-               "numeric-pass" if worst_inv < 1e-9 else "numeric-fail",
-               f"max |int L(f)| = {worst_inv:.2e}")
-
-    worst_eig = 0.0
-    for lam in (Fraction(4),):
-        grid = TorusGrid.build(lam, config.grid_n)
-        model = deltoid_model(lam)
+        worst_eig = 0.0
         for n, k in pq_indices(4):
             p_hat, _ = eigen_PQ_lambda(lam, n, k)
             rec = eigenvalue_recovery(model, p_hat.poly, grid)
             worst_eig = max(worst_eig, abs(rec + float(eigenvalue_deltoid(lam, n, k))))
-    report.add("quadrature.eigenvalue_recovery",
-               "numeric-pass" if worst_eig < 1e-7 else "numeric-fail",
-               f"max |Rayleigh quotient + eigenvalue| = {worst_eig:.2e}")
+        record(f"max |Rayleigh quotient + eigenvalue| = {worst_eig:.2e}", Gate(worst_eig, 1e-7))
 
 
 def _eigen_mean_worst_z(zvals: np.ndarray, lam: Fraction, degree_max: int) -> float:
@@ -696,46 +735,43 @@ def _eigen_mean_worst_z(zvals: np.ndarray, lam: Fraction, degree_max: int) -> fl
 
 
 def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
-    torus = sample_torus(config.torus_samples, config.seed + 10)
-    z_torus = pushforward_deltoid(torus)
-    worst = _eigen_mean_worst_z(z_torus, Fraction(1), 4)
-    report.add("sampling.torus_moments",
-               "numeric-pass" if worst < 4.0 else "numeric-fail",
-               f"all eigenfunction means within {worst:.2f} standard errors of zero "
-               f"({config.torus_samples} samples, 1 <= n+k <= 4)")
+    with _numeric(report, "sampling.torus_moments") as record:
+        z_torus = pushforward_deltoid(sample_torus(config.torus_samples, config.seed + 10))
+        worst = _eigen_mean_worst_z(z_torus, Fraction(1), 4)
+        record(f"all eigenfunction means within {worst:.2f} standard errors of zero "
+               f"({config.torus_samples} samples, 1 <= n+k <= 4)", Gate(worst, Z_GATE))
 
-    z_su3 = su3_trace_samples(config.su3_samples, config.seed + 11)
-    worst = _eigen_mean_worst_z(z_su3, Fraction(4), 4)
-    report.add("sampling.su3_moments",
-               "numeric-pass" if worst < 4.0 else "numeric-fail",
-               f"all eigenfunction means within {worst:.2f} standard errors of zero "
-               f"({config.su3_samples} samples, 1 <= n+k <= 4)")
+    with _numeric(report, "sampling.su3_moments") as record:
+        z_su3 = su3_trace_samples(config.su3_samples, config.seed + 11)
+        worst = _eigen_mean_worst_z(z_su3, Fraction(4), 4)
+        record(f"all eigenfunction means within {worst:.2f} standard errors of zero "
+               f"({config.su3_samples} samples, 1 <= n+k <= 4)", Gate(worst, Z_GATE))
 
     lam = Fraction(11, 2)
-    rejection = sample_omega1(lam, config.omega1_samples, config.seed + 12, method="rejection")
-    member_ok = bool(np.all(omega1_membership(rejection.points)))
-    report.add("sampling.omega1_predicate",
-               "numeric-pass" if member_ok else "numeric-fail",
-               f"every accepted point satisfies P1 > 0, P2 < 0, max|z| < 1 "
-               f"(acceptance rate {rejection.stats['acceptance_rate']:.4f})")
+    rejection = functools.cache(lambda: sample_omega1(
+        lam, config.omega1_samples, config.seed + 12, method="rejection"))
+    with _numeric(report, "sampling.omega1_predicate") as record:
+        batch = rejection()
+        outside = int(np.count_nonzero(~omega1_membership(batch.points)))
+        record(f"every accepted point satisfies P1 > 0, P2 < 0, max|z| < 1 "
+               f"(acceptance rate {batch.stats['acceptance_rate']:.4f})", Gate(outside, 0, "=="))
 
-    mcmc = sample_omega1(lam, max(2000, config.omega1_samples // 25), config.seed + 13,
-                         method="mcmc", step=0.25)
     funcs = {"S1": lambda pts: (pts * pts.conjugate()).real.sum(axis=1)}
-    m_rej = estimate_moments(rejection, funcs)["S1"]
-    m_mc = estimate_moments(mcmc, funcs)["S1"]
-    combined = math.hypot(m_rej.standard_error, m_mc.standard_error)
-    zscore = abs(m_rej.mean - m_mc.mean) / combined
-    report.add("sampling.two_sampler_agreement",
-               "numeric-pass" if zscore < 4.0 else "numeric-fail",
-               f"E[S1]: rejection {m_rej.mean:.5f} vs MCMC {m_mc.mean:.5f} "
-               f"({zscore:.2f} combined standard errors; MCMC ESS {mcmc.stats['ess']:.0f})")
+    with _numeric(report, "sampling.two_sampler_agreement") as record:
+        mcmc = sample_omega1(lam, max(2000, config.omega1_samples // 25), config.seed + 13,
+                             method="mcmc", step=0.25)
+        m_rej = estimate_moments(rejection(), funcs)["S1"]
+        m_mc = estimate_moments(mcmc, funcs)["S1"]
+        combined = math.hypot(m_rej.standard_error, m_mc.standard_error)
+        zscore = abs(m_rej.mean - m_mc.mean) / combined
+        record(f"E[S1]: rejection {m_rej.mean:.5f} vs MCMC {m_mc.mean:.5f} "
+               f"({zscore:.2f} combined standard errors; MCMC ESS {mcmc.stats['ess']:.0f})",
+               Gate(zscore, Z_GATE))
 
-    z_proj = pushforward_deltoid(rejection)
-    worst = _eigen_mean_worst_z(z_proj, lam, 4)
-    report.add("sampling.omega1_pushforward_moments",
-               "numeric-pass" if worst < 4.0 else "numeric-fail",
-               f"projected eigenfunction means within {worst:.2f} standard errors of zero")
+    with _numeric(report, "sampling.omega1_pushforward_moments") as record:
+        worst = _eigen_mean_worst_z(pushforward_deltoid(rejection()), lam, 4)
+        record(f"projected eigenfunction means within {worst:.2f} standard errors of zero",
+               Gate(worst, Z_GATE))
 
     test_funcs = {
         "re_z1": lambda pts: pts[:, 0].real,
@@ -743,108 +779,112 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
         "abs_sum_sq": lambda pts: np.abs(pts.sum(axis=1)) ** 2,
         "re_z1sq_zb2": lambda pts: (pts[:, 0] ** 2 * np.conj(pts[:, 1])).real,
     }
-    theta = ThetaPair(0.9, 2.1)
-    rotated = replace(rejection, points=phi_theta(rejection.points, theta))
-    base_m = estimate_moments(rejection, test_funcs)
-    rot_m = estimate_moments(rotated, test_funcs)
-    worst = max(
-        abs(base_m[k].mean - rot_m[k].mean)
-        / math.hypot(base_m[k].standard_error, rot_m[k].standard_error)
-        for k in test_funcs
-    )
-    report.add("sampling.phi_theta_invariance",
-               "numeric-pass" if worst < 4.0 else "numeric-fail",
-               f"moment shifts under the coordinate rotation within {worst:.2f} "
-               "combined standard errors")
+    base_moments = functools.cache(lambda: estimate_moments(rejection(), test_funcs))
+    with _numeric(report, "sampling.phi_theta_invariance") as record:
+        base_m = base_moments()
+        rotated = replace(rejection(), points=phi_theta(rejection().points, ThetaPair(0.9, 2.1)))
+        rot_m = estimate_moments(rotated, test_funcs)
+        worst = max(
+            abs(base_m[k].mean - rot_m[k].mean)
+            / math.hypot(base_m[k].standard_error, rot_m[k].standard_error)
+            for k in test_funcs
+        )
+        record(f"moment shifts under the coordinate rotation within {worst:.2f} "
+               "combined standard errors", Gate(worst, Z_GATE))
 
-    conjugated = replace(rejection, points=np.conj(rejection.points))
-    conj_m = estimate_moments(conjugated, test_funcs)
-    worst = max(
-        abs(base_m[k].mean - conj_m[k].mean)
-        / max(math.hypot(base_m[k].standard_error, conj_m[k].standard_error), 1e-300)
-        for k in test_funcs
-    )
-    report.add("sampling.conjugation_invariance",
-               "numeric-pass" if worst < 4.0 else "numeric-fail",
-               f"moment shifts under conjugation within {worst:.2f} combined standard errors")
+    with _numeric(report, "sampling.conjugation_invariance") as record:
+        base_m = base_moments()
+        conj_m = estimate_moments(replace(rejection(), points=np.conj(rejection().points)),
+                                  test_funcs)
+        worst = max(
+            abs(base_m[k].mean - conj_m[k].mean)
+            / max(math.hypot(base_m[k].standard_error, conj_m[k].standard_error), 1e-300)
+            for k in test_funcs
+        )
+        record(f"moment shifts under conjugation within {worst:.2f} combined standard errors",
+               Gate(worst, Z_GATE))
 
 
 def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
     lam = Fraction(11, 2)
-    ctx = ProbeContext.build(lam, config.probe_degree_max, config.grid_n)
-    batch = sample_omega1(lam, config.omega1_samples, config.seed + 20, method="rejection")
+    probe = functools.cache(lambda: ProbeContext.build(lam, config.probe_degree_max, config.grid_n))
+    samples = functools.cache(lambda: sample_omega1(
+        lam, config.omega1_samples, config.seed + 20, method="rejection"))
     thetas = theta_grid(config.theta_per_axis)
-
-    worst_z = 0.0
-    for theta in thetas:
-        for n, k in ctx.pairs:
-            est = estimate_markov_matrix(ctx, n, k, theta, batch)
-            alpha, gamma_val = markov_pair_exact(ctx, n, k, theta)
-            worst_z = max(worst_z, abs(est.alpha - alpha) / est.provenance["alpha"][1])
-            if n != k:
-                worst_z = max(
-                    worst_z,
-                    abs(est.gamma - gamma_val) / est.provenance["gamma"][1],
-                    abs(est.beta - (-gamma_val)) / est.provenance["beta"][1],
-                )
-                d_rot = rotation_delta_exact(ctx, n, k, theta)
-                if d_rot is not None:
-                    worst_z = max(worst_z, abs(est.delta - d_rot) / est.provenance["delta"][1])
-    report.add("hypergroup.exact_vs_estimated",
-               "numeric-pass" if worst_z < 4.0 else "numeric-fail",
-               f"exact block entries reproduced within {worst_z:.2f} standard errors "
-               f"over a {config.theta_per_axis}x{config.theta_per_axis} grid, "
-               f"n+k <= {config.probe_degree_max}, {len(batch)} samples")
-
-    crosses = block_cross_correlations(ctx, thetas[len(thetas) // 2], batch)
-    worst_cross = max(abs(c["correlation"]) / c["standard_error"] for c in crosses)
-    report.add("hypergroup.block_diagonality",
-               "numeric-pass" if worst_cross < 4.0 else "numeric-fail",
-               f"cross-eigenvalue correlations within {worst_cross:.2f} standard errors "
-               f"of zero ({len(crosses)} pairs)")
-
-    scan = positivity_scan(ctx, thetas)
-    report.add("hypergroup.positivity_scan",
-               "numeric-pass" if scan["ok"] else "numeric-fail",
-               f"largest exact block bound {scan['worst_block_bound']:.6f} <= 1; "
-               f"max |alpha| = {scan['max_abs_alpha']:.6f}")
-
-    cov = coverage_check(config.coverage_theta_n, config.coverage_omega_n)
-    report.add("hypergroup.theta_coverage",
-               "numeric-pass" if cov["ok"] else "numeric-fail",
-               f"{cov['interior_cells']} interior cells, {cov['missed_cells']} missed")
-
-    grid = TorusGrid.build(lam, 64)
-    repc = representation_check(ctx, grid.z.ravel(), grid.weight.ravel())
-    coeffs = repc["coefficients"]
-    mu_zero = max(abs(a) + abs(b) for (a, b) in coeffs.values())
-    nodes = grid.z.ravel()
-    cusp_idx = int(np.argmin(np.abs(nodes - 1.0)))
-    point_mass = np.zeros(len(nodes))
-    point_mass[cusp_idx] = 1.0
-    repc_cusp = representation_check(ctx, nodes, point_mass)
-    a10 = repc_cusp["coefficients"][(1, 0)]
-    # The 11/2-parameter weight is only C^2, so quadrature carries ~1e-8
-    # absolute error into the moment coefficients.
-    ok = repc["contraction_ok"] and repc_cusp["contraction_ok"] and mu_zero < 1e-6 and abs(a10[0] - 1.0) < 0.05
-    report.add("hypergroup.representation_check",
-               "numeric-pass" if ok else "numeric-fail",
-               f"invariant measure gives vanishing coefficients (max {mu_zero:.2e}); "
-               f"near-cusp point mass gives a(1,0) = {a10[0]:.4f} ~ 1; all rows contract "
-               f"(worst row norm^2 {max(repc['worst_row_norm_sq'], repc_cusp['worst_row_norm_sq']):.6f})")
-
     theta_mid = thetas[len(thetas) // 2]
-    pick = next((n, k) for (n, k) in sorted(ctx.pairs) if (n - k) % 3 != 0)
-    drep = delta_report(ctx, pick[0], pick[1], theta_mid, batch)
-    report.add(
-        "discrepancy.markov_delta_closed_form", "discrepancy-noted",
-        f"index {drep['index']} at theta = ({theta_mid.t1:.3f}, {theta_mid.t2:.3f}): "
-        f"Monte-Carlo delta = {drep['monte_carlo']:.4f} +- {drep['monte_carlo_se']:.4f}; "
-        f"rotation-derived delta = alpha = {drep['rotation_derived']:.4f}; printed "
-        f"cot-prefactor form = {drep['cot_closed_form']:.4f}. The printed form violates "
-        "delta(0) = 1 and disagrees with the sampled kernel; resolution: delta = alpha "
-        "for n - k not divisible by 3",
-    )
+
+    with _numeric(report, "hypergroup.exact_vs_estimated") as record:
+        ctx, batch = probe(), samples()
+        worst_z = 0.0
+        for theta in thetas:
+            for n, k in ctx.pairs:
+                est = estimate_markov_matrix(ctx, n, k, theta, batch)
+                alpha, gamma_val = markov_pair_exact(ctx, n, k, theta)
+                worst_z = max(worst_z, abs(est.alpha - alpha) / est.provenance["alpha"][1])
+                if n != k:
+                    worst_z = max(
+                        worst_z,
+                        abs(est.gamma - gamma_val) / est.provenance["gamma"][1],
+                        abs(est.beta - (-gamma_val)) / est.provenance["beta"][1],
+                    )
+                    d_rot = rotation_delta_exact(ctx, n, k, theta)
+                    if d_rot is not None:
+                        worst_z = max(worst_z, abs(est.delta - d_rot) / est.provenance["delta"][1])
+        record(f"exact block entries reproduced within {worst_z:.2f} standard errors "
+               f"over a {config.theta_per_axis}x{config.theta_per_axis} grid, "
+               f"n+k <= {config.probe_degree_max}, {len(batch)} samples", Gate(worst_z, Z_GATE))
+
+    with _numeric(report, "hypergroup.block_diagonality") as record:
+        crosses = block_cross_correlations(probe(), theta_mid, samples())
+        worst_cross = max(abs(c["correlation"]) / c["standard_error"] for c in crosses)
+        record(f"cross-eigenvalue correlations within {worst_cross:.2f} standard errors "
+               f"of zero ({len(crosses)} pairs)", Gate(worst_cross, Z_GATE))
+
+    with _numeric(report, "hypergroup.positivity_scan") as record:
+        scan = positivity_scan(probe(), thetas)
+        record(f"largest exact block bound {scan['worst_block_bound']:.6f} <= 1; "
+               f"max |alpha| = {scan['max_abs_alpha']:.6f}",
+               Gate(scan["worst_block_bound"], CONTRACTION_BOUND, "<="))
+
+    with _numeric(report, "hypergroup.theta_coverage") as record:
+        cov = coverage_check(config.coverage_theta_n, config.coverage_omega_n)
+        record(f"{cov['interior_cells']} interior cells, {cov['missed_cells']} missed",
+               Gate(cov["missed_cells"], 0, "=="), Gate(cov["interior_cells"], 0, ">"))
+
+    with _numeric(report, "hypergroup.representation_check") as record:
+        ctx = probe()
+        grid = TorusGrid.build(lam, 64)
+        repc = representation_check(ctx, grid.z.ravel(), grid.weight.ravel())
+        mu_zero = max(abs(a) + abs(b) for (a, b) in repc["coefficients"].values())
+        nodes = grid.z.ravel()
+        point_mass = np.zeros(len(nodes))
+        point_mass[int(np.argmin(np.abs(nodes - 1.0)))] = 1.0
+        repc_cusp = representation_check(ctx, nodes, point_mass)
+        a10 = repc_cusp["coefficients"][(1, 0)]
+        worst_row = max(repc["worst_row_norm_sq"], repc_cusp["worst_row_norm_sq"])
+        # The 11/2-parameter weight is only C^2, so quadrature carries ~1e-8
+        # absolute error into the moment coefficients.
+        record(f"invariant measure gives vanishing coefficients (max {mu_zero:.2e}); "
+               f"near-cusp point mass gives a(1,0) = {a10[0]:.4f} ~ 1; all rows contract "
+               f"(worst row norm^2 {worst_row:.6f})",
+               Gate(worst_row, CONTRACTION_BOUND, "<="), Gate(mu_zero, 1e-6),
+               Gate(abs(a10[0] - 1.0), 0.05))
+
+    with _numeric(report, "discrepancy.markov_delta_closed_form", "discrepancy-noted") as record:
+        ctx = probe()
+        pick = next((n, k) for (n, k) in sorted(ctx.pairs) if (n - k) % 3 != 0)
+        drep = delta_report(ctx, pick[0], pick[1], theta_mid, samples())
+        record(f"index {drep['index']} at theta = ({theta_mid.t1:.3f}, {theta_mid.t2:.3f}): "
+               f"Monte-Carlo delta = {drep['monte_carlo']:.4f} +- {drep['monte_carlo_se']:.4f}; "
+               f"rotation-derived delta = alpha = {drep['rotation_derived']:.4f}; printed "
+               f"cot-prefactor form = {drep['cot_closed_form']:.4f}. The printed form violates "
+               "delta(0) = 1 and disagrees with the sampled kernel; resolution: delta = alpha "
+               "for n - k not divisible by 3")
+
+
+# Run in this order; a suite's name is its function's name without "_suite_".
+SUITES = (_suite_algebra, _suite_symbolic, _suite_models_numeric, _suite_spectral,
+          _suite_quadrature, _suite_sampling, _suite_hypergroup)
 
 
 def run_verify(config: VerifyConfig) -> tuple[VerificationReport, int]:
@@ -856,13 +896,10 @@ def run_verify(config: VerifyConfig) -> tuple[VerificationReport, int]:
         "sixdim": sixdim_model(reference).to_jsonable(),
         "g2": g2_from_lambda(reference).to_jsonable(),
     }
-    _suite_algebra(report, config)
-    _suite_symbolic(report, config)
-    _suite_models_numeric(report, config)
-    _suite_spectral(report, config)
-    _suite_quadrature(report, config)
-    _suite_sampling(report, config)
-    _suite_hypergroup(report, config)
+    for suite in SUITES:
+        start = time.perf_counter()
+        suite(report, config)
+        report.suite_seconds[suite.__name__.removeprefix("_suite_")] = time.perf_counter() - start
     # add() rejects unregistered and repeated names, so only a missing check is left.
     missing = sorted(set(report.anchors) - set(report.names()))
     if missing:

@@ -1,386 +1,182 @@
-"""Acceptance suite: one test per exit criterion, at the stated tolerances.
+"""Acceptance suite: one test per exit criterion, read from one default verify.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion.  The heavy sample batches are shared through session fixtures;
-every tolerance is pinned here, nothing is deferred to calibration.
+A session fixture runs ``run_verify(VerifyConfig())``, the product claim,
+once.  Each criterion asserts from its records the status of the identities
+it covers, its pinned tolerance against each gate (bound, comparison and
+measured value), its pinned sizes against ``report.config`` and its
+wall-clock bound against the suite's seconds.  Criterion 09 keeps one loop
+of its own, for the bound verify does not check: each estimated kernel
+block, orthonormalized, has a largest singular value within 1 + 4 sigma of 1.
+Run ``pytest tests/test_acceptance.py -v -s`` for one PASS line per criterion.
 """
 
 import math
-import time
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deltoid_lab.diffusion import (
-    NotClosedError,
-    boundary_ideal_check,
-    divergence_sums,
-    identity_for_all_lambda,
-    l_apply,
-    pushforward,
-)
-from deltoid_lab.hypergroup import (
-    ProbeContext,
-    block_cross_correlations,
-    estimate_markov_matrix,
-    markov_pair_exact,
-    rotation_delta_exact,
-    theta_grid,
-)
-from deltoid_lab.models import (
-    DELTOID_CONJ_PAIRS,
-    DELTOID_VARS,
-    G2_VARS,
-    PI_IMAGES,
-    PSI1_IMAGES,
-    PSI_IMAGES,
-    SIXDIM_VARS,
-    deltoid_boundary_poly,
-    deltoid_boundary_values,
-    deltoid_model,
-    g2_from_lambda,
-    g2_model,
-    p1_p2,
-    q1_q2,
-    sixdim_model,
-    su3_gamma_pointwise,
-)
-from deltoid_lab.poly import MPoly, det_fraction_free
-from deltoid_lab.quadrature import TorusGrid, gram, selfadjoint_check
-from deltoid_lab.sampling import (
-    pushforward_deltoid,
-    sample_omega1,
-    sample_su3_haar,
-    sample_torus,
-    su3_trace_samples,
-)
-from deltoid_lab.spectral import (
-    eigen_PQ_lambda,
-    eigen_R,
-    eigenvalue_deltoid,
-    pq_indices,
-    verify_rotation,
-)
+from deltoid_lab.hypergroup import ProbeContext, estimate_markov_matrix, theta_grid
+from deltoid_lab.sampling import sample_omega1
+from deltoid_lab.verify import LAMBDA_EIGEN_SET, LAMBDA_INTERP, VerifyConfig, run_verify
 
-SEED = 20260808
-LAMBDA_SET = (Fraction(1), Fraction(5, 2), Fraction(7, 3), Fraction(4), Fraction(11, 2))
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
 
 
 @pytest.fixture(scope="session")
-def omega1_batch():
-    return sample_omega1(Fraction(11, 2), 100_000, SEED + 20, method="rejection")
+def default_run():
+    """(report, exit code) of verify at the default config."""
+    report, code = run_verify(VerifyConfig())
+    for entry in report.entries:
+        if entry.status.startswith("numeric-"):
+            assert entry.gates, entry.name
+            assert all(math.isfinite(g.measured) for g in entry.gates), entry.name
+    return report, code
 
 
 @pytest.fixture(scope="session")
-def probe_context():
-    return ProbeContext.build(Fraction(11, 2), 4, grid_n=96)
+def report(default_run):
+    return default_run[0]
 
 
-def test_criterion_01_lifted_determinant():
+def entry(report, name):
+    return next(e for e in report.entries if e.name == name)
+
+
+def assert_status(report, status, *names):
+    for name in names:
+        assert entry(report, name).status == status, (name, entry(report, name).details)
+
+
+def assert_gates(report, name, *pinned):
+    """The identity passed; its gates are exactly the pinned (bound, comparison)s and hold."""
+    assert_status(report, "numeric-pass", name)
+    gates = entry(report, name).gates
+    assert [(g.bound, g.comparison) for g in gates] == list(pinned), name
+    for gate in gates:
+        assert COMPARE[gate.comparison](gate.measured, gate.bound), (name, gate)
+
+
+def test_criterion_01_lifted_determinant(report):
     """6x6 metric determinant factors exactly as (243/64) P1 P2, under 60 s."""
-    start = time.time()
-    model = sixdim_model(2)
-    matrix = [[model.gamma_entry(u, v) for v in SIXDIM_VARS] for u in SIXDIM_VARS]
-    det = det_fraction_free(matrix)
-    p1, p2 = p1_p2()
-    assert det == p1 * p2 * Fraction(243, 64)
-    elapsed = time.time() - start
-    assert elapsed < 60.0
-    print(f"\nCRITERION 1 PASS: det(6x6 Gamma) == (243/64) P1 P2 exactly ({elapsed:.2f}s)")
+    assert_status(report, "proven-exact", "sixdim.metric_determinant")
+    assert report.suite_seconds["symbolic"] < 60.0
+    print("\nCRITERION 1 PASS: det(6x6 Gamma) == (243/64) P1 P2 exactly")
 
 
-def test_criterion_02_boundary_identities():
+def test_criterion_02_boundary_identities(report):
     """All boundary-ideal cofactor identities, exact, under 10 s."""
-    start = time.time()
-    deltoid = deltoid_model(1)
-    p_poly = deltoid_boundary_poly()
-    cof = boundary_ideal_check(deltoid, p_poly)
-    assert cof["Z"] == MPoly.var(DELTOID_VARS, "Z") * (-3)
-    assert cof["Zb"] == MPoly.var(DELTOID_VARS, "Zb") * (-3)
-
-    lifted = sixdim_model(2)
-    p1, _ = p1_p2()
-    cof6 = boundary_ideal_check(lifted, p1)
-    for v in SIXDIM_VARS:
-        assert cof6[v] == MPoly.var(SIXDIM_VARS, v) * (-3)
-
-    g2 = g2_model(Fraction(-1, 2), Fraction(1, 2))
-    q1, q2 = q1_q2()
-    s = MPoly.var(G2_VARS, "s")
-    p = MPoly.var(G2_VARS, "p")
-    cq1 = boundary_ideal_check(g2, q1)
-    assert cq1["s"] == s * (-2) - 2
-    assert cq1["p"] == p * (-3) - s * 2 + 1
-    cq2 = boundary_ideal_check(g2, q2)
-    assert cq2["s"] == s * (-3)
-    assert cq2["p"] == p * (-6)
-    elapsed = time.time() - start
-    assert elapsed < 10.0
-    print(f"\nCRITERION 2 PASS: all boundary cofactor identities exact ({elapsed:.2f}s)")
+    assert_status(report, "proven-exact", "deltoid.boundary_cofactors",
+                  "sixdim.boundary_cofactors", "g2.boundary_cofactors")
+    assert report.suite_seconds["symbolic"] < 10.0
+    print(f"\nCRITERION 2 PASS: boundary cofactors exact ({report.suite_seconds['symbolic']:.2f}s)")
 
 
-def test_criterion_03_divergence_identity():
+def test_criterion_03_divergence_identity(report):
     """Column divergence of the lifted cometric is -(11/2) per coordinate, exact."""
-    div = divergence_sums(sixdim_model(3))
-    for v in SIXDIM_VARS:
-        assert div[v] == MPoly.var(SIXDIM_VARS, v) * Fraction(-11, 2)
+    assert_status(report, "proven-exact", "sixdim.divergence_sum")
     print("\nCRITERION 3 PASS: divergence sums equal -(11/2) w for all six coordinates")
 
 
-def test_criterion_04_projection_chain():
-    """sixdim -> deltoid -> G2 proven for all parameters by 2-point interpolation."""
-    lambdas = (Fraction(2), Fraction(3))
-
-    def chain(lam: Fraction) -> bool:
-        step1 = pushforward(sixdim_model(lam), PI_IMAGES, {"lambda": lam}) == deltoid_model(lam)
-        image = pushforward(deltoid_model(lam), PSI_IMAGES)
-        target = g2_from_lambda(lam)
-        s = MPoly.var(G2_VARS, "s")
-        p = MPoly.var(G2_VARS, "p")
-        drift_ok = (
-            target.drift["s"] == s * (-lam)
-            and target.drift["p"] == p * (-(2 * lam + 1)) + 1
-        )
-        step2 = dict(image.gamma) == dict(target.gamma) and dict(image.drift) == dict(target.drift)
-        return step1 and step2 and drift_ok
-
-    proof = identity_for_all_lambda(chain, degree_bound=1, lambdas=lambdas)
-    assert proof.passed, proof.witnesses
-    print(f"\nCRITERION 4 PASS: projection chain exact at lambda in {lambdas}; "
-          "identity degree <= 1, proven for all lambda")
+def test_criterion_04_projection_chain(report):
+    """sixdim -> deltoid -> G2, and the G2 drift, proven for all parameters."""
+    assert LAMBDA_INTERP == (Fraction(2), Fraction(3))
+    assert_status(report, "proven-by-interpolation", "sixdim.projection_to_deltoid",
+                  "deltoid.projection_to_g2", "g2.measure_drift")
+    print("\nCRITERION 4 PASS: projection chain exact at lambda in (2, 3)")
 
 
-def test_criterion_05_selfmap_intertwining():
-    """The boundary-exchange self-map intertwines the two parameter slots.
-
-    The image of the (-1/2, a2) operator is an exact scalar multiple of the
-    (a2, -1/2) operator; the computed factor is 3 (equivalently, one third
-    of the image operator is exactly the parameter-swapped operator).  The
-    pushforward correctly fails to close at a1 = 0.
-    """
-    from deltoid_lab.models import psi1_intertwining_factor
-
-    factors = {}
-    for a2 in (Fraction(0), Fraction(1, 2), Fraction(3, 2)):
-        factors[a2] = psi1_intertwining_factor(a2)
-    assert all(f == 3 for f in factors.values()), factors
-    with pytest.raises(NotClosedError):
-        pushforward(g2_model(0, Fraction(1, 2)), PSI1_IMAGES)
-    print("\nCRITERION 5 PASS: image == 3 x swapped-parameter operator exactly at "
-          "a2 in (0, 1/2, 3/2); (1/3) x image == swapped operator; "
-          "not-closed at a1 = 0 as required")
+def test_criterion_05_selfmap_intertwining(report):
+    """The (-1/2, a2) operator's image is exactly 3 x the (a2, -1/2) operator;
+    the pushforward does not close at a1 = 0."""
+    assert_status(report, "proven-exact", "g2.psi1_intertwining", "g2.psi1_not_closed")
+    assert "at a2 in (0, 1/2, 3/2)" in entry(report, "g2.psi1_intertwining").details
+    print("\nCRITERION 5 PASS: image == 3 x swapped-parameter operator; not closed at a1 = 0")
 
 
-def test_criterion_06_eigenstructure():
-    """Exact eigen relations, conjugation swap and rotation for n+k <= 8."""
-    start = time.time()
-    for lam in LAMBDA_SET:
-        model = deltoid_model(lam)
-        for d in range(9):
-            for k in range(d + 1):
-                n = d - k
-                e = eigen_R(model, n, k)
-                assert e.eigenvalue == eigenvalue_deltoid(lam, n, k)
-                assert l_apply(model, e.poly) == e.poly * (-e.eigenvalue)
-        for d in range(9):
-            for k in range(d // 2 + 1):
-                n = d - k
-                r_nk = eigen_R(model, n, k)
-                r_kn = eigen_R(model, k, n)
-                assert r_nk.poly.conj_swap(DELTOID_CONJ_PAIRS) == r_kn.poly
-                rep = verify_rotation(model, n, k)
-                assert rep.ok_2x2 and rep.ok_scalar
-    elapsed = time.time() - start
-    assert elapsed < 300.0
-    print(f"\nCRITERION 6 PASS: eigen relation, conjugation swap, rotation exact "
-          f"for n+k <= 8 at 5 parameter values ({elapsed:.1f}s < 300s)")
+def test_criterion_06_eigenstructure(report):
+    """Exact eigen relations, conjugation swap and rotation for n+k <= 8 at five parameters."""
+    assert report.config["eigen_degree_max"] == 8
+    assert LAMBDA_EIGEN_SET == tuple(map(Fraction, ("1", "5/2", "7/3", "4", "11/2")))
+    assert_status(report, "proven-exact", "spectral.eigen_relation",
+                  "spectral.conjugation_swap", "spectral.rotation_relation")
+    assert report.suite_seconds["spectral"] < 300.0
+    print(f"\nCRITERION 6 PASS: eigenstructure exact for n+k <= 8 "
+          f"({report.suite_seconds['spectral']:.1f}s < 300s)")
 
 
-def test_criterion_07_orthogonality():
+def test_criterion_07_orthogonality(report):
     """Gram diagonality, norm equality, self-adjointness at the stated grids."""
-    worst_off = 0.0
-    worst_norm = 0.0
-    for lam in (Fraction(1), Fraction(4)):
-        grid = TorusGrid.build(lam, 96)
-        polys = []
-        labels = []
-        for n, k in pq_indices(5):
-            p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
-            polys.append(p_hat.poly)
-            labels.append(("P", n, k))
-            if n != k:
-                polys.append(q_hat.poly)
-                labels.append(("Q", n, k))
-        matrix = gram(polys, grid)
-        off = matrix - np.diag(np.diag(matrix))
-        worst_off = max(worst_off, float(np.max(np.abs(off))))
-        for i, (flavor, n, k) in enumerate(labels):
-            if flavor == "P" and (n - k) % 3 != 0:
-                j = labels.index(("Q", n, k))
-                worst_norm = max(
-                    worst_norm,
-                    abs(math.sqrt(matrix[i, i].real) - math.sqrt(matrix[j, j].real)),
-                )
-    assert worst_off < 1e-8
-    assert worst_norm < 1e-8
-
-    import random
-
-    rng = random.Random(SEED)
-    from deltoid_lab.verify import _random_poly
-
-    worst_sa = 0.0
-    for lam in (Fraction(1), Fraction(4)):
-        grid = TorusGrid.build(lam, 96)
-        model = deltoid_model(lam)
-        for _ in range(10):
-            f = _random_poly(rng, DELTOID_VARS, 3, 4)
-            g = _random_poly(rng, DELTOID_VARS, 3, 4)
-            f = f + f.conj_swap(DELTOID_CONJ_PAIRS)
-            g = g + g.conj_swap(DELTOID_CONJ_PAIRS)
-            worst_sa = max(worst_sa, selfadjoint_check(model, f, g, grid))
-    assert worst_sa < 1e-9
-    print(f"\nCRITERION 7 PASS: Gram off-diagonal {worst_off:.2e} < 1e-8; norm "
-          f"equality {worst_norm:.2e} < 1e-8; self-adjointness {worst_sa:.2e} < 1e-9 "
-          "(20 random pairs)")
+    assert report.config["grid_n"] == 96 and report.config["gram_degree_max"] == 5
+    assert report.config["selfadjoint_pairs"] == 20
+    assert_gates(report, "quadrature.gram_orthogonality", (1e-8, "<"))
+    assert_gates(report, "quadrature.norm_equality", (1e-8, "<"))
+    assert_gates(report, "quadrature.selfadjointness", (1e-9, "<"))
+    print("\nCRITERION 7 PASS: Gram and norms within 1e-8; self-adjointness within 1e-9")
 
 
-def test_criterion_08_distributional_identities():
+def test_criterion_08_distributional_identities(report):
     """Million-sample moment checks and the pointwise Casimir reduction."""
-    z_torus = pushforward_deltoid(sample_torus(1_000_000, SEED + 10))
-    worst_torus = 0.0
-    for n, k in pq_indices(4):
-        for poly in eigen_PQ_lambda(Fraction(1), n, k):
-            if poly.poly.is_zero():
-                continue
-            vals = np.real(poly.poly.evaluate({"Z": z_torus, "Zb": np.conj(z_torus)}))
-            se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-            worst_torus = max(worst_torus, abs(float(vals.mean())) / se)
-    assert worst_torus < 4.0
-
-    z_su3 = su3_trace_samples(1_000_000, SEED + 11)
-    worst_su3 = 0.0
-    for n, k in pq_indices(4):
-        for poly in eigen_PQ_lambda(Fraction(4), n, k):
-            if poly.poly.is_zero():
-                continue
-            vals = np.real(poly.poly.evaluate({"Z": z_su3, "Zb": np.conj(z_su3)}))
-            se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-            worst_su3 = max(worst_su3, abs(float(vals.mean())) / se)
-    assert worst_su3 < 4.0
-
-    worst_residual = 0.0
-    for g in sample_su3_haar(1000, SEED + 12).points:
-        res = su3_gamma_pointwise(g)
-        worst_residual = max(worst_residual, res["residual_gamma_zz"],
-                             res["residual_gamma_zzb"], res["residual_l_z"])
-    assert worst_residual < 1e-8
-    print(f"\nCRITERION 8 PASS: torus means within {worst_torus:.2f} se, Haar-trace "
-          f"means within {worst_su3:.2f} se (10^6 samples each); pointwise Casimir "
-          f"residual {worst_residual:.2e} < 1e-8 on 10^3 matrices")
+    assert report.config["torus_samples"] == report.config["su3_samples"] == 1_000_000
+    assert_gates(report, "sampling.torus_moments", (4.0, "<"))
+    assert_gates(report, "sampling.su3_moments", (4.0, "<"))
+    assert_gates(report, "su3.casimir_pointwise", (1e-8, "<"))
+    assert "on 1000 Haar samples" in entry(report, "su3.casimir_pointwise").details
+    print("\nCRITERION 8 PASS: 10^6-sample means within 4 se; Casimir residual < 1e-8")
 
 
-def test_criterion_09_hypergroup_probe(omega1_batch, probe_context):
+def test_criterion_09_hypergroup_probe(report):
     """Exact vs estimated kernel blocks over a 5x5 grid, contraction, crosses."""
-    start = time.time()
-    ctx = probe_context
-    batch = omega1_batch
-    assert len(batch) >= 100_000
-    thetas = theta_grid(5)
-    assert len(thetas) == 25
+    config = report.config
+    assert config["theta_per_axis"] == 5 and config["omega1_samples"] >= 100_000
+    assert config["probe_degree_max"] == 4 and config["grid_n"] == 96
+    assert_gates(report, "hypergroup.exact_vs_estimated", (4.0, "<"))
+    assert_gates(report, "hypergroup.block_diagonality", (4.0, "<"))
+    assert report.suite_seconds["hypergroup"] < 900.0
 
-    worst_z = 0.0
+    # The singular-value bound, on verify's own probe inputs (batch seed offset 20).
+    lam = Fraction(11, 2)
+    ctx = ProbeContext.build(lam, config["probe_degree_max"], config["grid_n"])
+    batch = sample_omega1(lam, config["omega1_samples"], config["seed"] + 20, method="rejection")
+    thetas = theta_grid(config["theta_per_axis"])
+    assert len(thetas) == 25
     worst_sigma_excess = -math.inf
     for theta in thetas:
         for n, k in ctx.pairs:
             est = estimate_markov_matrix(ctx, n, k, theta, batch)
-            alpha, gamma_val = markov_pair_exact(ctx, n, k, theta)
-            worst_z = max(worst_z, abs(est.alpha - alpha) / est.provenance["alpha"][1])
-            if n != k:
-                worst_z = max(
-                    worst_z,
-                    abs(est.gamma - gamma_val) / est.provenance["gamma"][1],
-                    abs(est.beta + gamma_val) / est.provenance["beta"][1],
-                )
-                d_rot = rotation_delta_exact(ctx, n, k, theta)
-                if d_rot is not None:
-                    worst_z = max(worst_z, abs(est.delta - d_rot) / est.provenance["delta"][1])
-            # Orthonormalized singular value bound 1 + 4 sigma.
-            p_norm2, q_norm2 = ctx.norms2[(n, k)]
+            se = {key: value[1] for key, value in est.provenance.items()}
             if n == k:
-                sigma_max = abs(est.alpha)
-                err = 4.0 * est.provenance["alpha"][1]
+                sigma_max, err = abs(est.alpha), 4.0 * se["alpha"]
             else:
-                scale_pq = math.sqrt(q_norm2 / p_norm2)
-                m_orth = np.array(
-                    [
-                        [est.alpha, est.beta * scale_pq],
-                        [est.gamma / scale_pq, est.delta],
-                    ]
-                )
+                p_norm2, q_norm2 = ctx.norms2[(n, k)]
+                scale = math.sqrt(q_norm2 / p_norm2)
+                m_orth = np.array([[est.alpha, est.beta * scale], [est.gamma / scale, est.delta]])
                 sigma_max = float(np.linalg.svd(m_orth, compute_uv=False)[0])
-                err = 4.0 * math.sqrt(
-                    est.provenance["alpha"][1] ** 2
-                    + (est.provenance["beta"][1] * scale_pq) ** 2
-                    + (est.provenance["gamma"][1] / scale_pq) ** 2
-                    + est.provenance["delta"][1] ** 2
-                )
+                err = 4.0 * math.sqrt(se["alpha"] ** 2 + (se["beta"] * scale) ** 2
+                                      + (se["gamma"] / scale) ** 2 + se["delta"] ** 2)
             worst_sigma_excess = max(worst_sigma_excess, sigma_max - 1.0 - err)
-    assert worst_z < 4.0
     assert worst_sigma_excess <= 0.0
-
-    crosses = block_cross_correlations(ctx, thetas[12], batch)
-    worst_cross = max(abs(c["correlation"]) / c["standard_error"] for c in crosses)
-    assert worst_cross < 4.0
-    elapsed = time.time() - start
-    assert elapsed < 900.0
-    print(f"\nCRITERION 9 PASS: exact vs estimated within {worst_z:.2f} se over 25 "
-          f"thetas; singular values within 1 + 4 se (worst excess "
-          f"{worst_sigma_excess:.2e}); crosses within {worst_cross:.2f} se "
-          f"({elapsed:.0f}s < 900s)")
+    print(f"\nCRITERION 9 PASS: blocks and crosses within 4 se over 25 thetas; singular "
+          f"values within 1 + 4 se (worst excess {worst_sigma_excess:.2e})")
 
 
-def test_criterion_10_maximum_at_cusp():
+def test_criterion_10_maximum_at_cusp(report):
     """Grid max of |P| lands within one cell of the reference cusp Z = 1."""
-    ngrid = 400
-    cell = 2.3 / (ngrid - 1)
-    xs = 1.0 - cell * np.arange(ngrid - 1, -1, -1)
-    ys = cell * (np.arange(ngrid) - (ngrid // 2))
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    zgrid = gx + 1j * gy
-    closure = np.asarray(deltoid_boundary_values(zgrid)) >= 0.0
-    for lam in (Fraction(4), Fraction(11, 2)):
-        for n, k in pq_indices(5, include_constant=True):
-            p_hat, _ = eigen_PQ_lambda(lam, n, k)
-            vals = np.abs(p_hat.poly.evaluate({"Z": zgrid, "Zb": np.conj(zgrid)}))
-            vals = np.where(closure, vals, -np.inf)
-            gmax = float(vals.max())
-            near = (np.abs(zgrid - 1.0) <= cell * 1.5) & closure
-            assert float(vals[near].max()) >= gmax * (1.0 - 1e-12), (lam, n, k)
-    print("\nCRITERION 10 PASS: max of |P| on the 400x400 grid attained within one "
-          "cell of Z = 1 for n+k <= 5 at parameters 4 and 11/2")
+    assert report.config["cusp_grid_n"] == 400
+    assert_gates(report, "spectral.max_at_cusp", (0.0, "=="))
+    print("\nCRITERION 10 PASS: max of |P| on the 400x400 grid within one cell of Z = 1")
 
 
-def test_criterion_11_discrepancy_ledger():
-    """The verify report carries exactly three discrepancy entries with resolutions."""
-    from deltoid_lab.verify import VerifyConfig, run_verify
-
-    config = VerifyConfig(
-        torus_samples=50_000, su3_samples=50_000, omega1_samples=10_000,
-        eigen_degree_max=3, coverage_theta_n=300, cusp_grid_n=200,
-    )
-    report, code = run_verify(config)
+def test_criterion_11_discrepancy_ledger(default_run):
+    """The default verify exits 0 with exactly three discrepancy entries, each resolved."""
+    report, code = default_run
     assert code == 0
     discrepancies = [e for e in report.entries if e.status == "discrepancy-noted"]
-    assert len(discrepancies) == 3
-    names = {e.name for e in discrepancies}
-    assert names == {
+    assert [e.name for e in discrepancies] == [
         "discrepancy.flat_torus_cross_term_sign",
         "discrepancy.g2_boundary_cubic_printings",
         "discrepancy.markov_delta_closed_form",
-    }
-    for entry in discrepancies:
-        assert "resolution" in entry.details
-    print("\nCRITERION 11 PASS: exactly three discrepancy-noted entries, each with "
-          "its computed resolution attached")
+    ]
+    assert all("resolution" in e.details for e in discrepancies)
+    print("\nCRITERION 11 PASS: exactly three discrepancy-noted entries, each resolved")

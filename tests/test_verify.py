@@ -1,5 +1,8 @@
 """Unit checks of single verify suites, run apart from the full suite."""
 
+import ast
+from pathlib import Path
+
 from deltoid_lab import verify
 from deltoid_lab.report import VerificationReport
 
@@ -31,3 +34,31 @@ def test_selfadjointness_reports_the_pairs_it_ran():
     verify._suite_quadrature(report, config)
     (entry,) = [e for e in report.entries if e.name == "quadrature.selfadjointness"]
     assert entry.details.endswith(" over 2 random real pairs")
+
+
+def test_error_in_a_shared_numeric_computation_fails_only_its_readers(monkeypatch):
+    def broken(polys, grid):
+        raise RuntimeError("gram broke")
+
+    monkeypatch.setattr(verify, "gram", broken)
+    config = verify.VerifyConfig(grid_n=16, gram_degree_max=1)
+    report = _report()
+    verify._suite_quadrature(report, config)
+    entries = {e.name: e for e in report.entries}
+    assert len(entries) == 6
+    for name in ("quadrature.gram_orthogonality", "quadrature.norm_equality"):
+        assert (entries[name].status, entries[name].details) == ("numeric-fail",
+                                                                 "RuntimeError: gram broke")
+    for name in ("quadrature.jacobian_discriminant", "quadrature.selfadjointness",
+                 "quadrature.measure_invariance", "quadrature.eigenvalue_recovery"):
+        assert entries[name].status == "numeric-pass" and entries[name].gates
+
+
+def test_pass_fail_statuses_are_written_only_in_numeric():
+    tree = ast.parse(Path(verify.__file__).read_text())
+    (numeric,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_numeric"]
+    inside = {id(node) for node in ast.walk(numeric)}
+    literals = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and node.value in ("numeric-pass", "numeric-fail")]
+    assert literals and all(id(node) in inside for node in literals)
