@@ -302,18 +302,19 @@ def cmd_plot(args) -> int:
 
 
 # The smallest value of each integer option, per command; verify's also bind --config.
+# A seed is at least 0 because numpy's generators reject a negative one.
 SIZE_MINIMUMS = {
     "eigen": {"degree_max": 0},
     "gram": {"degree_max": 1, "grid": TorusGrid.MIN_N},
-    "markov": {"n": 1, "k": 0, "degree_max": 1, "theta_grid": 1, "samples": 2},
-    "sample": {"n": 1},
+    "markov": {"n": 1, "k": 0, "degree_max": 1, "theta_grid": 1, "samples": 2, "seed": 0},
+    "sample": {"n": 1, "seed": 0},
     # Three samples are the three cusps, the fewest that close the curve.
     "plot": {"n": 0, "k": 0, "samples": 3, "theta_grid": 1},
     # probe_degree_max 2 gives block_diagonality two eigenvalues to correlate;
     # selfadjoint_pairs 2 gives one pair per parameter; cusp_grid_n 5 is the
     # smallest grid whose closed domain has a point more than 1.5 cells from
     # Z = 1, so max_at_cusp can see a stray maximum.
-    "verify": {"grid_n": TorusGrid.MIN_N, "theta_per_axis": 1, "eigen_degree_max": 1,
+    "verify": {"seed": 0, "grid_n": TorusGrid.MIN_N, "theta_per_axis": 1, "eigen_degree_max": 1,
                "torus_samples": 2, "su3_samples": 2, "omega1_samples": 2,
                "gram_degree_max": 1, "probe_degree_max": 2, "selfadjoint_pairs": 2,
                "coverage_theta_n": 1, "coverage_omega_n": 1, "cusp_grid_n": 5},

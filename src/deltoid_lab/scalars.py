@@ -36,6 +36,30 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+_QZERO = Fraction(0)
+
+# Products of the basis (1, i, sqrt(3), i*sqrt(3)): e_j * e_k = factor * e_m
+# is stored as _BASIS_PRODUCT[j][k] = (m, factor).
+_BASIS_PRODUCT = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, 1), (0, 3), (1, 3)),
+    ((3, 1), (2, -1), (1, 3), (0, -3)),
+)
+
+
+def _plus(x: Fraction, y: Fraction) -> Fraction:
+    if not y:
+        return x
+    return x + y if x else y
+
+
+def _minus(x: Fraction, y: Fraction) -> Fraction:
+    if not y:
+        return x
+    return x - y if x else -y
+
+
 @dataclass(frozen=True, slots=True)
 class FieldScalar:
     """Element a + b*i + c*sqrt(3) + d*i*sqrt(3) of Q(i, sqrt(3))."""
@@ -71,10 +95,16 @@ class FieldScalar:
         return self.a
 
     # -- ring operations ---------------------------------------------------
+    #
+    # Most operands in the exact layers are rational or have one nonzero
+    # component, so every operation below skips zero components instead of
+    # paying a Fraction product or sum for them.  A skipped component is
+    # still the zero Fraction, so results print exactly as the full formula's.
 
     def __add__(self, other: "FieldScalar | RationalLike") -> "FieldScalar":
         o = FieldScalar.coerce(other)
-        return FieldScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        return FieldScalar(_plus(self.a, o.a), _plus(self.b, o.b),
+                           _plus(self.c, o.c), _plus(self.d, o.d))
 
     __radd__ = __add__
 
@@ -82,30 +112,52 @@ class FieldScalar:
         return FieldScalar(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other: "FieldScalar | RationalLike") -> "FieldScalar":
-        return self + (-FieldScalar.coerce(other))
+        o = FieldScalar.coerce(other)
+        return FieldScalar(_minus(self.a, o.a), _minus(self.b, o.b),
+                           _minus(self.c, o.c), _minus(self.d, o.d))
 
     def __rsub__(self, other: RationalLike) -> "FieldScalar":
-        return FieldScalar.coerce(other) + (-self)
+        return FieldScalar.coerce(other) - self
 
     def __mul__(self, other: "FieldScalar | RationalLike") -> "FieldScalar":
-        o = FieldScalar.coerce(other)
-        # Treat self as (re) + i*(im) with re, im in Q(sqrt(3)):
-        #   re = (a, c), im = (b, d), where (p, q) means p + q*sqrt(3).
-        p1, q1, r1, s1 = self.a, self.c, self.b, self.d
-        p2, q2, r2, s2 = o.a, o.c, o.b, o.d
-        # (p1,q1)(p2,q2) - (r1,s1)(r2,s2)
-        re0 = p1 * p2 + 3 * q1 * q2 - (r1 * r2 + 3 * s1 * s2)
-        re1 = p1 * q2 + q1 * p2 - (r1 * s2 + s1 * r2)
-        # (p1,q1)(r2,s2) + (r1,s1)(p2,q2)
-        im0 = p1 * r2 + 3 * q1 * s2 + r1 * p2 + 3 * s1 * q2
-        im1 = p1 * s2 + q1 * r2 + r1 * q2 + s1 * p2
-        return FieldScalar(re0, im0, re1, im1)
+        if isinstance(other, FieldScalar):
+            if other.is_rational():
+                scale, x = other.a, self
+            elif self.is_rational():
+                scale, x = self.a, other
+            else:
+                return self._mul_irrational(other)
+        else:
+            scale, x = _frac(other), self
+        if not scale:
+            return ZERO
+        a, b, c, d = x.a, x.b, x.c, x.d
+        return FieldScalar(a and a * scale, b and b * scale,
+                           c and c * scale, d and d * scale)
 
     __rmul__ = __mul__
+
+    def _mul_irrational(self, other: "FieldScalar") -> "FieldScalar":
+        """The product of two irrational elements, one term per nonzero pair."""
+        out = [_QZERO, _QZERO, _QZERO, _QZERO]
+        right = [(k, y) for k, y in enumerate((other.a, other.b, other.c, other.d)) if y]
+        for j, x in enumerate((self.a, self.b, self.c, self.d)):
+            if not x:
+                continue
+            row = _BASIS_PRODUCT[j]
+            for k, y in right:
+                m, factor = row[k]
+                term = x * y
+                if factor != 1:
+                    term = -term if factor == -1 else factor * term
+                out[m] = out[m] + term if out[m] else term
+        return FieldScalar(*out)
 
     def inverse(self) -> "FieldScalar":
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(i, sqrt(3))")
+        if self.is_rational():
+            return FieldScalar(1 / self.a)
         # 1/(re + i*im) = (re - i*im) / (re^2 + im^2); the denominator lies
         # in Q(sqrt(3)) and is inverted by its own conjugate.
         conj = self.conj()

@@ -19,6 +19,13 @@ field_scalars = st.builds(FieldScalar, small_rationals, small_rationals,
 
 nonzero_field_scalars = field_scalars.filter(bool)
 
+# Each component is zero about half the time, so rational and one-component
+# elements, the common operands of the exact layers, are drawn often.
+sparse_rationals = st.one_of(st.just(Fraction(0)), small_rationals.filter(bool))
+
+sparse_field_scalars = st.builds(FieldScalar, sparse_rationals, sparse_rationals,
+                                 sparse_rationals, sparse_rationals)
+
 
 def poly_strategy(variables: tuple[str, ...], max_degree: int = 3, max_terms: int = 4):
     nvars = len(variables)

@@ -188,11 +188,14 @@ class TestCli:
         ["verify", "--grid-n", "8"],
         ["verify", "--eigen-degree-max", "0"],
         ["verify", "--torus-samples", "1"],
+        ["verify", "--seed", "-30"],
+        ["markov", "--lambda", "11/2", "--seed", "-1"],
+        ["sample", "torus", "--n", "10", "--seed", "-1"],
     ], ids=["eigen-degree", "gram-degree", "gram-grid", "markov-degree", "markov-n",
             "markov-samples", "markov-theta-grid", "sample-n", "plot-k",
             "plot-samples-zero", "plot-samples-two", "plot-theta-grid",
             "verify-theta-per-axis", "verify-grid-n", "verify-eigen-degree",
-            "verify-torus-samples"])
+            "verify-torus-samples", "verify-seed", "markov-seed", "sample-seed"])
     def test_out_of_range_size_exit_code(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 3
@@ -345,6 +348,7 @@ class TestVerifyCli:
         ("coverage_omega_n = 0", "coverage_omega_n"),
         ("cusp_grid_n = 1", "cusp_grid_n"),
         ("cusp_grid_n = 4", "cusp_grid_n"),
+        ("seed = -1", "seed"),
     ])
     def test_bad_config_value(self, line, key, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"
