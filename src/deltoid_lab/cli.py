@@ -313,9 +313,11 @@ SIZE_MINIMUMS = {
     # probe_degree_max 2 gives block_diagonality two eigenvalues to correlate;
     # selfadjoint_pairs 2 gives one pair per parameter; cusp_grid_n 5 is the
     # smallest grid whose closed domain has a point more than 1.5 cells from
-    # Z = 1, so max_at_cusp can see a stray maximum.
+    # Z = 1, so max_at_cusp can see a stray maximum.  The 4-standard-error
+    # gates need a standard error worth the name: from 1000 samples its
+    # relative error is about 2 %, from 2 samples it is meaningless.
     "verify": {"seed": 0, "grid_n": TorusGrid.MIN_N, "theta_per_axis": 1, "eigen_degree_max": 1,
-               "torus_samples": 2, "su3_samples": 2, "omega1_samples": 2,
+               "torus_samples": 1000, "su3_samples": 1000, "omega1_samples": 1000,
                "gram_degree_max": 1, "probe_degree_max": 2, "selfadjoint_pairs": 2,
                "coverage_theta_n": 1, "coverage_omega_n": 1, "cusp_grid_n": 5},
 }

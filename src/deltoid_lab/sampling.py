@@ -81,22 +81,38 @@ def sample_torus(n: int, seed: int) -> SampleBatch:
 
 
 def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar SU(3) via QR of a complex Ginibre ensemble.
+    """Haar SU(3) by Gram-Schmidt on the columns of a complex Ginibre ensemble.
 
-    The R-diagonal phase correction makes the QR decomposition unique (so Q
-    is Haar on U(3)); dividing by a cube root of the determinant projects
-    onto the det = 1 slice, and left-invariance makes the result Haar there.
+    Orthonormalizing the columns in order is the QR decomposition with a
+    positive real R diagonal, which is unique, so Q is Haar on U(3)
+    (Mezzadri 2007, Notices AMS).  Each column is projected twice ("twice
+    is enough"), which keeps Q unitary to rounding.  Dividing by the
+    principal cube root of the determinant (by cofactors) projects onto the
+    det = 1 slice, and left-invariance makes the result Haar there.
     """
     # Interleave the real and imaginary draws per entry so that chunked
     # generation consumes the stream exactly like one bulk call.
     raw = rng.standard_normal((n, 3, 3, 2))
-    z = raw[..., 0] + 1j * raw[..., 1]
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = diag / np.abs(diag)
-    q = q * phases[:, np.newaxis, :]
-    det = np.linalg.det(q)
-    q = q / np.power(det, 1.0 / 3.0)[:, np.newaxis, np.newaxis]
+    # columns[j][i] is entry (i, j) of every matrix, as one contiguous array.
+    columns = np.ascontiguousarray(raw.view(complex)[..., 0].transpose(2, 1, 0))
+    basis: list[list[np.ndarray]] = []
+    for column in columns:
+        v = list(column)
+        for _ in range(2):
+            for q in basis:
+                coeff = q[0].conj() * v[0] + q[1].conj() * v[1] + q[2].conj() * v[2]
+                v = [vi - qi * coeff for vi, qi in zip(v, q)]
+        scale = 1.0 / np.sqrt(sum(vi.real**2 + vi.imag**2 for vi in v))
+        basis.append([vi * scale for vi in v])
+    a, b, c = basis
+    det = (a[0] * (b[1] * c[2] - b[2] * c[1])
+           - a[1] * (b[0] * c[2] - b[2] * c[0])
+           + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    inverse_root = 1.0 / np.power(det, 1.0 / 3.0)
+    q = np.empty((n, 3, 3), dtype=complex)
+    for j, column in enumerate(basis):
+        for i in range(3):
+            q[:, i, j] = column[i] * inverse_root
     return q
 
 
@@ -112,7 +128,7 @@ def su3_trace_samples(n: int, seed: int, chunk: int = 100_000) -> np.ndarray:
     """Normalized traces trace(g)/3 of n Haar SU(3) matrices, streamed.
 
     Equivalent to sample_su3_haar(n, seed) followed by the trace map, but
-    never materializes the matrices; used for large moment runs.
+    holds only one chunk of matrices at a time; used for large moment runs.
     """
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=complex)
@@ -209,6 +225,28 @@ def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> Sampl
     )
 
 
+def _omega1_log_p1(z0: complex, z1: complex, z2: complex) -> float:
+    """log P1 at one point of C^3, or -inf off the lifted domain.
+
+    The scalar twin of models.omega1_membership and omega1_boundary_values
+    for the MCMC inner loop, where numpy calls on one point cost far more
+    than the arithmetic: the same formulas in the same order and the same
+    predicate (P1 > 1e-14, P2 < 0, max |z_i| < 1).  Values agree with the
+    array path to rounding; numpy may fuse a complex product's multiply-add.
+    """
+    m0 = z0.real * z0.real + z0.imag * z0.imag
+    m1 = z1.real * z1.real + z1.imag * z1.imag
+    m2 = z2.real * z2.real + z2.imag * z2.imag
+    s1 = m0 + m1 + m2
+    s2 = m0 * m0 + m1 * m1 + m2 * m2
+    t1, t2 = s1 + 1.0, s1 - 1.0  # numpy squares these as t * t
+    p1 = 2.0 - t1 * t1 + 2.0 * s2 + 8.0 * (z0 * z1 * z2).real
+    p2 = 2.0 * (s2 - 1.0) - t2 * t2
+    if p1 > 1e-14 and p2 < 0.0 and max(abs(z0), abs(z1), abs(z2)) < 1.0:
+        return math.log(p1)
+    return -math.inf
+
+
 def _omega1_mcmc(
     lam: Fraction,
     beta: Fraction,
@@ -220,26 +258,22 @@ def _omega1_mcmc(
 ) -> SampleBatch:
     rng = np.random.default_rng(seed)
     beta_f = float(beta)
-
-    def log_density(point: np.ndarray) -> float:
-        if not bool(omega1_membership(point[np.newaxis, :])[0]):
-            return -math.inf
-        p1, _ = omega1_boundary_values(point[np.newaxis, :])
-        return beta_f * math.log(p1[0])
-
-    current = np.zeros(3, dtype=complex)
-    current_logp = log_density(current)
+    current = (0j, 0j, 0j)
+    current_logp = beta_f * _omega1_log_p1(*current)
     total_steps = burn_in + n * thinning
     kept = np.empty((n, 3), dtype=complex)
     accepted_moves = 0
     kept_count = 0
     for it in range(total_steps):
-        jump = rng.normal(scale=step, size=6)
-        proposal = current + jump[:3] + 1j * jump[3:]
-        logp = log_density(proposal)
-        if logp > -math.inf and math.log(rng.uniform()) < logp - current_logp:
+        d = rng.normal(scale=step, size=6).tolist()
+        z0, z1, z2 = current
+        proposal = (complex(z0.real + d[0], z0.imag + d[3]),
+                    complex(z1.real + d[1], z1.imag + d[4]),
+                    complex(z2.real + d[2], z2.imag + d[5]))
+        log_p1 = _omega1_log_p1(*proposal)
+        if log_p1 > -math.inf and math.log(rng.uniform()) < beta_f * log_p1 - current_logp:
             current = proposal
-            current_logp = logp
+            current_logp = beta_f * log_p1
             accepted_moves += 1
         if it >= burn_in and (it - burn_in) % thinning == 0 and kept_count < n:
             kept[kept_count] = current

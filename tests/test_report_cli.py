@@ -188,6 +188,9 @@ class TestCli:
         ["verify", "--grid-n", "8"],
         ["verify", "--eigen-degree-max", "0"],
         ["verify", "--torus-samples", "1"],
+        ["verify", "--torus-samples", "999"],
+        ["verify", "--su3-samples", "999"],
+        ["verify", "--omega1-samples", "999"],
         ["verify", "--seed", "-30"],
         ["markov", "--lambda", "11/2", "--seed", "-1"],
         ["sample", "torus", "--n", "10", "--seed", "-1"],
@@ -195,7 +198,8 @@ class TestCli:
             "markov-samples", "markov-theta-grid", "sample-n", "plot-k",
             "plot-samples-zero", "plot-samples-two", "plot-theta-grid",
             "verify-theta-per-axis", "verify-grid-n", "verify-eigen-degree",
-            "verify-torus-samples", "verify-seed", "markov-seed", "sample-seed"])
+            "verify-torus-samples", "verify-torus-samples-999", "verify-su3-samples-999",
+            "verify-omega1-samples-999", "verify-seed", "markov-seed", "sample-seed"])
     def test_out_of_range_size_exit_code(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 3
@@ -349,6 +353,9 @@ class TestVerifyCli:
         ("cusp_grid_n = 1", "cusp_grid_n"),
         ("cusp_grid_n = 4", "cusp_grid_n"),
         ("seed = -1", "seed"),
+        ("torus_samples = 999", "torus_samples"),
+        ("su3_samples = 999", "su3_samples"),
+        ("omega1_samples = 999", "omega1_samples"),
     ])
     def test_bad_config_value(self, line, key, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"

@@ -1,12 +1,15 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deltoid_lab.models import omega1_membership, phi_theta, ThetaPair
+from deltoid_lab.models import omega1_boundary_values, omega1_membership, phi_theta, ThetaPair
 from deltoid_lab.sampling import (
     SamplingError,
+    _haar_su3_chunk,
+    _omega1_log_p1,
     estimate_moments,
     pushforward_deltoid,
     sample_omega1,
@@ -40,6 +43,27 @@ def test_su3_construction():
     residual = np.max(np.abs(np.einsum("nij,nik->njk", g.conj(), g) - np.eye(3)))
     assert residual < 1e-12
     assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-12
+
+
+def _haar_su3_qr_oracle(rng, n):
+    """The QR construction the closed form replaced: numpy QR of the same
+    Ginibre draws, R-diagonal phase correction, principal cube root of det."""
+    raw = rng.standard_normal((n, 3, 3, 2))
+    z = raw[..., 0] + 1j * raw[..., 1]
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[:, np.newaxis, :]
+    det = np.linalg.det(q)
+    return q / np.power(det, 1.0 / 3.0)[:, np.newaxis, np.newaxis]
+
+
+def test_su3_gram_schmidt_matches_qr_oracle():
+    g = _haar_su3_chunk(np.random.default_rng(61), 20_000)
+    oracle = _haar_su3_qr_oracle(np.random.default_rng(61), 20_000)
+    assert np.max(np.abs(g - oracle)) < 1e-12
+    unitarity = np.einsum("nij,nik->njk", g.conj(), g) - np.eye(3)
+    assert np.max(np.linalg.norm(unitarity, ord=2, axis=(1, 2))) < 1e-14
+    assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-14
 
 
 def test_su3_trace_streaming_consistent():
@@ -108,6 +132,52 @@ class TestOmega1:
         a = estimate_moments(rej, funcs)["S1"]
         b = estimate_moments(mc, funcs)["S1"]
         assert abs(a.mean - b.mean) < 4 * math.hypot(a.standard_error, b.standard_error)
+
+    @pytest.mark.parametrize("lam,digest,acceptance", [
+        (Fraction(11, 2), "707b76099854ae8074a0b95105080413cc0b7aa9beda7c26e73dbabc844864d6",
+         0.2412857142857143),
+        (Fraction(13, 2), "91a7e1668d74840ed350b973001e9f81076ebc6f1e6e0e55f22f1fbfc7c8d653",
+         0.25485714285714284),
+    ], ids=["beta-zero", "beta-one-third"])
+    def test_mcmc_stream_is_pinned(self, lam, digest, acceptance):
+        # Computed with omega1_membership/omega1_boundary_values as the log
+        # density; the scalar one must reproduce the chain bit for bit.
+        mc = sample_omega1(lam, 1000, 43, method="mcmc", step=0.25, burn_in=2000, thinning=5)
+        assert hashlib.sha256(mc.points.tobytes()).hexdigest() == digest
+        assert mc.stats["move_acceptance"] == acceptance
+
+    def test_scalar_log_density_matches_array_path(self):
+        rng = np.random.default_rng(67)
+        # The bulk reaches past the polydisc, where some points have P1 > 0
+        # and P2 < 0 and only max |z_i| < 1 rules them out.
+        bulk = rng.uniform(-1.2, 1.2, (20_000, 3)) + 1j * rng.uniform(-1.2, 1.2, (20_000, 3))
+        # Points within 1e-12 of {P1 = 0}: bisect P1 along rays from the
+        # origin (P1(0) = 1), then step 1e-12 to either side.
+        rays = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+        rays /= np.max(np.abs(rays), axis=1, keepdims=True)
+        lo, hi = np.zeros(200), np.ones(200)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            inside = omega1_boundary_values(mid[:, None] * rays)[0] > 0
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        near_p1 = [t[:, None] * rays for t in (lo - 1e-12, lo, hi, hi + 1e-12)]
+        # Points within 1e-12 of |z_1| = 1, the other coordinates small.
+        rim = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+        rim[:, 1:] *= 1e-3
+        near_rim = [rim * ((1 + eps) / np.abs(rim[:, :1])) for eps in (-1e-12, 0.0, 1e-12)]
+        cloud = np.concatenate([bulk, *near_p1, *near_rim])
+        member = omega1_membership(cloud)
+        p1, p2 = omega1_boundary_values(cloud)
+        assert np.any(member & (p1 < 1e-11)) and np.any(~member & (p1 > -1e-11))
+        assert np.any((p1 > 1e-14) & (p2 < 0) & ~member)
+        for point, inside, value in zip(cloud.tolist(), member, p1):
+            log_p1 = _omega1_log_p1(*point)
+            assert (log_p1 > -math.inf) == inside
+            if inside:
+                # numpy may fuse a multiply-add where Python rounds twice;
+                # P1 sums terms up to about 30 in size, a few ulps of which
+                # stay under 1e-14.
+                assert abs(math.exp(log_p1) - value) < 1e-14
 
     def test_mcmc_ess_guard(self):
         with pytest.raises(SamplingError):
