@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deltoid_lab.hypergroup import (
+    CONTRACTION_BOUND,
     ProbeContext,
     delta_report,
     markov_pair_exact,
@@ -50,7 +51,7 @@ def main() -> int:
 
     scan = positivity_scan(ctx, thetas)
     print(f"\nworst orthonormalized block bound: {scan['worst_block_bound']:.6f} "
-          f"(contraction: {scan['ok']})")
+          f"(contraction: {scan['worst_block_bound'] <= CONTRACTION_BOUND})")
 
     batch = sample_omega1(lam, args.samples, args.seed, method="rejection")
     theta = thetas[len(thetas) // 2]

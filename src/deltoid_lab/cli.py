@@ -199,6 +199,7 @@ def cmd_markov(args) -> int:
     )
     from .report import emit_csv, emit_json, markov_matrices_to_csv
     from .sampling import sample_omega1
+    from .verify import Z_GATE
 
     lam = _lambda(args.lam, "rejection_sampler")
     if args.n is not None:
@@ -234,7 +235,7 @@ def cmd_markov(args) -> int:
         "seed": args.seed,
         "indices": [list(ix) for ix in indices],
         "worst_alpha_z_score": f"{worst_z:.3f}",
-        "pass": bool(worst_z < 4.0),
+        "pass": bool(worst_z < Z_GATE),
     }
     if args.verdict:
         emit_json(verdict, args.verdict)

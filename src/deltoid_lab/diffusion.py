@@ -11,16 +11,14 @@ b_i = L(x_i), all sparse exact polynomials.  From the table one recovers
 exactly.  The module also pushes models forward through polynomial maps
 (rewriting the transported table in the image variables by an exact linear
 solve against a monomial ansatz), derives drifts from power-law measure
-densities, certifies boundary-ideal membership, and hosts the interpolation
-scaffold that turns finitely many exact checks into an identity valid for
-every value of a rational parameter.
+densities, and certifies boundary-ideal membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .poly import (
     MPoly,
@@ -69,15 +67,6 @@ class DiffusionModel:
         if entry is None:
             return MPoly.zero(self.variables)
         return entry
-
-    def scaled(self, factor: Fraction | int) -> "DiffusionModel":
-        """Model for factor * L (gamma and drift both scale)."""
-        return DiffusionModel(
-            self.variables,
-            {k: v * factor for k, v in self.gamma.items() if k[0] <= k[1]},
-            {k: v * factor for k, v in self.drift.items()},
-            dict(self.params),
-        )
 
     def to_jsonable(self) -> dict:
         upper = {
@@ -270,49 +259,3 @@ def divergence_sums(model: DiffusionModel) -> dict[str, MPoly]:
         out[u] = total
     return out
 
-
-@dataclass(frozen=True)
-class InterpolationProof:
-    """Result of proving a parameter-polynomial identity by sampling."""
-
-    passed: bool
-    degree_bound: int
-    tested: tuple[Fraction, ...]
-    witnesses: tuple[Fraction, ...]
-    details: tuple[str, ...] = ()
-
-
-def identity_for_all_lambda(
-    check: Callable[[Fraction], bool | tuple[bool, str]],
-    degree_bound: int,
-    lambdas: Sequence[Fraction] | None = None,
-) -> InterpolationProof:
-    """Prove an identity polynomial in a rational parameter of bounded degree.
-
-    Checking at degree_bound + 1 distinct rational values pins the
-    polynomial identity everywhere; any failure is returned with its
-    witnessing parameter value.
-    """
-    values = tuple(lambdas) if lambdas is not None else tuple(
-        Fraction(k) for k in range(2, 3 + degree_bound)
-    )
-    if len(values) < degree_bound + 1:
-        raise ValueError("need degree_bound + 1 distinct parameter values")
-    if len(set(values)) != len(values):
-        raise ValueError("parameter values must be distinct")
-    witnesses: list[Fraction] = []
-    details: list[str] = []
-    for lam in values:
-        outcome = check(lam)
-        ok, note = outcome if isinstance(outcome, tuple) else (outcome, "")
-        if not ok:
-            witnesses.append(lam)
-            if note:
-                details.append(f"lambda={lam}: {note}")
-    return InterpolationProof(
-        passed=not witnesses,
-        degree_bound=degree_bound,
-        tested=values,
-        witnesses=tuple(witnesses),
-        details=tuple(details),
-    )

@@ -244,25 +244,22 @@ def delta_report(
     }
 
 
-def representation_coefficients(
-    ctx: ProbeContext,
-    points: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> dict[tuple[int, int], tuple[float, float]]:
-    """Moment coefficients (a, b) of a probability measure on the domain.
+def representation_check(ctx: ProbeContext, points: np.ndarray, weights: np.ndarray) -> dict:
+    """Moment coefficients of a probability measure on the domain, and their row test.
 
     a = int P(z)/P(1) d nu and b = int Q(z)/P(1) d nu per index, expressed in
     the unit-norm basis (the antisymmetric integral picks up the norm ratio
     ||P|| / ||Q|| because the printed ratios are leading-coefficient
-    normalized while the kernel block lives in the orthonormal basis).
+    normalized while the kernel block lives in the orthonormal basis).  For a
+    symmetric Markov kernel the orthonormal-basis block row (a, b) must
+    satisfy a^2 + b^2 <= 1; the check reports the worst row norm over all
+    indices in the context.
     """
     z = np.asarray(points, dtype=complex)
-    if weights is None:
-        weights = np.full(len(z), 1.0 / len(z))
     weights = np.asarray(weights, dtype=float)
     weights = weights / weights.sum()
     means = ctx.basis.real_values(z) @ weights
-    out: dict[tuple[int, int], tuple[float, float]] = {}
+    coeffs: dict[tuple[int, int], tuple[float, float]] = {}
     for n, k in ctx.pairs:
         p_mean, q_mean = ctx.split(means, n, k)
         denom = float(ctx.p_at_one[(n, k)])
@@ -272,22 +269,7 @@ def representation_coefficients(
         else:
             p_norm2, q_norm2 = ctx.norms2[(n, k)]
             b = float(q_mean) / denom * math.sqrt(p_norm2 / q_norm2)
-        out[(n, k)] = (a, b)
-    return out
-
-
-def representation_check(
-    ctx: ProbeContext,
-    points: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> dict:
-    """Row-contraction test of the representation coefficients.
-
-    For a symmetric Markov kernel the orthonormal-basis block row (a, b)
-    must satisfy a^2 + b^2 <= 1; the check reports the worst row norm over
-    all indices in the context.
-    """
-    coeffs = representation_coefficients(ctx, points, weights)
+        coeffs[(n, k)] = (a, b)
     worst = max([0.0, *(a * a + b * b for a, b in coeffs.values())])
     return {
         "coefficients": coeffs,
@@ -337,11 +319,7 @@ def positivity_scan(
                 ratio2 = p_norm2 / q_norm2
                 value = math.sqrt(alpha * alpha + gamma * gamma * ratio2)
             worst = max(worst, value)
-    return {
-        "worst_block_bound": worst,
-        "max_abs_alpha": alpha_bound,
-        "ok": worst <= CONTRACTION_BOUND,
-    }
+    return {"worst_block_bound": worst, "max_abs_alpha": alpha_bound}
 
 
 def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
@@ -367,11 +345,7 @@ def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
     interior = np.asarray(deltoid_boundary_values(cx + 1j * cy)) > 0.0
     cells = int(interior.sum())
     missed = int(np.count_nonzero(interior & ~hit))
-    return {
-        "interior_cells": cells,
-        "missed_cells": missed,
-        "ok": cells > 0 and missed == 0,
-    }
+    return {"interior_cells": cells, "missed_cells": missed}
 
 
 def block_cross_correlations(

@@ -244,21 +244,7 @@ class MPoly:
         itself.  This realizes complex conjugation on polynomial models
         whose variables come in conjugate pairs.
         """
-        perm: dict[str, str] = {}
-        for u, v in pairing:
-            perm[u] = v
-            perm[v] = u
-        uncovered = [v for v in self.variables if v not in perm]
-        if uncovered:
-            raise VariableMismatchError(f"pairing does not cover variables {uncovered}")
-        index_map = [self.variables.index(perm[v]) for v in self.variables]
-        out: dict[Exponents, FieldScalar] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(exps)
-            for i, e in enumerate(exps):
-                new[index_map[i]] = e
-            out[tuple(new)] = coeff.conj()
-        return MPoly(self.variables, out)
+        return self._permuted(pairing, lambda coeff: coeff.conj())
 
     def swap_variables(self, pairing: Iterable[tuple[str, str]]) -> "MPoly":
         """Exchange paired variables without touching coefficients.
@@ -267,6 +253,14 @@ class MPoly:
         variables); conj_swap additionally conjugates coefficients and is
         complex conjugation of the function instead.
         """
+        return self._permuted(pairing, lambda coeff: coeff)
+
+    def _permuted(
+        self,
+        pairing: Iterable[tuple[str, str]],
+        coefficient: Callable[[FieldScalar], FieldScalar],
+    ) -> "MPoly":
+        """Exchange paired variables (covering all of them); map each coefficient."""
         perm: dict[str, str] = {}
         for u, v in pairing:
             perm[u] = v
@@ -280,7 +274,7 @@ class MPoly:
             new = [0] * len(exps)
             for i, e in enumerate(exps):
                 new[index_map[i]] = e
-            out[tuple(new)] = coeff
+            out[tuple(new)] = coefficient(coeff)
         return MPoly(self.variables, out)
 
     def rotate_j(self, weights: Mapping[str, int]) -> "MPoly":

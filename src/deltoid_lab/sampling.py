@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .models import LAMBDA_RANGES, omega1_boundary_values, omega1_membership
+from .models import LAMBDA_RANGES, omega1_boundary_values, omega1_membership, z_of_theta
 from .scalars import RationalLike
 
 
@@ -345,8 +345,7 @@ def estimate_moments(
 def pushforward_deltoid(batch: SampleBatch) -> np.ndarray:
     """Map a batch into the deltoid domain: the complex Z value per sample."""
     if batch.kind == "torus":
-        t1, t2 = batch.points[:, 0], batch.points[:, 1]
-        return (np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))) / 3.0
+        return z_of_theta(batch.points[:, 0], batch.points[:, 1])
     if batch.kind == "su3":
         return np.trace(batch.points, axis1=-2, axis2=-1) / 3.0
     if batch.kind == "omega1":

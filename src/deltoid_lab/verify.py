@@ -14,6 +14,9 @@ there, and each name once more at its check site.  Each exact identity is
 one ``with _exact(...)`` block; a failed ``require``, or any other exception
 raised inside it, ends only that block and records the identity as
 exact-fail with its witness, so every run reports every registered identity.
+An identity proven for every parameter value is one ``_for_all_lambda``
+call, an ``_exact`` block that checks it at two or more distinct lambdas
+and names the failing ones as its witness.
 
 Each numeric identity, and each discrepancy-noted one, is one
 ``with _numeric(...) as record:`` block ending in ``record(details, *gates)``.
@@ -38,6 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +51,6 @@ from .diffusion import (
     boundary_ideal_check,
     divergence_sums,
     drift_from_measure,
-    identity_for_all_lambda,
     l_apply,
     pushforward,
 )
@@ -237,6 +240,24 @@ def _exact(report: VerificationReport, name: str, details: str, status: str = "p
         report.add(name, status, details)
 
 
+def _for_all_lambda(report: VerificationReport, name: str, details: str,
+                    check: Callable[[Fraction], bool],
+                    lambdas: tuple[Fraction, ...] = LAMBDA_INTERP) -> None:
+    """An identity of degree <= 1 in lambda, proven by interpolation.
+
+    ``check(lam)`` tests the identity exactly at one rational lambda.  Both
+    sides are polynomials of degree at most one in lambda, so agreement at
+    two distinct values proves it for every lambda; fewer than two distinct
+    values, or a repeated one, is rejected.  The block records
+    proven-by-interpolation, or exact-fail naming the failing values.
+    """
+    with _exact(report, name, details, "proven-by-interpolation") as require:
+        if len(lambdas) < 2 or len(set(lambdas)) != len(lambdas):
+            raise ValueError(f"need two or more distinct parameter values, got {lambdas}")
+        witnesses = tuple(lam for lam in lambdas if not check(lam))
+        require(not witnesses, f"witnesses {witnesses}")
+
+
 @contextmanager
 def _numeric(report: VerificationReport, name: str, status: str | None = None):
     """One numeric identity as a block that ends with ``record(details, *gates)``.
@@ -365,11 +386,9 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
         derived = drift_from_measure(DELTOID_VARS, m.gamma, [(p_poly, alpha)])
         return derived == dict(m.drift)
 
-    with _exact(report, "deltoid.measure_drift",
-                "P**((2l-5)/6) density gives drift (-l Z, -l Zb); exact at l in "
-                f"{LAMBDA_INTERP}", "proven-by-interpolation") as require:
-        proof = identity_for_all_lambda(deltoid_drift_check, 1, LAMBDA_INTERP)
-        require(proof.passed, f"witnesses {proof.witnesses}")
+    _for_all_lambda(report, "deltoid.measure_drift",
+                    "P**((2l-5)/6) density gives drift (-l Z, -l Zb); exact at l in "
+                    f"{LAMBDA_INTERP}", deltoid_drift_check)
 
     with _exact(report, "deltoid.divergence_sum",
                 "column divergence of the deltoid cometric is -(5/2) per coordinate") as require:
@@ -403,31 +422,25 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
         derived = drift_from_measure(SIXDIM_VARS, m.gamma, [(p1, beta)])
         return derived == dict(m.drift)
 
-    with _exact(report, "sixdim.measure_drift",
-                "P1**((2l-11)/6) density gives drift -l per coordinate; exact at l in (3, 6)",
-                "proven-by-interpolation") as require:
-        proof = identity_for_all_lambda(sixdim_drift_check, 1, (Fraction(3), Fraction(6)))
-        require(proof.passed, f"witnesses {proof.witnesses}")
+    _for_all_lambda(report, "sixdim.measure_drift",
+                    "P1**((2l-11)/6) density gives drift -l per coordinate; exact at l in (3, 6)",
+                    sixdim_drift_check, (Fraction(3), Fraction(6)))
 
     def projection_check(lam: Fraction) -> bool:
         return pushforward(sixdim_model(lam), PI_IMAGES, {"lambda": lam}) == deltoid_model(lam)
 
-    with _exact(report, "sixdim.projection_to_deltoid",
-                "average map carries the lifted model onto the deltoid model; exact at l in "
-                f"{LAMBDA_INTERP}", "proven-by-interpolation") as require:
-        proof = identity_for_all_lambda(projection_check, 1, LAMBDA_INTERP)
-        require(proof.passed, f"witnesses {proof.witnesses}")
+    _for_all_lambda(report, "sixdim.projection_to_deltoid",
+                    "average map carries the lifted model onto the deltoid model; exact at l in "
+                    f"{LAMBDA_INTERP}", projection_check)
 
     def g2_projection_check(lam: Fraction) -> bool:
         image = pushforward(deltoid_model(lam), PSI_IMAGES)
         target = g2_from_lambda(lam)
         return dict(image.gamma) == dict(target.gamma) and dict(image.drift) == dict(target.drift)
 
-    with _exact(report, "deltoid.projection_to_g2",
-                "(s, p) projection carries the deltoid model onto the G2 model; exact at l in "
-                f"{LAMBDA_INTERP}", "proven-by-interpolation") as require:
-        proof = identity_for_all_lambda(g2_projection_check, 1, LAMBDA_INTERP)
-        require(proof.passed, f"witnesses {proof.witnesses}")
+    _for_all_lambda(report, "deltoid.projection_to_g2",
+                    "(s, p) projection carries the deltoid model onto the G2 model; exact at l in "
+                    f"{LAMBDA_INTERP}", g2_projection_check)
 
     # G2 family.
     q1, q2 = q1_q2()
@@ -458,11 +471,9 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
         m = g2_from_lambda(lam)
         return m.drift["s"] == svar * (-lam) and m.drift["p"] == pvar * (-(2 * lam + 1)) + 1
 
-    with _exact(report, "g2.measure_drift",
-                "q1**(-1/2) q2**((2l-5)/6) density gives drift (-l s, 1-(2l+1) p)",
-                "proven-by-interpolation") as require:
-        proof = identity_for_all_lambda(g2_drift_check, 1, LAMBDA_INTERP)
-        require(proof.passed, f"witnesses {proof.witnesses}")
+    _for_all_lambda(report, "g2.measure_drift",
+                    "q1**(-1/2) q2**((2l-5)/6) density gives drift (-l s, 1-(2l+1) p)",
+                    g2_drift_check)
 
     with _exact(report, "g2.psi1_intertwining",
                 "image of the (-1/2, a2) operator under the self-map equals exactly "

@@ -10,7 +10,6 @@ from deltoid_lab.diffusion import (
     divergence_sums,
     drift_from_measure,
     gamma_apply,
-    identity_for_all_lambda,
     l_apply,
     pushforward,
     rewrite_in_images,
@@ -164,32 +163,6 @@ def test_divergence_deltoid():
     div = divergence_sums(MODEL)
     assert div["Z"] == Z * Fraction(-5, 2)
     assert div["Zb"] == Zb * Fraction(-5, 2)
-
-
-def test_identity_for_all_lambda_pass_and_witness():
-    proof = identity_for_all_lambda(
-        lambda lam: dict(deltoid_model(lam).drift)
-        == drift_from_measure(DELTOID_VARS, MODEL.gamma, [(deltoid_boundary_poly(), (2 * lam - 5) / 6)]),
-        degree_bound=1,
-    )
-    assert proof.passed and len(proof.tested) == 2
-
-    # Negative control: corrupt the exponent relation; the witness must name
-    # the failing parameter value.
-    broken = identity_for_all_lambda(
-        lambda lam: dict(deltoid_model(lam).drift)
-        == drift_from_measure(DELTOID_VARS, MODEL.gamma, [(deltoid_boundary_poly(), (2 * (lam + 1) - 5) / 6)]),
-        degree_bound=1,
-    )
-    assert not broken.passed
-    assert broken.witnesses == proof.tested
-
-
-def test_identity_for_all_lambda_validates_inputs():
-    with pytest.raises(ValueError):
-        identity_for_all_lambda(lambda lam: True, 2, (Fraction(1), Fraction(2)))
-    with pytest.raises(ValueError):
-        identity_for_all_lambda(lambda lam: True, 1, (Fraction(1), Fraction(1)))
 
 
 def test_model_serialization_roundtrip_shape():

@@ -1,9 +1,12 @@
 """Unit checks of single verify suites, run apart from the full suite."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 from deltoid_lab import verify
+from deltoid_lab.diffusion import drift_from_measure
+from deltoid_lab.models import DELTOID_VARS, deltoid_boundary_poly, deltoid_model
 from deltoid_lab.report import VerificationReport
 
 
@@ -62,3 +65,36 @@ def test_pass_fail_statuses_are_written_only_in_numeric():
     literals = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
                 and node.value in ("numeric-pass", "numeric-fail")]
     assert literals and all(id(node) in inside for node in literals)
+
+
+def _measure_drift_holds(lam: Fraction, exponent_lam: Fraction) -> bool:
+    """deltoid_model(lam)'s drift is the one P**((2 exponent_lam - 5)/6) induces."""
+    model = deltoid_model(lam)
+    alpha = (2 * exponent_lam - 5) / 6
+    return drift_from_measure(DELTOID_VARS, model.gamma,
+                              [(deltoid_boundary_poly(), alpha)]) == dict(model.drift)
+
+
+def _for_all_lambda_entry(check, *lambdas):
+    report = _report()
+    verify._for_all_lambda(report, "deltoid.measure_drift", "holds", check, *lambdas)
+    (entry,) = report.entries
+    return entry.status, entry.details
+
+
+def test_for_all_lambda_pass_and_witness():
+    assert _for_all_lambda_entry(lambda lam: _measure_drift_holds(lam, lam)) == (
+        "proven-by-interpolation", "holds")
+    # Negative control: the exponent relation is corrupted at lambda = 3 only,
+    # and the witness names that value alone.
+    assert _for_all_lambda_entry(lambda lam: _measure_drift_holds(lam, lam + (lam == 3))) == (
+        "exact-fail", "witnesses (Fraction(3, 1),)")
+
+
+def test_for_all_lambda_validates_inputs():
+    checked = []
+    for lambdas in ((Fraction(2),), (Fraction(2), Fraction(2))):
+        status, details = _for_all_lambda_entry(checked.append, lambdas)
+        assert status == "exact-fail"
+        assert details.startswith("ValueError: need two or more distinct parameter values")
+    assert not checked
