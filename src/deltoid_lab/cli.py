@@ -10,8 +10,10 @@ Subcommands:
     plot     emit SVG figures (domain boundary, eigen level sets, coverage)
 
 Configuration for `verify` is a flat key = value file; command-line flags
-win over file values.  Exit codes: 0 all pass, 1 numeric failure, 2 exact
-identity failure, 3 usage error.
+win over file values.  Exit codes: 0 all pass, 1 numeric failure (for
+`sample`, a sampler that refuses its batch), 2 exact identity failure, 3
+usage error: a bad option or config value, an unreadable config file, a
+config key set twice, or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -56,16 +59,24 @@ def _lambda(text: str, layer: str) -> Fraction:
 
 def load_config_file(path: str) -> dict:
     """Flat key = value file; '#' starts a comment; booleans are true/false."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"config file {path!r} is not UTF-8 text") from None
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.rstrip()}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {raw.rstrip()}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise UsageError(f"config key {key!r} is set twice")
+        out[key] = value
     return out
 
 
@@ -119,73 +130,50 @@ def cmd_verify(args) -> int:
     return code
 
 
-def cmd_eigen(args) -> int:
-    from .models import deltoid_model
+def _emit_json(payload: dict, path: str | None) -> None:
+    """Write payload to path, or print it to stdout when no path is given."""
     from .report import emit_json
-    from .spectral import eigenbasis, pq_pair
 
-    lam = _lambda(args.lam, "model")
-    basis = eigenbasis(deltoid_model(lam), args.degree_max)
-    entries = []
-    for d in range(args.degree_max + 1):
-        for k in range(d + 1):
-            n = d - k
-            r = basis[(n, k)]
-            entries.append(
-                {"flavor": "R", "n": n, "k": k,
-                 "eigenvalue": str(r.eigenvalue), "poly": str(r.poly)}
-            )
-    for d in range(args.degree_max + 1):
-        for k in range(d // 2 + 1):
-            n = d - k
-            p_hat, q_hat = pq_pair(basis[(n, k)], basis[(k, n)])
-            entries.append(
-                {"flavor": "P", "n": n, "k": k,
-                 "eigenvalue": str(p_hat.eigenvalue), "poly": str(p_hat.poly)}
-            )
-            entries.append(
-                {"flavor": "Q", "n": n, "k": k,
-                 "eigenvalue": str(q_hat.eigenvalue), "poly": str(q_hat.poly)}
-            )
-    payload = {"lambda": str(lam), "degree_max": args.degree_max, "entries": entries}
-    if args.out:
-        emit_json(payload, args.out)
+    if path:
+        emit_json(payload, path)
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
+
+
+def cmd_eigen(args) -> int:
+    from .models import deltoid_model
+    from .spectral import eigen_PQ, eigenbasis, pq_indices
+
+    lam = _lambda(args.lam, "model")
+    model = deltoid_model(lam)
+    basis = eigenbasis(model, args.degree_max)
+    polys = [basis[(d - k, k)] for d in range(args.degree_max + 1) for k in range(d + 1)]
+    for n, k in pq_indices(args.degree_max, include_constant=True):
+        polys.extend(eigen_PQ(model, n, k))
+    entries = [{"flavor": e.flavor, "n": e.n, "k": e.k,
+                "eigenvalue": str(e.eigenvalue), "poly": str(e.poly)} for e in polys]
+    _emit_json({"lambda": str(lam), "degree_max": args.degree_max, "entries": entries}, args.out)
     return 0
 
 
 def cmd_gram(args) -> int:
     from .quadrature import TorusGrid, gram
-    from .report import emit_json
-    from .spectral import eigen_PQ_lambda, pq_indices
+    from .spectral import pq_polys
 
     lam = _lambda(args.lam, "quadrature")
     grid = TorusGrid.build(lam, args.grid)
-    polys = []
-    labels = []
-    for n, k in pq_indices(args.degree_max):
-        p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
-        polys.append(p_hat.poly)
-        labels.append(f"P{n}{k}")
-        if n != k:
-            polys.append(q_hat.poly)
-            labels.append(f"Q{n}{k}")
-    matrix = gram(polys, grid)
-    payload = {
+    entries = pq_polys(lam, args.degree_max)
+    labels = [f"{flavor}{n}{k}" for flavor, n, k, _ in entries]
+    matrix = gram([poly for *_, poly in entries], grid)
+    _emit_json({
         "lambda": str(lam),
         "grid": args.grid,
         "degree_max": args.degree_max,
         "labels": labels,
         "matrix": [[f"{matrix[i, j].real:.15g}" for j in range(len(labels))] for i in range(len(labels))],
         "max_offdiagonal": f"{float(np.max(np.abs(matrix - np.diag(np.diag(matrix))))):.3e}",
-    }
-    if args.out:
-        emit_json(payload, args.out)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    }, args.out)
     return 0
 
 
@@ -197,7 +185,7 @@ def cmd_markov(args) -> int:
         markov_pair_exact,
         theta_grid,
     )
-    from .report import emit_csv, emit_json, markov_matrices_to_csv
+    from .report import emit_csv, markov_matrices_to_csv
     from .sampling import sample_omega1
     from .verify import Z_GATE
 
@@ -208,6 +196,8 @@ def cmd_markov(args) -> int:
             raise UsageError("--k must not exceed --n")
         degree_max = max(args.n + k, 1)
         indices = [(args.n, k)]
+    elif args.k is not None:
+        raise UsageError("--k needs --n")
     else:
         degree_max = args.degree_max
         indices = None
@@ -237,16 +227,12 @@ def cmd_markov(args) -> int:
         "worst_alpha_z_score": f"{worst_z:.3f}",
         "pass": bool(worst_z < Z_GATE),
     }
-    if args.verdict:
-        emit_json(verdict, args.verdict)
-    else:
-        json.dump(verdict, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit_json(verdict, args.verdict)
     return 0 if verdict["pass"] else 1
 
 
 def cmd_sample(args) -> int:
-    from .sampling import sample_omega1, sample_su3_haar, sample_torus
+    from .sampling import SamplingError, sample_omega1, sample_su3_haar, sample_torus
 
     if args.kind == "torus":
         batch = sample_torus(args.n, args.seed)
@@ -261,7 +247,11 @@ def cmd_sample(args) -> int:
     elif args.kind == "omega1":
         sampler = "rejection_sampler" if args.method == "rejection" else "lifted_sampler"
         lam = _lambda(args.lam, sampler)
-        batch = sample_omega1(lam, args.n, args.seed, method=args.method)
+        try:
+            batch = sample_omega1(lam, args.n, args.seed, method=args.method)
+        except SamplingError as exc:
+            print(f"sampling refused: {exc}", file=sys.stderr)
+            return 1
         columns = {}
         for idx in range(3):
             columns[f"re{idx + 1}"] = batch.points[:, idx].real
@@ -329,6 +319,19 @@ def _check_sizes(command: str, values: dict, label) -> None:
         value = values.get(name)
         if value is not None and value < minimum:
             raise UsageError(f"{label(name)} must be at least {minimum}, got {value}")
+
+
+def _check_outputs(args) -> None:
+    """Reject, before any work, an --out or --verdict path that cannot be written."""
+    for name in ("out", "verdict"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+            raise UsageError(f"--{name} {path}: {folder} is not a writable directory")
+        if os.path.isdir(path):
+            raise UsageError(f"--{name} {path} is a directory")
 
 
 def build_parser() -> _Parser:
@@ -402,6 +405,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_sizes(args.command, vars(args), lambda name: "--" + name.replace("_", "-"))
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

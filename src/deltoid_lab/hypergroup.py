@@ -31,9 +31,9 @@ import numpy as np
 from .models import ThetaPair, deltoid_boundary_values, z_of_theta, phi_theta
 from .poly import CompiledPolys
 from .quadrature import TorusGrid
-from .sampling import SampleBatch, pushforward_deltoid
+from .sampling import MomentEstimate, SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
-from .spectral import EigenPoly, eigen_PQ_lambda, eigenvalue_deltoid, pq_indices
+from .spectral import EigenPoly, eigen_PQ_lambda, eigenvalue_deltoid, pq_indices, pq_polys
 
 # A block bound or squared row norm at most this counts as a contraction.
 CONTRACTION_BOUND = 1.0 + 1e-9
@@ -186,28 +186,17 @@ def estimate_markov_matrix(
     p_norm2, q_norm2 = ctx.norms2[(n, k)]
     if p_norm2 <= 0 or (n != k and q_norm2 <= 0):
         raise ArithmeticError(f"degenerate quadrature norms for index ({n},{k})")
-    nsamples = len(batch)
-
-    def corr(u_vals: np.ndarray, v_vals: np.ndarray, v_norm2: float) -> tuple[float, float]:
-        prods = u_vals * v_vals
-        mean = float(prods.mean())
-        se = float(prods.std(ddof=1) / math.sqrt(nsamples))
-        return mean / v_norm2, se / v_norm2
-
-    alpha, alpha_se = corr(p_rot, p_base, p_norm2)
-    if n == k:
-        beta = beta_se = gamma = gamma_se = delta = delta_se = 0.0
-    else:
-        beta, beta_se = corr(p_rot, q_base, q_norm2)
-        gamma, gamma_se = corr(q_rot, p_base, p_norm2)
-        delta, delta_se = corr(q_rot, q_base, q_norm2)
-    provenance = {
-        "alpha": ("estimated", alpha_se),
-        "beta": ("estimated", beta_se),
-        "gamma": ("estimated", gamma_se),
-        "delta": ("estimated", delta_se),
-    }
-    return MarkovMatrix(n, k, theta, alpha, beta, gamma, delta, provenance)
+    terms = [("alpha", p_rot, p_base, p_norm2)]
+    if n != k:
+        terms += [("beta", p_rot, q_base, q_norm2), ("gamma", q_rot, p_base, p_norm2),
+                  ("delta", q_rot, q_base, q_norm2)]
+    entries = dict.fromkeys(("alpha", "beta", "gamma", "delta"), 0.0)
+    provenance = dict.fromkeys(entries, ("estimated", 0.0))
+    for name, u_vals, v_vals, v_norm2 in terms:
+        est = MomentEstimate.of(u_vals * v_vals)
+        entries[name] = est.mean / v_norm2
+        provenance[name] = ("estimated", est.standard_error / v_norm2)
+    return MarkovMatrix(n, k, theta, **entries, provenance=provenance)
 
 
 def exact_markov_matrix(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) -> MarkovMatrix:
@@ -360,37 +349,20 @@ def block_cross_correlations(
     """
     base = ctx.batch_values(batch)
     rotated = ctx.batch_values(batch, theta)
-    values: dict[tuple, np.ndarray] = {}
-    for n, k in ctx.pairs:
-        p_norm2, q_norm2 = ctx.norms2[(n, k)]
-        p_base, q_base = ctx.split(base, n, k)
-        p_rot, q_rot = ctx.split(rotated, n, k)
-        values[("P", n, k, "base")] = p_base / math.sqrt(p_norm2)
-        values[("P", n, k, "rot")] = p_rot / math.sqrt(p_norm2)
-        if n != k:
-            values[("Q", n, k, "base")] = q_base / math.sqrt(q_norm2)
-            values[("Q", n, k, "rot")] = q_rot / math.sqrt(q_norm2)
+    # (label, eigenvalue, rotated values, base values) per unit-norm function,
+    # sorted by index so that the earlier index of a pair is the rotated one.
+    functions = []
+    for flavor, n, k, _ in sorted(pq_polys(ctx.lam, ctx.degree_max), key=lambda e: e[1:3]):
+        row = "PQ".index(flavor)
+        scale = math.sqrt(ctx.norms2[(n, k)][row])
+        functions.append(((flavor, n, k), eigenvalue_deltoid(ctx.lam, n, k),
+                          ctx.split(rotated, n, k)[row] / scale,
+                          ctx.split(base, n, k)[row] / scale))
     out = []
-    nsamples = len(batch)
-    indices = sorted(ctx.pairs)
-    for i, (n1, k1) in enumerate(indices):
-        for n2, k2 in indices[i:]:
-            if eigenvalue_deltoid(ctx.lam, n1, k1) == eigenvalue_deltoid(ctx.lam, n2, k2):
-                continue
-            for f1 in ("P", "Q"):
-                if f1 == "Q" and n1 == k1:
-                    continue
-                for f2 in ("P", "Q"):
-                    if f2 == "Q" and n2 == k2:
-                        continue
-                    prods = values[(f1, n1, k1, "rot")] * values[(f2, n2, k2, "base")]
-                    mean = float(prods.mean())
-                    se = float(prods.std(ddof=1) / math.sqrt(nsamples))
-                    out.append(
-                        {
-                            "pair": ((f1, n1, k1), (f2, n2, k2)),
-                            "correlation": mean,
-                            "standard_error": se,
-                        }
-                    )
+    for i, (label1, mu1, rot1, _) in enumerate(functions):
+        for label2, mu2, _, base2 in functions[i + 1:]:
+            if mu1 != mu2:
+                est = MomentEstimate.of(rot1 * base2)
+                out.append({"pair": (label1, label2), "correlation": est.mean,
+                            "standard_error": est.standard_error})
     return out

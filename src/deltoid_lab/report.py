@@ -183,25 +183,25 @@ def emit_csv(text: str, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-
-
-# Plots are SVG_SIZE pixels square unless asked otherwise and frame PLOT_BOX
-# on both axes.
+# Plots are SVG_SIZE pixels square and frame PLOT_BOX on both axes.
 SVG_SIZE = 480
 PLOT_BOX = (-1.15, 1.15)
 
 
-def _to_pixel(x: float, y: float, width: int, height: int) -> tuple[float, float]:
+def _svg_header() -> list[str]:
+    size = SVG_SIZE
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+
+
+def _to_pixel(x: float, y: float) -> tuple[float, float]:
     lo, hi = PLOT_BOX
-    px = (x - lo) / (hi - lo) * width
-    py = (1.0 - (y - lo) / (hi - lo)) * height
+    px = (x - lo) / (hi - lo) * SVG_SIZE
+    py = (1.0 - (y - lo) / (hi - lo)) * SVG_SIZE
     return px, py
 
 
@@ -219,17 +219,17 @@ def deltoid_curve_points(samples: int = 720) -> list[tuple[float, float]]:
     return out
 
 
-def deltoid_svg(width: int = SVG_SIZE, height: int = SVG_SIZE, samples: int = 720) -> str:
+def deltoid_svg(samples: int = 720) -> str:
     """Boundary curve with the three cusps 1, j, jbar marked."""
-    lines = _svg_header(width, height)
+    lines = _svg_header()
     pts = deltoid_curve_points(samples)
     path = " ".join(
-        f"{'M' if i == 0 else 'L'}{_to_pixel(x, y, width, height)[0]:.3f},{_to_pixel(x, y, width, height)[1]:.3f}"
+        f"{'M' if i == 0 else 'L'}{_to_pixel(x, y)[0]:.3f},{_to_pixel(x, y)[1]:.3f}"
         for i, (x, y) in enumerate(pts)
     )
     lines.append(f'<path d="{path} Z" fill="none" stroke="black" stroke-width="1.5"/>')
     for cx, cy in ((1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0), (-0.5, -math.sqrt(3.0) / 2.0)):
-        px, py = _to_pixel(cx, cy, width, height)
+        px, py = _to_pixel(cx, cy)
         lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="4" fill="red"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -240,7 +240,7 @@ def eigen_levels_svg(poly) -> str:
     from .models import deltoid_boundary_values
 
     grid_n, bands = 120, 12
-    lines = _svg_header(SVG_SIZE, SVG_SIZE)
+    lines = _svg_header()
     xs = np.linspace(*PLOT_BOX, grid_n)
     ys = np.linspace(*PLOT_BOX, grid_n)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -255,7 +255,7 @@ def eigen_levels_svg(poly) -> str:
                 continue
             level = min(bands - 1, int(vals[i, j] / vmax * bands))
             shade = 255 - int(level * 255 / max(bands - 1, 1))
-            px, py = _to_pixel(xs[i], ys[j], SVG_SIZE, SVG_SIZE)
+            px, py = _to_pixel(xs[i], ys[j])
             lines.append(
                 f'<rect x="{px - cell / 2:.2f}" y="{py - cell / 2:.2f}" '
                 f'width="{cell:.2f}" height="{cell:.2f}" '
@@ -267,12 +267,12 @@ def eigen_levels_svg(poly) -> str:
 
 def theta_coverage_svg(theta_per_axis: int = 120) -> str:
     """Image points Z(theta) of a uniform theta grid."""
-    lines = _svg_header(SVG_SIZE, SVG_SIZE)
+    lines = _svg_header()
     ts = np.arange(theta_per_axis) * 2.0 * math.pi / theta_per_axis
     t1, t2 = np.meshgrid(ts, ts, indexing="ij")
     z = np.asarray(z_of_theta(t1, t2)).ravel()
     for zz in z:
-        px, py = _to_pixel(zz.real, zz.imag, SVG_SIZE, SVG_SIZE)
+        px, py = _to_pixel(zz.real, zz.imag)
         lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="0.8" fill="navy"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -30,9 +30,12 @@ from .scalars import RationalLike
 
 
 # An MCMC batch reports its effective sample size from ESS_BATCHES batch
-# means and is refused below MIN_ESS.
+# means and is refused below MIN_ESS; a correlated standard error uses at most
+# ESS_BATCHES batch means.
 MIN_ESS = 100.0
 ESS_BATCHES = 32
+# su3_trace_samples holds at most this many matrices at a time.
+SU3_CHUNK = 100_000
 
 
 class SamplingError(RuntimeError):
@@ -41,9 +44,31 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class MomentEstimate:
+    """A Monte-Carlo mean with its standard error, over n samples."""
+
     mean: float
     standard_error: float
     n: int
+
+    @classmethod
+    def of(cls, values: np.ndarray, correlated: bool = False) -> "MomentEstimate":
+        """Sample mean and standard error: std(ddof=1)/sqrt(n) for independent
+        values, batch means for a correlated (MCMC) series; 0.0 below two values."""
+        values = np.asarray(values, dtype=float)
+        n = len(values)
+        if n < 2:
+            se = 0.0
+        elif correlated:
+            n_batches = min(ESS_BATCHES, max(2, n // 4))
+            se = float(_batch_means(values, n_batches).std(ddof=1) / math.sqrt(n_batches))
+        else:
+            se = float(values.std(ddof=1) / math.sqrt(n))
+        return cls(float(values.mean()), se, n)
+
+    def z(self, other: "MomentEstimate") -> float:
+        """|mean difference| in combined standard errors; 0.0 for equal exact means."""
+        combined = math.hypot(self.standard_error, other.standard_error)
+        return abs(self.mean - other.mean) / max(combined, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -124,17 +149,17 @@ def sample_su3_haar(n: int, seed: int) -> SampleBatch:
     return SampleBatch("su3", seed, {"n": n}, _haar_su3_chunk(rng, n))
 
 
-def su3_trace_samples(n: int, seed: int, chunk: int = 100_000) -> np.ndarray:
+def su3_trace_samples(n: int, seed: int) -> np.ndarray:
     """Normalized traces trace(g)/3 of n Haar SU(3) matrices, streamed.
 
     Equivalent to sample_su3_haar(n, seed) followed by the trace map, but
-    holds only one chunk of matrices at a time; used for large moment runs.
+    holds only SU3_CHUNK matrices at a time; used for large moment runs.
     """
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=complex)
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(SU3_CHUNK, n - done)
         q = _haar_su3_chunk(rng, m)
         out[done : done + m] = np.trace(q, axis1=-2, axis2=-1) / 3.0
         done += m
@@ -295,14 +320,17 @@ def _omega1_mcmc(
     )
 
 
+def _batch_means(values: np.ndarray, n_batches: int) -> np.ndarray:
+    """Means of n_batches consecutive equal batches; the remainder is dropped."""
+    m = len(values) // n_batches
+    return values[: m * n_batches].reshape(n_batches, m).mean(axis=1)
+
+
 def _batch_means_ess(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
-    m = len(values) // ESS_BATCHES
-    if m < 2:
+    if len(values) // ESS_BATCHES < 2:
         return float(len(values))
-    trimmed = values[: m * ESS_BATCHES].reshape(ESS_BATCHES, m)
-    batch_means = trimmed.mean(axis=1)
-    var_bm = batch_means.var(ddof=1) / ESS_BATCHES
+    var_bm = _batch_means(values, ESS_BATCHES).var(ddof=1) / ESS_BATCHES
     var_iid = values.var(ddof=1)
     if var_bm <= 0:
         return float(len(values))
@@ -314,18 +342,6 @@ def _batch_means_ess(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _standard_error(values: np.ndarray, correlated: bool) -> float:
-    n = len(values)
-    if n < 2:
-        return 0.0
-    if not correlated:
-        return float(values.std(ddof=1) / math.sqrt(n))
-    n_batches = min(32, max(2, n // 4))
-    m = n // n_batches
-    trimmed = values[: m * n_batches].reshape(n_batches, m)
-    return float(trimmed.mean(axis=1).std(ddof=1) / math.sqrt(n_batches))
-
-
 def estimate_moments(
     batch: SampleBatch,
     functions: Mapping[str, Callable[[np.ndarray], np.ndarray]],
@@ -333,13 +349,8 @@ def estimate_moments(
     """Sample means with standard errors (batch means for MCMC batches)."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    out: dict[str, MomentEstimate] = {}
-    for name, func in functions.items():
-        values = np.asarray(func(batch.points), dtype=float)
-        out[name] = MomentEstimate(
-            float(values.mean()), _standard_error(values, batch.correlated), len(values)
-        )
-    return out
+    return {name: MomentEstimate.of(func(batch.points), batch.correlated)
+            for name, func in functions.items()}
 
 
 def pushforward_deltoid(batch: SampleBatch) -> np.ndarray:

@@ -304,6 +304,20 @@ def pq_indices(degree_max: int, include_constant: bool = False) -> list[tuple[in
     ]
 
 
+def pq_polys(lam: RationalLike, degree_max: int) -> list[tuple[str, int, int, MPoly]]:
+    """Every nonzero P-hat and Q-hat with 1 <= n+k <= degree_max as (flavor, n, k, poly).
+
+    In pq_indices order, P-hat before Q-hat; the zero Q-hat(n, n) is left out.
+    """
+    out = []
+    for n, k in pq_indices(degree_max):
+        p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
+        out.append(("P", n, k, p_hat.poly))
+        if n != k:
+            out.append(("Q", n, k, q_hat.poly))
+    return out
+
+
 @dataclass(frozen=True)
 class RotationReport:
     """Exact verification of the three-fold rotation action on (P, Q)."""

@@ -120,6 +120,7 @@ from .spectral import (
     eigenbasis,
     eigenvalue_deltoid,
     pq_indices,
+    pq_polys,
     rewrite_symmetric_in_sp,
     verify_rotation,
 )
@@ -668,16 +669,9 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
         worst_norm = 0.0
         for lam in (Fraction(1), Fraction(4)):
             grid = TorusGrid.build(lam, config.grid_n)
-            polys = []
-            labels = []
-            for n, k in pq_indices(config.gram_degree_max):
-                p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
-                polys.append(p_hat.poly)
-                labels.append(("P", n, k))
-                if n != k:
-                    polys.append(q_hat.poly)
-                    labels.append(("Q", n, k))
-            gmat = gram(polys, grid)
+            entries = pq_polys(lam, config.gram_degree_max)
+            labels = [entry[:3] for entry in entries]
+            gmat = gram([poly for *_, poly in entries], grid)
             off = gmat - np.diag(np.diag(gmat))
             worst_off = max(worst_off, float(np.max(np.abs(off))))
             for i, (flavor, n, k) in enumerate(labels):
@@ -739,9 +733,7 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
 
 
 def _eigen_mean_worst_z(zvals: np.ndarray, lam: Fraction, degree_max: int) -> float:
-    polys = [e.poly for n, k in pq_indices(degree_max) for e in eigen_PQ_lambda(lam, n, k)
-             if not e.poly.is_zero()]
-    mean, se = CompiledPolys(polys).real_mean_se(zvals)
+    mean, se = CompiledPolys([poly for *_, poly in pq_polys(lam, degree_max)]).real_mean_se(zvals)
     return float(np.max(np.abs(mean) / se))
 
 
@@ -773,8 +765,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
                              method="mcmc", step=0.25)
         m_rej = estimate_moments(rejection(), funcs)["S1"]
         m_mc = estimate_moments(mcmc, funcs)["S1"]
-        combined = math.hypot(m_rej.standard_error, m_mc.standard_error)
-        zscore = abs(m_rej.mean - m_mc.mean) / combined
+        zscore = m_rej.z(m_mc)
         record(f"E[S1]: rejection {m_rej.mean:.5f} vs MCMC {m_mc.mean:.5f} "
                f"({zscore:.2f} combined standard errors; MCMC ESS {mcmc.stats['ess']:.0f})",
                Gate(zscore, Z_GATE))
@@ -795,11 +786,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
         base_m = base_moments()
         rotated = replace(rejection(), points=phi_theta(rejection().points, ThetaPair(0.9, 2.1)))
         rot_m = estimate_moments(rotated, test_funcs)
-        worst = max(
-            abs(base_m[k].mean - rot_m[k].mean)
-            / math.hypot(base_m[k].standard_error, rot_m[k].standard_error)
-            for k in test_funcs
-        )
+        worst = max(base_m[k].z(rot_m[k]) for k in test_funcs)
         record(f"moment shifts under the coordinate rotation within {worst:.2f} "
                "combined standard errors", Gate(worst, Z_GATE))
 
@@ -807,11 +794,7 @@ def _suite_sampling(report: VerificationReport, config: VerifyConfig) -> None:
         base_m = base_moments()
         conj_m = estimate_moments(replace(rejection(), points=np.conj(rejection().points)),
                                   test_funcs)
-        worst = max(
-            abs(base_m[k].mean - conj_m[k].mean)
-            / max(math.hypot(base_m[k].standard_error, conj_m[k].standard_error), 1e-300)
-            for k in test_funcs
-        )
+        worst = max(base_m[k].z(conj_m[k]) for k in test_funcs)
         record(f"moment shifts under conjugation within {worst:.2f} combined standard errors",
                Gate(worst, Z_GATE))
 

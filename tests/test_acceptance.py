@@ -7,9 +7,11 @@ measured value), its pinned sizes against ``report.config`` and its
 wall-clock bound against the suite's seconds.  Criterion 09 keeps one loop
 of its own, for the bound verify does not check: each estimated kernel
 block, orthonormalized, has a largest singular value within 1 + 4 sigma of 1.
-Run ``pytest tests/test_acceptance.py -v -s`` for one PASS line per criterion.
+The emitted report's sha256 is pinned, so any change to the report bytes
+shows here.  Run ``pytest tests/test_acceptance.py -v -s`` for one PASS line per criterion.
 """
 
+import hashlib
 import math
 import operator
 from fractions import Fraction
@@ -18,10 +20,13 @@ import numpy as np
 import pytest
 
 from deltoid_lab.hypergroup import ProbeContext, estimate_markov_matrix, theta_grid
+from deltoid_lab.report import emit_report
 from deltoid_lab.sampling import sample_omega1
 from deltoid_lab.verify import LAMBDA_EIGEN_SET, LAMBDA_INTERP, VerifyConfig, run_verify
 
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
+# sha256 of the report bytes that `deltoid-lab verify --out` writes at the default config.
+DEFAULT_REPORT_SHA256 = "0e62d9a73961d249cecdc664428e8177fc3fe7824b27720abd67baba36fc4a4a"
 
 
 @pytest.fixture(scope="session")
@@ -180,3 +185,13 @@ def test_criterion_11_discrepancy_ledger(default_run):
     ]
     assert all("resolution" in e.details for e in discrepancies)
     print("\nCRITERION 11 PASS: exactly three discrepancy-noted entries, each resolved")
+
+
+def test_default_report_bytes_are_pinned(report, tmp_path):
+    """The default report is byte-identical to the pinned one."""
+    out = tmp_path / "report.json"
+    emit_report(report, str(out))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256, (
+        f"the default verify report changed (sha256 {digest}); change the pin only "
+        "together with a line in CHANGES.md that gives the reason")

@@ -110,6 +110,8 @@ class TestEstimation:
         assert crosses
         for c in crosses:
             assert abs(c["correlation"]) < 4.5 * c["standard_error"]
+        # The rotated side of each pair is the function of the smaller index (n, k).
+        assert all(first[1:] < second[1:] for first, second in (c["pair"] for c in crosses))
 
     def test_requires_omega1_batch(self, ctx):
         from deltoid_lab.sampling import sample_torus

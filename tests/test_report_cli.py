@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deltoid_lab import report as report_module
 from deltoid_lab.cli import load_config_file, main
 from deltoid_lab.hypergroup import MarkovMatrix
 from deltoid_lab.models import ThetaPair
@@ -110,8 +111,9 @@ class TestSvg:
         path = next(line for line in text.splitlines() if line.startswith("<path"))
         assert path.count("L") == 719  # M + 719 L commands
 
-    def test_cusp_positions_marked(self):
-        text = deltoid_svg(width=200, height=200)
+    def test_cusp_positions_marked(self, monkeypatch):
+        monkeypatch.setattr(report_module, "SVG_SIZE", 200)
+        text = deltoid_svg()
         # cusp at Z = 1 maps to pixel x = (1 + 1.15)/2.3 * 200
         expected_x = (1.0 + 1.15) / 2.3 * 200
         assert f'cx="{expected_x:.3f}"' in text
@@ -206,6 +208,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --") and err.count("\n") == 1
         assert "must be at least" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,option", [
+        (["verify"], "--out"),
+        (["eigen", "--lambda", "7/3"], "--out"),
+        (["gram", "--lambda", "4"], "--out"),
+        (["markov", "--lambda", "11/2"], "--out"),
+        (["markov", "--lambda", "11/2"], "--verdict"),
+        (["sample", "torus", "--n", "10"], "--out"),
+        (["plot", "deltoid"], "--out"),
+    ], ids=["verify", "eigen", "gram", "markov-out", "markov-verdict", "sample", "plot"])
+    def test_output_in_missing_directory(self, argv, option, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("deltoid_lab.verify.run_verify", lambda config: pytest.fail("ran"))
+        out = tmp_path / "missing" / "out"
+        assert main([*argv, option, str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {option} ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
+    def test_output_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["eigen", "--lambda", "7/3", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --out") and err.count("\n") == 1
+
+    def test_markov_k_needs_n(self, tmp_path, capsys):
+        out = tmp_path / "verdict.json"
+        assert main(["markov", "--lambda", "11/2", "--k", "2", "--verdict", str(out)]) == 3
+        assert capsys.readouterr().err == "usage error: --k needs --n\n"
+        assert not out.exists()
+
+    def test_sample_refusal_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "omega1.csv"
+        assert main(["sample", "omega1", "--method", "mcmc", "--lambda", "3", "--n", "1000",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sampling refused: MCMC effective sample size")
+        assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
     def test_module_entry_point(self, tmp_path):
@@ -364,6 +403,21 @@ class TestVerifyCli:
         err = capsys.readouterr().err
         assert err.startswith("usage error: config key") and err.count("\n") == 1
         assert repr(key) in err
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read config file"),
+        (b"seed = 3\n\xff\n", "is not UTF-8 text"),
+        (b"seed = 3\nseed = 4\n", "config key 'seed' is set twice"),
+    ], ids=["missing-file", "not-utf8", "duplicate-key"])
+    def test_unusable_config_file(self, content, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("deltoid_lab.verify.run_verify", lambda config: pytest.fail("ran"))
+        cfg = tmp_path / "v.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["verify", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_boolean_config_spellings(self, tmp_path):
         from deltoid_lab.cli import _build_verify_config, build_parser

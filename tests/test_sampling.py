@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from deltoid_lab.models import omega1_boundary_values, omega1_membership, phi_theta, ThetaPair
+from deltoid_lab import sampling
 from deltoid_lab.sampling import (
+    MomentEstimate,
     SamplingError,
+    _batch_means_ess,
     _haar_su3_chunk,
     _omega1_log_p1,
     estimate_moments,
@@ -66,8 +69,9 @@ def test_su3_gram_schmidt_matches_qr_oracle():
     assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-14
 
 
-def test_su3_trace_streaming_consistent():
-    traces = su3_trace_samples(300, 13, chunk=64)
+def test_su3_trace_streaming_consistent(monkeypatch):
+    monkeypatch.setattr(sampling, "SU3_CHUNK", 64)
+    traces = su3_trace_samples(300, 13)
     full = np.trace(sample_su3_haar(300, 13).points, axis1=-2, axis2=-1) / 3.0
     assert np.allclose(traces, full)
 
@@ -216,3 +220,61 @@ def test_moment_consistency_api():
         (np.exp(1j * pts[:, 0]) + np.exp(1j * pts[:, 1]) + np.exp(-1j * (pts[:, 0] + pts[:, 1]))) / 3.0
     ) ** 2})["abs_z_sq"]
     assert abs(est.mean - float(np.mean(np.abs(zs) ** 2))) <= 0.1 * est.standard_error
+
+
+def _standard_error_oracle(values: np.ndarray, correlated: bool) -> float:
+    """The standard error as written before MomentEstimate.of held it."""
+    n = len(values)
+    if n < 2:
+        return 0.0
+    if not correlated:
+        return float(values.std(ddof=1) / math.sqrt(n))
+    n_batches = min(32, max(2, n // 4))
+    m = n // n_batches
+    trimmed = values[: m * n_batches].reshape(n_batches, m)
+    return float(trimmed.mean(axis=1).std(ddof=1) / math.sqrt(n_batches))
+
+
+def _batch_means_ess_oracle(values: np.ndarray) -> float:
+    """The effective sample size as written before _batch_means was shared."""
+    m = len(values) // 32
+    if m < 2:
+        return float(len(values))
+    batch_means = values[: m * 32].reshape(32, m).mean(axis=1)
+    var_bm = batch_means.var(ddof=1) / 32
+    if var_bm <= 0:
+        return float(len(values))
+    return float(values.var(ddof=1) / var_bm)
+
+
+def _ar1_series(n: int, seed: int) -> np.ndarray:
+    """A strongly autocorrelated series, like an MCMC trace."""
+    noise = np.random.default_rng(seed).standard_normal(n)
+    out = np.empty(n)
+    out[0] = noise[0]
+    for i in range(1, n):
+        out[i] = 0.9 * out[i - 1] + noise[i]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1001, 4099])
+@pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
+def test_moment_estimate_matches_the_old_formulas_bit_for_bit(n, correlated):
+    values = _ar1_series(n, 71) if correlated else np.random.default_rng(71).uniform(size=n)
+    est = MomentEstimate.of(values, correlated)
+    assert est.n == n
+    assert est.mean == float(values.mean())
+    assert est.standard_error == _standard_error_oracle(values, correlated)
+
+
+def test_moment_estimate_z():
+    exact = MomentEstimate(0.25, 0.0, 10)
+    assert exact.z(MomentEstimate(0.25, 0.0, 10)) == 0.0
+    a, b = MomentEstimate(1.0, 0.3, 100), MomentEstimate(0.5, 0.4, 100)
+    assert a.z(b) == b.z(a) == 0.5 / math.hypot(0.3, 0.4)
+
+
+@pytest.mark.parametrize("n", [40, 64, 1000, 4000])
+def test_batch_means_ess_unchanged(n):
+    values = _ar1_series(n, 73)
+    assert _batch_means_ess(values) == _batch_means_ess_oracle(values)

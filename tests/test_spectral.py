@@ -28,6 +28,7 @@ from deltoid_lab.spectral import (
     operator_table,
     pq_indices,
     pq_pair,
+    pq_polys,
     rewrite_symmetric_in_sp,
     verify_rotation,
 )
@@ -150,6 +151,17 @@ class TestEigenPQ:
             p_hat, q_hat = eigen_PQ_lambda(LAM, n, k)
             assert coefficient_components_ok(p_hat)
             assert coefficient_components_ok(q_hat)
+
+    def test_pq_polys_lists_every_nonzero_pair_member(self):
+        expected = []
+        for n, k in pq_indices(5):
+            for e in eigen_PQ_lambda(LAM, n, k):
+                if not e.poly.is_zero():
+                    expected.append((e.flavor, n, k, e.poly))
+        listed = pq_polys(LAM, 5)
+        assert listed == expected
+        assert [e[:3] for e in listed if e[1] == e[2]] == [("P", 1, 1), ("P", 2, 2)]
+        assert [e[0] for e in listed[:3]] == ["P", "Q", "P"]
 
 
 class TestRotation:
