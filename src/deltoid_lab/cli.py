@@ -182,7 +182,6 @@ def cmd_markov(args) -> int:
         ProbeContext,
         estimate_markov_matrix,
         exact_markov_matrix,
-        markov_pair_exact,
         theta_grid,
     )
     from .report import emit_csv, markov_matrices_to_csv
@@ -191,6 +190,8 @@ def cmd_markov(args) -> int:
 
     lam = _lambda(args.lam, "rejection_sampler")
     if args.n is not None:
+        if args.degree_max is not None:
+            raise UsageError("--degree-max and --n exclude each other")
         k = args.k if args.k is not None else 0
         if k > args.n:
             raise UsageError("--k must not exceed --n")
@@ -199,7 +200,7 @@ def cmd_markov(args) -> int:
     elif args.k is not None:
         raise UsageError("--k needs --n")
     else:
-        degree_max = args.degree_max
+        degree_max = 3 if args.degree_max is None else args.degree_max
         indices = None
     ctx = ProbeContext.build(lam, degree_max)
     if indices is None:
@@ -211,10 +212,9 @@ def cmd_markov(args) -> int:
     for theta in thetas:
         for n, k in indices:
             est = estimate_markov_matrix(ctx, n, k, theta, batch)
-            matrices.append(est)
-            alpha, gamma_val = markov_pair_exact(ctx, n, k, theta)
-            worst_z = max(worst_z, abs(est.alpha - alpha) / est.provenance["alpha"][1])
-            matrices.append(exact_markov_matrix(ctx, n, k, theta))
+            exact = exact_markov_matrix(ctx, n, k, theta)
+            worst_z = max(worst_z, est.z_scores(exact)["alpha"])
+            matrices += [est, exact]
     csv_text = markov_matrices_to_csv(matrices)
     if args.out:
         emit_csv(csv_text, args.out)
@@ -259,7 +259,8 @@ def cmd_sample(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown sample kind {args.kind}")
     if args.format == "npz":
-        np.savez(args.out, **columns)
+        with open(args.out, "wb") as fh:  # a path would gain a ".npz" suffix
+            np.savez(fh, **columns)
     else:
         names = list(columns)
         rows = np.column_stack([columns[c] for c in names])
@@ -369,7 +370,8 @@ def build_parser() -> _Parser:
     p_markov.add_argument("--lambda", dest="lam", required=True)
     p_markov.add_argument("--n", type=int)
     p_markov.add_argument("--k", type=int)
-    p_markov.add_argument("--degree-max", dest="degree_max", type=int, default=3)
+    p_markov.add_argument("--degree-max", dest="degree_max", type=int,
+                          help="all indices with n + k up to this (default 3); not with --n")
     p_markov.add_argument("--theta-grid", dest="theta_grid", type=int, default=3)
     p_markov.add_argument("--samples", type=int, default=50_000)
     p_markov.add_argument("--seed", type=int, default=20260808)

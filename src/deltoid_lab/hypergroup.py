@@ -14,9 +14,13 @@ unconditional correlations
 
     E[u(pi(Phi_theta xi)) v(pi(xi))] = M[u, v] * ||v||^2 ,
 
-normalized by quadrature norms.  The module also hosts the parity and
-positivity scans and the moment-sequence representation check for measures
-on the domain.
+normalized by quadrature norms.  Each entry is labelled "exact" (a closed
+form, or a zero forced by Q-hat(n, n) = 0), "estimated" (a Monte-Carlo mean
+and its standard error) or "unavailable" (NaN, no closed form), and the
+labels are the whole comparison rule: MarkovMatrix.z_scores compares the
+entries one block estimates and the other knows exactly.  The module also
+hosts the parity and positivity scans and the moment-sequence
+representation check for measures on the domain.
 """
 
 from __future__ import annotations
@@ -50,7 +54,16 @@ class MarkovMatrix:
     beta: float
     gamma: float
     delta: float
-    provenance: dict  # entry -> ("exact", 0.0) | ("estimated", standard_error)
+    provenance: dict  # entry -> ("exact", 0.0) | ("estimated", se) | ("unavailable", nan)
+
+    def z_scores(self, exact: "MarkovMatrix") -> dict[str, float]:
+        """|entry - exact entry| / standard error, per entry this block estimates
+        and exact knows in closed form.  A zero standard error raises."""
+        return {
+            name: abs(getattr(self, name) - getattr(exact, name)) / se
+            for name, (label, se) in self.provenance.items()
+            if label == "estimated" and exact.provenance[name][0] == "exact"
+        }
 
 
 @dataclass(frozen=True)
@@ -151,21 +164,6 @@ def rotation_delta_exact(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) ->
     return alpha
 
 
-def remark_delta_value(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) -> float | None:
-    """The cot-prefactor closed form for delta, reported for comparison only.
-
-    This printed formula disagrees with the rotation-derived value (and with
-    delta(0) = 1); the probe reports both next to the Monte-Carlo estimate
-    without adjudicating intent.
-    """
-    m = (n - k) % 3
-    if m == 0:
-        return None
-    angle = 2.0 * math.pi * (n - k) / 3.0
-    alpha, _ = markov_pair_exact(ctx, n, k, theta)
-    return (math.cos(angle) / math.sin(angle)) * alpha
-
-
 def estimate_markov_matrix(
     ctx: ProbeContext,
     n: int,
@@ -177,7 +175,8 @@ def estimate_markov_matrix(
 
     With u, v ranging over the pair, E[u(pi(Phi_theta xi)) v(pi(xi))] equals
     M[u, v] ||v||^2; the norms come from quadrature.  Entries carry standard
-    errors of the correlation means.
+    errors of the correlation means; Q-hat(n, n) = 0 makes the other three
+    entries of an n = k block exact zeros.
     """
     if batch.kind != "omega1":
         raise ValueError("markov estimation needs lifted-domain samples")
@@ -191,7 +190,7 @@ def estimate_markov_matrix(
         terms += [("beta", p_rot, q_base, q_norm2), ("gamma", q_rot, p_base, p_norm2),
                   ("delta", q_rot, q_base, q_norm2)]
     entries = dict.fromkeys(("alpha", "beta", "gamma", "delta"), 0.0)
-    provenance = dict.fromkeys(entries, ("estimated", 0.0))
+    provenance = dict.fromkeys(entries, ("exact", 0.0))
     for name, u_vals, v_vals, v_norm2 in terms:
         est = MomentEstimate.of(u_vals * v_vals)
         entries[name] = est.mean / v_norm2
@@ -221,15 +220,22 @@ def exact_markov_matrix(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) -> 
 def delta_report(
     ctx: ProbeContext, n: int, k: int, theta: ThetaPair, batch: SampleBatch
 ) -> dict:
-    """Monte-Carlo delta next to the two closed-form candidates."""
+    """Monte-Carlo delta next to the rotation-derived value and, for comparison
+    only, the printed form cot(2 pi (n - k)/3) * alpha, which violates
+    delta(0) = 1.  Both candidates are None for n = k (mod 3)."""
     estimated = estimate_markov_matrix(ctx, n, k, theta, batch)
+    exact = exact_markov_matrix(ctx, n, k, theta)
+    rotation = cot = None
+    if exact.provenance["delta"][0] == "exact":
+        angle = 2.0 * math.pi * (n - k) / 3.0
+        rotation, cot = exact.delta, (math.cos(angle) / math.sin(angle)) * exact.alpha
     return {
         "index": (n, k),
         "theta": (theta.t1, theta.t2),
         "monte_carlo": estimated.delta,
         "monte_carlo_se": estimated.provenance["delta"][1],
-        "rotation_derived": rotation_delta_exact(ctx, n, k, theta),
-        "cot_closed_form": remark_delta_value(ctx, n, k, theta),
+        "rotation_derived": rotation,
+        "cot_closed_form": cot,
     }
 
 

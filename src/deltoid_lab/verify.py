@@ -62,10 +62,9 @@ from .hypergroup import (
     coverage_check,
     delta_report,
     estimate_markov_matrix,
-    markov_pair_exact,
+    exact_markov_matrix,
     positivity_scan,
     representation_check,
-    rotation_delta_exact,
     theta_grid,
 )
 from .models import (
@@ -809,21 +808,8 @@ def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
 
     with _numeric(report, "hypergroup.exact_vs_estimated") as record:
         ctx, batch = probe(), samples()
-        worst_z = 0.0
-        for theta in thetas:
-            for n, k in ctx.pairs:
-                est = estimate_markov_matrix(ctx, n, k, theta, batch)
-                alpha, gamma_val = markov_pair_exact(ctx, n, k, theta)
-                worst_z = max(worst_z, abs(est.alpha - alpha) / est.provenance["alpha"][1])
-                if n != k:
-                    worst_z = max(
-                        worst_z,
-                        abs(est.gamma - gamma_val) / est.provenance["gamma"][1],
-                        abs(est.beta - (-gamma_val)) / est.provenance["beta"][1],
-                    )
-                    d_rot = rotation_delta_exact(ctx, n, k, theta)
-                    if d_rot is not None:
-                        worst_z = max(worst_z, abs(est.delta - d_rot) / est.provenance["delta"][1])
+        worst_z = max(z for theta in thetas for n, k in ctx.pairs for z in estimate_markov_matrix(
+            ctx, n, k, theta, batch).z_scores(exact_markov_matrix(ctx, n, k, theta)).values())
         record(f"exact block entries reproduced within {worst_z:.2f} standard errors "
                f"over a {config.theta_per_axis}x{config.theta_per_axis} grid, "
                f"n+k <= {config.probe_degree_max}, {len(batch)} samples", Gate(worst_z, Z_GATE))

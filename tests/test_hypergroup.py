@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from deltoid_lab.hypergroup import (
     exact_markov_matrix,
     markov_pair_exact,
     positivity_scan,
-    remark_delta_value,
     representation_check,
     rotation_delta_exact,
     theta_grid,
@@ -76,12 +76,77 @@ class TestExactEntries:
         alpha, _ = markov_pair_exact(ctx, 2, 1, theta)
         assert rotation_delta_exact(ctx, 2, 1, theta) == pytest.approx(alpha)
 
-    def test_remark_value_disagrees_with_delta_at_zero(self, ctx):
+    def test_remark_value_disagrees_with_delta_at_zero(self, ctx, batch):
         # The printed cot-prefactor form cannot be right: at theta = 0 the
         # kernel is the identity, so delta = 1, while the form gives
         # cot(2 pi (n-k)/3) ~ +-0.577.
-        value = remark_delta_value(ctx, 1, 0, ThetaPair(0.0, 0.0))
-        assert abs(value - 1.0) > 0.4
+        rep = delta_report(ctx, 1, 0, ThetaPair(0.0, 0.0), batch)
+        assert rep["rotation_derived"] == pytest.approx(1.0)
+        assert rep["cot_closed_form"] == pytest.approx(-1.0 / math.sqrt(3.0))
+        assert abs(rep["cot_closed_form"] - 1.0) > 0.4
+
+
+def old_verify_worst_z(ctx, thetas, batch):
+    """The hand-written comparison verify used before MarkovMatrix.z_scores."""
+    worst_z = 0.0
+    for theta in thetas:
+        for n, k in ctx.pairs:
+            est = estimate_markov_matrix(ctx, n, k, theta, batch)
+            alpha, gamma_val = markov_pair_exact(ctx, n, k, theta)
+            worst_z = max(worst_z, abs(est.alpha - alpha) / est.provenance["alpha"][1])
+            if n != k:
+                worst_z = max(
+                    worst_z,
+                    abs(est.gamma - gamma_val) / est.provenance["gamma"][1],
+                    abs(est.beta - (-gamma_val)) / est.provenance["beta"][1],
+                )
+                d_rot = rotation_delta_exact(ctx, n, k, theta)
+                if d_rot is not None:
+                    worst_z = max(worst_z, abs(est.delta - d_rot) / est.provenance["delta"][1])
+    return worst_z
+
+
+class TestZScores:
+    THETA = ThetaPair(1.0, 2.0)
+
+    def blocks(self, ctx, batch, n, k):
+        return (estimate_markov_matrix(ctx, n, k, self.THETA, batch),
+                exact_markov_matrix(ctx, n, k, self.THETA))
+
+    @pytest.mark.parametrize("index,compared", [
+        ((1, 1), {"alpha"}),
+        ((3, 0), {"alpha", "beta", "gamma"}),
+        ((2, 1), {"alpha", "beta", "gamma", "delta"}),
+    ], ids=["n-equals-k", "n-congruent-k", "generic"])
+    def test_compared_entries(self, ctx, batch, index, compared):
+        est, exact = self.blocks(ctx, batch, *index)
+        assert set(est.z_scores(exact)) == compared
+
+    def test_n_equals_k_entries_are_exact_zeros(self, ctx, batch):
+        est, _ = self.blocks(ctx, batch, 1, 1)
+        for name in ("beta", "gamma", "delta"):
+            assert getattr(est, name) == 0.0 and est.provenance[name] == ("exact", 0.0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta"])
+    def test_corrupted_exact_entry_is_flagged(self, ctx, batch, name):
+        est, exact = self.blocks(ctx, batch, 2, 1)
+        clean = est.z_scores(exact)
+        corrupted = est.z_scores(dataclasses.replace(exact, **{name: getattr(exact, name) + 0.5}))
+        assert clean[name] < 4 < corrupted[name]
+        assert {key: z for key, z in corrupted.items() if key != name} == {
+            key: z for key, z in clean.items() if key != name}
+
+    def test_zero_standard_error_raises(self, ctx, batch):
+        est, exact = self.blocks(ctx, batch, 2, 1)
+        provenance = dict(est.provenance, gamma=("estimated", 0.0))
+        with pytest.raises(ZeroDivisionError):
+            dataclasses.replace(est, provenance=provenance).z_scores(exact)
+
+    def test_worst_z_bit_equal_to_hand_written_loop(self, ctx, batch):
+        thetas = theta_grid(2)
+        new = max(z for theta in thetas for n, k in ctx.pairs for z in estimate_markov_matrix(
+            ctx, n, k, theta, batch).z_scores(exact_markov_matrix(ctx, n, k, theta)).values())
+        assert new == old_verify_worst_z(ctx, thetas, batch)
 
 
 class TestEstimation:
@@ -89,14 +154,7 @@ class TestEstimation:
         for theta in (ThetaPair(1.0, 2.0), ThetaPair(2.5, 0.7)):
             for n, k in ctx.pairs:
                 est = estimate_markov_matrix(ctx, n, k, theta, batch)
-                alpha, gamma = markov_pair_exact(ctx, n, k, theta)
-                assert abs(est.alpha - alpha) < 4 * est.provenance["alpha"][1]
-                if n != k:
-                    assert abs(est.gamma - gamma) < 4 * est.provenance["gamma"][1]
-                    assert abs(est.beta + gamma) < 4 * est.provenance["beta"][1]
-                    d_rot = rotation_delta_exact(ctx, n, k, theta)
-                    if d_rot is not None:
-                        assert abs(est.delta - d_rot) < 4 * est.provenance["delta"][1]
+                assert max(est.z_scores(exact_markov_matrix(ctx, n, k, theta)).values()) < 4
 
     def test_delta_report_sides_with_rotation(self, ctx, batch):
         theta = ThetaPair(1.0, 2.0)

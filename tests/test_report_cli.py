@@ -232,10 +232,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --out") and err.count("\n") == 1
 
-    def test_markov_k_needs_n(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["--k", "2"], "--k needs --n"),
+        (["--n", "1", "--degree-max", "9"], "--degree-max and --n exclude each other"),
+    ], ids=["k-without-n", "n-with-degree-max"])
+    def test_markov_conflicting_options(self, argv, message, tmp_path, capsys):
         out = tmp_path / "verdict.json"
-        assert main(["markov", "--lambda", "11/2", "--k", "2", "--verdict", str(out)]) == 3
-        assert capsys.readouterr().err == "usage error: --k needs --n\n"
+        assert main(["markov", "--lambda", "11/2", *argv, "--verdict", str(out)]) == 3
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     def test_sample_refusal_is_one_line(self, tmp_path, capsys):
@@ -292,6 +296,14 @@ class TestCli:
         data = np.load(out)
         assert set(data.files) == {"re1", "im1", "re2", "im2", "re3", "im3"}
         assert len(data["re1"]) == 100
+
+    def test_sample_npz_writes_exactly_out(self, tmp_path, capsys):
+        out = tmp_path / "pts"
+        assert main(["sample", "torus", "--n", "5", "--format", "npz", "--out", str(out)]) == 0
+        assert os.listdir(tmp_path) == ["pts"]
+        assert capsys.readouterr().out == f"wrote 5 torus samples to {out}\n"
+        data = np.load(out)
+        assert set(data.files) == {"t1", "t2"} and len(data["t1"]) == 5
 
     def test_markov_cli(self, tmp_path):
         csv_out = tmp_path / "markov.csv"
