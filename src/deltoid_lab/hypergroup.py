@@ -151,17 +151,10 @@ def markov_pair_exact(
 
 
 def rotation_delta_exact(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) -> float | None:
-    """delta derived from the three-fold rotation action: delta = alpha.
-
-    Evaluating the kernel at the cusp j and using the rotation of the pair
-    forces delta(theta) = P(Z(theta))/P(1) whenever n - k is not divisible
-    by 3; for n = k (mod 3) the rotation carries no information and None is
-    returned.
-    """
+    """The rotation-derived delta of exact_markov_matrix, or None for n = k (mod 3)."""
     if (n - k) % 3 == 0:
         return None
-    alpha, _ = markov_pair_exact(ctx, n, k, theta)
-    return alpha
+    return exact_markov_matrix(ctx, n, k, theta).delta
 
 
 def estimate_markov_matrix(
@@ -201,19 +194,21 @@ def estimate_markov_matrix(
 def exact_markov_matrix(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) -> MarkovMatrix:
     """Exact (alpha, beta, gamma) and the rotation-derived delta when available.
 
-    For n = k (mod 3) the delta entry is NaN: no exact value exists.
+    Evaluating the kernel at the cusp j and using the rotation of the pair
+    forces delta(theta) = P(Z(theta))/P(1) = alpha whenever n - k is not
+    divisible by 3.  For n = k (mod 3) the rotation carries no information
+    and the delta entry is NaN: no exact value exists.
     """
     alpha, gamma = markov_pair_exact(ctx, n, k, theta)
-    delta = rotation_delta_exact(ctx, n, k, theta)
+    rotation = (n - k) % 3 != 0
     provenance = {
         "alpha": ("exact", 0.0),
         "beta": ("exact", 0.0),
         "gamma": ("exact", 0.0),
-        "delta": ("exact", 0.0) if delta is not None else ("unavailable", math.nan),
+        "delta": ("exact", 0.0) if rotation else ("unavailable", math.nan),
     }
     return MarkovMatrix(
-        n, k, theta, alpha, -gamma, gamma,
-        delta if delta is not None else math.nan, provenance,
+        n, k, theta, alpha, -gamma, gamma, alpha if rotation else math.nan, provenance,
     )
 
 

@@ -153,8 +153,8 @@ PI_IMAGES = {
 # ---------------------------------------------------------------------------
 
 
-def membership_deltoid(z: complex) -> str:
-    """Classify a point against the deltoid domain via cube-root moduli.
+def membership_deltoid(z: complex | np.ndarray) -> str | np.ndarray:
+    """Classify points against the deltoid domain via cube-root moduli.
 
     The three roots of X^3 - 3 Z X^2 + 3 conj(Z) X - 1 all lie on the unit
     circle and are pairwise distinct exactly for interior points; a root
@@ -163,18 +163,28 @@ def membership_deltoid(z: complex) -> str:
     eps**(1/2) / eps**(1/3)), so the collision band 1e-4 is wider than the
     modulus tolerance 1e-9 and is confirmed by the boundary polynomial
     vanishing, which is exactly the discriminant condition for a collision.
+
+    z is one complex number, which gets its label as a str, or an array of
+    them, which gets an array of labels of the same shape.  The roots come
+    from one np.linalg.eigvals call on the stacked companion matrices, built
+    as np.roots builds one, so each point's roots are those of np.roots.
     """
-    z = complex(z)
-    roots = np.roots([1.0, -3.0 * z, 3.0 * np.conj(z), -1.0])
-    moduli_dev = float(np.max(np.abs(np.abs(roots) - 1.0)))
-    min_gap = min(
-        abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)
-    )
-    if min_gap <= 1e-4 and abs(deltoid_boundary_values(z)) < 1e-8:
-        return "boundary"
-    if moduli_dev < 1e-9 and min_gap > 1e-4:
-        return "interior"
-    return "exterior"
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
+    one = np.ones_like(flat)
+    coeffs = np.stack([one, -3.0 * flat, 3.0 * np.conj(flat), -one], axis=-1)
+    companion = np.zeros((len(flat), 3, 3), dtype=complex)
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    moduli_dev = np.max(np.abs(np.abs(roots) - 1.0), axis=-1)
+    min_gap = np.abs(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]]).min(axis=-1)
+    collided = min_gap <= 1e-4
+    labels = np.where(
+        collided & (np.abs(deltoid_boundary_values(flat)) < 1e-8), "boundary",
+        np.where((moduli_dev < 1e-9) & ~collided, "interior", "exterior"),
+    ).reshape(zs.shape)
+    return str(labels) if labels.ndim == 0 else labels
 
 
 def omega1_membership(points: np.ndarray) -> np.ndarray:

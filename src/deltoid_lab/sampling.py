@@ -14,6 +14,15 @@ Three sample spaces feed the distributional checks:
 
 Everything is reproducible: a batch is a pure function of (parameters,
 seed).
+
+Two fast paths keep the random streams as they were.  Rejection screens
+every polydisc proposal in real arithmetic on the drawn moduli and angles
+and builds complex points only for the few percent that survive; the
+screen's margin exceeds its rounding error, so it never drops a point
+omega1_membership accepts, and omega1_membership stays the only judge.
+Haar SU(3) draws go through one Gram-Schmidt kernel in blocks of SU3_CHUNK
+matrices; the trace path sums three diagonal entries and never builds the
+matrices.
 """
 
 from __future__ import annotations
@@ -34,8 +43,12 @@ from .scalars import RationalLike
 # ESS_BATCHES batch means.
 MIN_ESS = 100.0
 ESS_BATCHES = 32
-# su3_trace_samples holds at most this many matrices at a time.
-SU3_CHUNK = 100_000
+# The SU(3) samplers orthonormalize this many matrices at a time, so that a
+# block's temporaries take a few MiB rather than scaling with the sample size.
+SU3_CHUNK = 4096
+# Rejection keeps a proposal for the membership judge when its screened
+# P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN (see _polydisc_screen).
+SCREEN_MARGIN = 1e-9
 
 
 class SamplingError(RuntimeError):
@@ -105,7 +118,9 @@ def sample_torus(n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
+def _gram_schmidt_su3(
+    rng: np.random.Generator, n: int
+) -> tuple[list[list[np.ndarray]], np.ndarray]:
     """Haar SU(3) by Gram-Schmidt on the columns of a complex Ginibre ensemble.
 
     Orthonormalizing the columns in order is the QR decomposition with a
@@ -114,8 +129,13 @@ def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
     is enough"), which keeps Q unitary to rounding.  Dividing by the
     principal cube root of the determinant (by cofactors) projects onto the
     det = 1 slice, and left-invariance makes the result Haar there.
+
+    Returns (basis, inverse_root): basis[j][i] is entry (i, j) of every Q,
+    and the SU(3) matrix is Q * inverse_root.  det has modulus 1 up to
+    rounding, so its cube root is taken in floats from its angle / 3 and
+    cbrt(|det|), on the principal branch as before.
     """
-    # Interleave the real and imaginary draws per entry so that chunked
+    # Interleave the real and imaginary draws per entry so that blocked
     # generation consumes the stream exactly like one bulk call.
     raw = rng.standard_normal((n, 3, 3, 2))
     # columns[j][i] is entry (i, j) of every matrix, as one contiguous array.
@@ -133,7 +153,17 @@ def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
     det = (a[0] * (b[1] * c[2] - b[2] * c[1])
            - a[1] * (b[0] * c[2] - b[2] * c[0])
            + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    inverse_root = 1.0 / np.power(det, 1.0 / 3.0)
+    third = np.arctan2(det.imag, det.real) / 3.0
+    modulus = np.cbrt(np.hypot(det.real, det.imag))
+    inverse_root = np.empty(n, dtype=complex)
+    inverse_root.real = np.cos(third) / modulus
+    inverse_root.imag = -np.sin(third) / modulus
+    return basis, inverse_root
+
+
+def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar SU(3) matrices, shape (n, 3, 3), from _gram_schmidt_su3."""
+    basis, inverse_root = _gram_schmidt_su3(rng, n)
     q = np.empty((n, 3, 3), dtype=complex)
     for j, column in enumerate(basis):
         for i in range(3):
@@ -141,28 +171,35 @@ def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
     return q
 
 
+def _blocks(n: int):
+    """Consecutive slices of range(n) with at most SU3_CHUNK indices each."""
+    for start in range(0, n, SU3_CHUNK):
+        yield slice(start, min(start + SU3_CHUNK, n))
+
+
 def sample_su3_haar(n: int, seed: int) -> SampleBatch:
     """n Haar-distributed special unitary 3x3 matrices."""
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    return SampleBatch("su3", seed, {"n": n}, _haar_su3_chunk(rng, n))
+    points = np.empty((n, 3, 3), dtype=complex)
+    for block in _blocks(n):
+        points[block] = _haar_su3_chunk(rng, block.stop - block.start)
+    return SampleBatch("su3", seed, {"n": n}, points)
 
 
 def su3_trace_samples(n: int, seed: int) -> np.ndarray:
-    """Normalized traces trace(g)/3 of n Haar SU(3) matrices, streamed.
+    """Normalized traces trace(g)/3 of n Haar SU(3) matrices.
 
-    Equivalent to sample_su3_haar(n, seed) followed by the trace map, but
-    holds only SU3_CHUNK matrices at a time; used for large moment runs.
+    The same draws as sample_su3_haar(n, seed) followed by the trace map,
+    equal to rounding, but the matrices are never assembled: each block sums
+    the diagonal of its orthonormal basis and scales it once.
     """
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=complex)
-    done = 0
-    while done < n:
-        m = min(SU3_CHUNK, n - done)
-        q = _haar_su3_chunk(rng, m)
-        out[done : done + m] = np.trace(q, axis1=-2, axis2=-1) / 3.0
-        done += m
+    for block in _blocks(n):
+        (a, b, c), inverse_root = _gram_schmidt_su3(rng, block.stop - block.start)
+        out[block] = (a[0] + b[1] + c[2]) * inverse_root / 3.0
     return out
 
 
@@ -175,10 +212,35 @@ def _beta_of_lambda(lam: Fraction) -> Fraction:
     return (2 * lam - 11) / 6
 
 
-def _propose_polydisc(rng: np.random.Generator, n: int) -> np.ndarray:
-    radii = np.sqrt(rng.uniform(size=(n, 3)))
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(n, 3))
-    return radii * np.exp(1j * angles)
+def _polydisc_screen(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Indices of the polydisc proposals sqrt(u) * exp(1j * angles) that may
+    lie in the lifted domain, computed in real arithmetic on the draws.
+
+    With s1 = sum u_i and s2 = sum u_i^2 (u_i = |z_i|^2),
+
+        P1 = 2 - (s1 + 1)^2 + 2*s2 + 8*sqrt(u0 u1 u2)*cos(a0 + a1 + a2),
+        P2 = 2*(s2 - 1) - (s1 - 1)^2,
+
+    and a proposal survives when P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN.
+    The screen is conservative: omega1_membership evaluates the same
+    polynomials from the complex points.  There |z_i|^2 differs from u_i by
+    a few units of rounding eps = 2**-53 relative, and Re(z0 z1 z2) differs
+    from sqrt(u0 u1 u2) cos(a0 + a1 + a2) by a few eps absolute (all moduli
+    are at most 1; the rounded angle sum, below 6*pi, moves the cosine by at
+    most 6*pi*eps).  Every term of P1 and P2 is at most 16 in size, so the
+    two evaluations differ by less than 1000 * 16 * eps < 2e-12, far inside
+    the margin 1e-9: a point the judge accepts (P1 > 1e-14, P2 < 0) always
+    survives the screen.
+    """
+    u0, u1, u2 = u.T
+    s1 = u0 + u1 + u2
+    s2 = u0 * u0 + u1 * u1 + u2 * u2
+    t = s1 - 1.0
+    p2 = 2.0 * (s2 - 1.0) - t * t
+    t = s1 + 1.0
+    p1 = 2.0 - t * t + 2.0 * s2 + 8.0 * np.sqrt(u0 * u1 * u2) * np.cos(
+        angles[:, 0] + angles[:, 1] + angles[:, 2])
+    return np.flatnonzero((p1 > -SCREEN_MARGIN) & (p2 < SCREEN_MARGIN))
 
 
 def sample_omega1(
@@ -195,7 +257,10 @@ def sample_omega1(
     method='rejection' draws uniform polydisc proposals and accepts into
     the membership set (exact at beta = 0, i.e. lambda = 11/2; beta > 0 is
     handled by an extra P1**beta acceptance using the envelope P1 <= 1;
-    beta < 0 has no bounded envelope and requires MCMC).
+    beta < 0 has no bounded envelope and requires MCMC).  A real-arithmetic
+    screen (_polydisc_screen) discards proposals far outside the domain
+    before omega1_membership judges the rest; points and stats are those of
+    judging every proposal.
 
     method='mcmc' runs a symmetric Gaussian random walk with Metropolis
     correction, burn-in and thinning; the batch records an effective sample
@@ -229,7 +294,10 @@ def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> Sampl
     beta_f = float(beta)
     while accepted < n:
         m = max(200_000, 4 * (n - accepted))
-        pts = _propose_polydisc(rng, m)
+        u = rng.uniform(size=(m, 3))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(m, 3))
+        survivors = _polydisc_screen(u, angles)
+        pts = np.sqrt(u[survivors]) * np.exp(1j * angles[survivors])
         mask = omega1_membership(pts)
         if beta_f > 0.0:
             p1, _ = omega1_boundary_values(pts)
@@ -237,7 +305,7 @@ def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> Sampl
             # Envelope: P1 <= 1 on the domain (P1(0) = 1 is the maximum).
             if np.any(density > 1.0 + 1e-12):
                 raise SamplingError("envelope P1 <= 1 violated; rejection invalid")
-            mask = mask & (rng.uniform(size=m) < density)
+            mask = mask & (rng.uniform(size=m)[survivors] < density)
         kept = pts[mask]
         chunks.append(kept)
         proposed += m

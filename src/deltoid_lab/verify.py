@@ -566,10 +566,8 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
         zbox = box[:, 0] + 1j * box[:, 1]
         pvals = np.asarray(deltoid_boundary_values(zbox))
         keep = np.abs(pvals) > 1e-6
-        mismatches = sum(
-            1 for z, pv in zip(zbox[keep], pvals[keep])
-            if (membership_deltoid(complex(z)) == "interior") != (pv > 0)
-        )
+        mismatches = int(np.count_nonzero(
+            (membership_deltoid(zbox[keep]) == "interior") != (pvals[keep] > 0)))
         record(f"{mismatches} disagreements between root classifier and boundary sign "
                f"on {int(keep.sum())} box points (1e-6 boundary band excluded)",
                Gate(mismatches, 0, "=="))

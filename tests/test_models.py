@@ -235,6 +235,8 @@ class TestMembership:
         assert membership_deltoid(1) == "boundary"  # cusp
         assert membership_deltoid(J) == "boundary"  # cusp
         assert membership_deltoid(2) == "exterior"
+        # A scalar gets a plain str, not a 0-d array.
+        assert all(type(membership_deltoid(z)) is str for z in (0, 1, J, np.complex128(2)))
 
     def test_cross_check_with_boundary_sign(self):
         rng = np.random.default_rng(6)
@@ -244,6 +246,42 @@ class TestMembership:
         keep = np.abs(pvals) > 1e-6
         for zz, pv in zip(z[keep], pvals[keep]):
             assert (membership_deltoid(complex(zz)) == "interior") == (pv > 0)
+
+    @staticmethod
+    def _np_roots_oracle(z: complex) -> str:
+        """The per-point classifier the batched one replaced: np.roots per point."""
+        roots = np.roots([1.0, -3.0 * z, 3.0 * np.conj(z), -1.0])
+        moduli_dev = float(np.max(np.abs(np.abs(roots) - 1.0)))
+        min_gap = min(abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3))
+        if min_gap <= 1e-4 and abs(deltoid_boundary_values(z)) < 1e-8:
+            return "boundary"
+        if moduli_dev < 1e-9 and min_gap > 1e-4:
+            return "interior"
+        return "exterior"
+
+    def test_array_form_matches_per_point_np_roots(self):
+        # verify's deltoid.membership_consistency box at the default seed.
+        box = np.random.default_rng(20260808 + 4).uniform(-1.2, 1.2, size=(10_000, 2))
+        zbox = box[:, 0] + 1j * box[:, 1]
+        reference = np.array([0, 1, J, J * J, 2], dtype=complex)
+        # Points in the band |P| < 1e-6: bisect P along rays from the origin
+        # (P(0) = 1/4), then step to either side of the boundary crossing.
+        rays = np.exp(1j * np.random.default_rng(9).uniform(0, 2 * math.pi, 300))
+        lo, hi = np.zeros(300), np.full(300, 1.2)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            inside = np.asarray(deltoid_boundary_values(mid * rays)) > 0
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        band = np.concatenate([t * rays for t in (lo - 1e-7, lo, hi, hi + 1e-7)])
+        band_p = np.asarray(deltoid_boundary_values(band))
+        assert np.all(np.abs(band_p) < 1e-6) and np.any(band_p > 0) and np.any(band_p < 0)
+        for points in (zbox, reference, band):
+            labels = membership_deltoid(points)
+            assert labels.shape == points.shape
+            assert labels.tolist() == [self._np_roots_oracle(complex(z)) for z in points]
+        assert membership_deltoid(reference).tolist() == [
+            "interior", "boundary", "boundary", "boundary", "exterior"]
+        assert membership_deltoid(band.reshape(20, 60)).shape == (20, 60)
 
 
 def _segment_audit(points: np.ndarray) -> bool:

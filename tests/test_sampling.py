@@ -69,11 +69,14 @@ def test_su3_gram_schmidt_matches_qr_oracle():
     assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-14
 
 
-def test_su3_trace_streaming_consistent(monkeypatch):
-    monkeypatch.setattr(sampling, "SU3_CHUNK", 64)
-    traces = su3_trace_samples(300, 13)
-    full = np.trace(sample_su3_haar(300, 13).points, axis1=-2, axis2=-1) / 3.0
-    assert np.allclose(traces, full)
+def test_su3_trace_streaming_consistent():
+    # Within one block and across blocks with a partial last one.
+    for n in (1000, 3 * sampling.SU3_CHUNK + 17):
+        traces = su3_trace_samples(n, 13)
+        full = sample_su3_haar(n, 13).points
+        assert np.max(np.abs(traces - np.trace(full, axis1=-2, axis2=-1) / 3.0)) < 1e-13
+        # Blocks consume the stream like one bulk draw.
+        assert np.array_equal(full, _haar_su3_chunk(np.random.default_rng(13), n))
 
 
 def test_torus_eigen_means_vanish():
@@ -125,6 +128,97 @@ class TestOmega1:
     def test_rejection_beta_positive_envelope(self):
         batch = sample_omega1(Fraction(7), 2000, 37, method="rejection")
         assert bool(np.all(omega1_membership(batch.points)))
+
+    @staticmethod
+    def _unscreened_rejection(lam, n, seed):
+        """The rejection loop as written before the screen: every proposal is
+        built as a complex point and judged by omega1_membership."""
+        rng = np.random.default_rng(seed)
+        chunks, proposed, accepted = [], 0, 0
+        beta_f = float((2 * lam - 11) / 6)
+        while accepted < n:
+            m = max(200_000, 4 * (n - accepted))
+            radii = np.sqrt(rng.uniform(size=(m, 3)))
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=(m, 3))
+            pts = radii * np.exp(1j * angles)
+            mask = omega1_membership(pts)
+            if beta_f > 0.0:
+                p1, _ = omega1_boundary_values(pts)
+                density = np.where(mask, np.maximum(p1, 0.0) ** beta_f, 0.0)
+                mask = mask & (rng.uniform(size=m) < density)
+            kept = pts[mask]
+            chunks.append(kept)
+            proposed += m
+            accepted += len(kept)
+        return np.concatenate(chunks)[:n], {"proposed": proposed,
+                                             "acceptance_rate": accepted / proposed}
+
+    @pytest.mark.parametrize("lam", [Fraction(11, 2), Fraction(13, 2)],
+                             ids=["beta-zero", "beta-one-third"])
+    @pytest.mark.parametrize("seed", [3, 59, 20260820])
+    def test_screened_rejection_matches_unscreened_loop(self, lam, seed):
+        batch = sample_omega1(lam, 25_000, seed)
+        points, stats = self._unscreened_rejection(lam, 25_000, seed)
+        assert stats["proposed"] > 2 * 200_000  # several rounds of the m schedule
+        assert np.array_equal(batch.points.view(float), points.view(float))
+        assert batch.stats == stats
+
+    @staticmethod
+    def _screened_membership(u, angles):
+        """Membership as the sampler decides it: screen, then judge the survivors."""
+        survivors = sampling._polydisc_screen(u, angles)
+        member = np.zeros(len(u), dtype=bool)
+        member[survivors] = omega1_membership(
+            np.sqrt(u[survivors]) * np.exp(1j * angles[survivors]))
+        return member
+
+    def test_screen_keeps_every_accepted_proposal(self):
+        rng = np.random.default_rng(83)
+        u = rng.uniform(size=(1_000_000, 3))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(1_000_000, 3))
+        judged = omega1_membership(np.sqrt(u) * np.exp(1j * angles))
+        survivors = sampling._polydisc_screen(u, angles)
+        assert 0.05 < judged.mean() and len(survivors) < 0.07 * len(u)
+        assert np.all(np.isin(np.flatnonzero(judged), survivors))
+        assert np.array_equal(self._screened_membership(u, angles), judged)
+
+    def test_screen_near_the_boundary_surfaces(self):
+        rng = np.random.default_rng(89)
+        w = rng.uniform(size=(4000, 3))
+        w /= np.max(w, axis=1, keepdims=True)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(4000, 3))
+        # {P2 = 0} stays outside the domain (P1 < 0 there, even at the zero
+        # total phase that maximizes P1), so both of its sides are judged
+        # outside; the screen must still agree there.
+        flat = np.column_stack([angles[:, :2], np.mod(-angles[:, 0] - angles[:, 1], 2 * math.pi)])
+
+        def points(u, a):
+            return np.sqrt(u) * np.exp(1j * a)
+
+        def plant(a, which, inside):
+            """u = t * w on both sides of {P_which = 0}, within 1e-12 of it, by
+            bisecting t in [0, 1] on the rays that cross it in the polydisc."""
+            crossing = ~inside(omega1_boundary_values(points(w, a))[which])
+            ww, a = w[crossing], a[crossing]
+            lo, hi = np.zeros(len(ww)), np.ones(len(ww))
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                ok = inside(omega1_boundary_values(points(mid[:, None] * ww, a))[which])
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            u = np.concatenate([t[:, None] * ww for t in (lo - 1e-14, lo, hi, hi + 1e-14)])
+            a = np.tile(a, (4, 1))
+            near = omega1_boundary_values(points(u, a))[which]
+            assert np.all(np.abs(near) < 1e-12) and np.any(near > 0) and np.any(near < 0)
+            return u, a
+
+        u, a = plant(angles, 0, lambda p1: p1 > 0)
+        judged = omega1_membership(points(u, a))
+        assert np.any(judged) and np.any(~judged)
+        assert np.array_equal(self._screened_membership(u, a), judged)
+        u, a = plant(flat, 1, lambda p2: p2 < 0)
+        judged = omega1_membership(points(u, a))
+        assert np.max(omega1_boundary_values(points(u, a))[0]) < 0 and not np.any(judged)
+        assert np.array_equal(self._screened_membership(u, a), judged)
 
     def test_mcmc_and_agreement(self):
         lam = Fraction(11, 2)
