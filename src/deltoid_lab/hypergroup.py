@@ -282,48 +282,43 @@ def theta_grid(per_axis: int) -> list[ThetaPair]:
     return out
 
 
-def positivity_scan(
-    ctx: ProbeContext,
-    thetas: Sequence[ThetaPair],
-) -> dict:
+def positivity_scan(ctx: ProbeContext, thetas: Sequence[ThetaPair]) -> dict:
     """Contraction bounds for the exact entries over a theta grid.
 
-    On blocks with n - k not divisible by 3 the quadrature norms agree and
-    the full 2x2 block is a scaled rotation with singular value
-    sqrt(alpha^2 + gamma^2).  On the remaining blocks only the first column
-    is exact; its orthonormalized norm is a lower bound for the largest
-    singular value and must itself be <= 1.
+    The first column (alpha, gamma) of every block is exact.  In the
+    orthonormal basis its norm is sqrt(alpha^2 + gamma^2 ||P||^2 / ||Q||^2),
+    with gamma = 0 when n = k (Q-hat vanishes); it is a lower bound for the
+    block's largest singular value and must itself be <= 1.  The basis is
+    evaluated once, at Z(theta) for the whole grid.
     """
-    worst = 0.0
-    alpha_bound = 0.0
-    for theta in thetas:
-        for (n, k) in ctx.pairs:
-            alpha, gamma = markov_pair_exact(ctx, n, k, theta)
-            alpha_bound = max(alpha_bound, abs(alpha))
-            p_norm2, q_norm2 = ctx.norms2[(n, k)]
-            if n == k:
-                value = abs(alpha)
-            elif (n - k) % 3 != 0:
-                value = math.sqrt(alpha * alpha + gamma * gamma)
-            else:
-                ratio2 = p_norm2 / q_norm2
-                value = math.sqrt(alpha * alpha + gamma * gamma * ratio2)
-            worst = max(worst, value)
+    z = z_of_theta([theta.t1 for theta in thetas], [theta.t2 for theta in thetas])
+    values = ctx.basis.real_values(z)
+    worst = alpha_bound = 0.0
+    for (n, k) in ctx.pairs:
+        denom = float(ctx.p_at_one[(n, k)])
+        p_vals, q_vals = ctx.split(values, n, k)
+        alpha, gamma = p_vals / denom, q_vals / denom
+        p_norm2, q_norm2 = ctx.norms2[(n, k)]
+        ratio2 = 0.0 if n == k else p_norm2 / q_norm2
+        bound = np.sqrt(alpha * alpha + gamma * gamma * ratio2)
+        alpha_bound = max(alpha_bound, float(np.max(np.abs(alpha), initial=0.0)))
+        worst = max(worst, float(np.max(bound, initial=0.0)))
     return {"worst_block_bound": worst, "max_abs_alpha": alpha_bound}
 
 
 def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
     """Surjectivity of theta -> Z(theta) onto the domain, cell by cell.
 
-    Every cell of the omega grid whose center lies strictly inside the
-    domain must receive at least one image point of the theta grid, and
-    there must be such a cell.
+    Every cell of the omega grid over the cusps' box [-1/2, 1] x
+    [-sqrt(3)/2, sqrt(3)/2] whose center lies strictly inside the domain
+    must receive at least one image point of the theta grid, and there must
+    be such a cell.
     """
     two_pi = 2.0 * math.pi
     ts = np.arange(theta_per_axis) * two_pi / theta_per_axis
     t1, t2 = np.meshgrid(ts, ts, indexing="ij")
     z = z_of_theta(t1, t2).ravel()
-    x_lo, x_hi = -1.0 / 3.0, 1.0
+    x_lo, x_hi = -0.5, 1.0
     y_hi = math.sqrt(3.0) / 2.0
     xs = np.clip(((z.real - x_lo) / (x_hi - x_lo) * omega_per_axis).astype(int), 0, omega_per_axis - 1)
     ys = np.clip(((z.imag + y_hi) / (2.0 * y_hi) * omega_per_axis).astype(int), 0, omega_per_axis - 1)

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diffusion import DiffusionModel, drift_from_measure, pushforward
-from .poly import MPoly, divide_exact
+from .poly import CompiledPolys, MPoly, divide_exact
 from .scalars import RationalLike
 
 DELTOID_VARS = ("Z", "Zb")
@@ -238,31 +238,24 @@ def p1_polar_decomposition_residual(points: np.ndarray) -> float:
     return float(np.max(np.abs(alt - p1)))
 
 
-def real_cometric_at(model: DiffusionModel, point: dict[str, complex]) -> np.ndarray:
-    """Real-coordinate cometric matrix at a numeric point.
+def real_cometric_at(model: DiffusionModel, point: dict[str, "complex | np.ndarray"]) -> np.ndarray:
+    """Real-coordinate cometric matrices at a point set, shape (*point shape, n, n).
 
-    Variables are assumed paired as (w, wb) conjugates; the real coordinates
-    are x = (w + wb)/2 and y = (w - wb)/(2i) per pair.  Positive definiteness
-    of the returned matrix is ellipticity at the point.
+    The Gamma table is compiled once and evaluated on every point.  Variables
+    are assumed paired as (w, wb) conjugates; the real coordinates are
+    x = (w + wb)/2 and y = (w - wb)/(2i) per pair.  Positive definiteness of
+    a returned matrix is ellipticity at its point.
     """
     names = model.variables
-    n = len(names)
-    gamma_num = np.zeros((n, n), dtype=complex)
-    for i, u in enumerate(names):
-        for j, v in enumerate(names):
-            entry = model.gamma.get((u, v))
-            gamma_num[i, j] = entry.evaluate(point) if entry is not None else 0.0
-    npairs = n // 2
+    n, half = len(names), len(names) // 2
+    values = CompiledPolys([model.gamma_entry(u, v) for u in names for v in names]).values(point)
+    gamma_num = np.moveaxis(values, 0, -1).reshape(*values.shape[1:], n, n)
     # Rows of d(real coordinate)/d(complex coordinate).
     jac = np.zeros((n, n), dtype=complex)
-    for k in range(npairs):
-        w, wb = k, npairs + k
-        jac[2 * k, w] = 0.5
-        jac[2 * k, wb] = 0.5
-        jac[2 * k + 1, w] = -0.5j
-        jac[2 * k + 1, wb] = 0.5j
-    real_gamma = jac @ gamma_num @ jac.T
-    return real_gamma.real
+    for k in range(half):
+        jac[2 * k, [k, half + k]] = 0.5
+        jac[2 * k + 1, [k, half + k]] = -0.5j, 0.5j
+    return (jac @ gamma_num @ jac.T).real
 
 
 # ---------------------------------------------------------------------------
@@ -318,33 +311,21 @@ def flat_torus_sign_report(n: int = 1000, seed: int = 7) -> dict:
     On the constraint set the lifted table gives -(1/2) z_i zb_j there; the
     candidate +(1/2) z_i zb_j variant is evaluated alongside.  Returns the
     max absolute deviation of each variant from the lifted entries over all
-    Gamma entries at n constrained random points.
+    Gamma entries at n constrained random points, compiled once per model.
     """
     pts = constrained_torus_points(n, seed)
-    lifted = sixdim_model(1)
-    flat = flat_torus_model()
-    point_dicts = {
-        name: pts[:, i % 3] if i < 3 else np.conj(pts[:, i % 3])
-        for i, name in enumerate(SIXDIM_VARS)
-    }
-    dev_minus = 0.0
-    dev_plus = 0.0
-    for i, u in enumerate(SIXDIM_VARS):
-        for v in SIXDIM_VARS[i:]:
-            lifted_vals = lifted.gamma_entry(u, v).evaluate(point_dicts)
-            flat_vals = flat.gamma_entry(u, v).evaluate(point_dicts)
-            dev_minus = max(dev_minus, float(np.max(np.abs(lifted_vals - flat_vals))))
-            cross = (
-                u.startswith("z")
-                and not u.startswith("zb")
-                and v.startswith("zb")
-                and u[1:] != v[2:]
-            )
-            if cross:
-                flipped = -flat_vals
-            else:
-                flipped = flat_vals
-            dev_plus = max(dev_plus, float(np.max(np.abs(lifted_vals - flipped))))
+    point = dict(zip(SIXDIM_VARS, [*pts.T, *np.conj(pts.T)]))
+    keys = [(u, v) for i, u in enumerate(SIXDIM_VARS) for v in SIXDIM_VARS[i:]]
+    # The rows the +1/2 variant flips: the cross pairs (z_i, zb_j) with i != j.
+    cross = np.array([u in SIXDIM_VARS[:3] and v in SIXDIM_VARS[3:] and u[1:] != v[2:]
+                      for u, v in keys])
+    lifted_vals, flat_vals = (
+        CompiledPolys([model.gamma_entry(u, v) for u, v in keys]).values(point)
+        for model in (sixdim_model(1), flat_torus_model())
+    )
+    flipped = np.where(cross[:, None], -flat_vals, flat_vals)
+    dev_minus = float(np.max(np.abs(lifted_vals - flat_vals)))
+    dev_plus = float(np.max(np.abs(lifted_vals - flipped)))
     return {
         "deviation_minus_variant": dev_minus,
         "deviation_plus_variant": dev_plus,
@@ -366,23 +347,28 @@ SU3_CASIMIR_SCALE = 0.5
 def su3_gamma_pointwise(g: np.ndarray) -> dict:
     """Evaluate the scaled Casimir Gamma/L on the normalized trace at g.
 
-    Returns the three values Gamma(Z,Z), Gamma(Z,Zb), L(Z) computed from the
-    SU(3) entry table, together with their residuals against the deltoid
-    table at lambda = 4 and the trace reduction tr(g^2) = 9 Z^2 - 6 Zb.
+    g is one matrix or a stack, shape (..., 3, 3), and every value has the
+    stack shape.  Returns the three values Gamma(Z,Z), Gamma(Z,Zb), L(Z)
+    computed from the SU(3) entry table, together with their residuals
+    against the deltoid table at lambda = 4 and the trace reduction
+    tr(g^2) = 9 Z^2 - 6 Zb.  A matrix that is not special unitary raises.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    unitary_residual = float(np.linalg.norm(g.conj().T @ g - np.eye(3)))
-    det_residual = abs(np.linalg.det(g) - 1.0)
-    if unitary_residual > 1e-10 or det_residual > 1e-10:
+    if g.shape[-2:] != (3, 3):
+        raise ValueError("expected a 3x3 matrix or a stack of them")
+    unitary_residual = np.linalg.norm(np.conj(np.swapaxes(g, -1, -2)) @ g - np.eye(3), axis=(-2, -1))
+    det_residual = np.abs(np.linalg.det(g) - 1.0)
+    residual = np.maximum(unitary_residual, det_residual)
+    if not np.all(residual <= 1e-10):
+        worst = np.unravel_index(np.argmax(residual), np.shape(residual))
+        where = f" at stack index {tuple(int(i) for i in worst)}" if worst else ""
         raise ValueError(
-            f"matrix is not special unitary: |g*g - I| = {unitary_residual:.3e}, "
-            f"|det - 1| = {det_residual:.3e}"
+            f"matrix{where} is not special unitary: |g*g - I| = {unitary_residual[worst]:.3e}, "
+            f"|det - 1| = {det_residual[worst]:.3e}"
         )
-    z = np.trace(g) / 3.0
+    z = np.trace(g, axis1=-2, axis2=-1) / 3.0
     zb = np.conj(z)
-    tr_g2 = np.trace(g @ g)
+    tr_g2 = np.trace(g @ g, axis1=-2, axis2=-1)
     # Entry-table sums: Gamma(Z,Z) = (1/9) [ (tr g)^2 - 3 tr(g^2) ],
     # Gamma(Z,Zb) = (1/9) [ 9 - |tr g|^2 ], L(Z) = -8 Z.
     gamma_zz = SU3_CASIMIR_SCALE * ((3.0 * z) ** 2 - 3.0 * tr_g2) / 9.0

@@ -384,7 +384,8 @@ class CompiledPolys:
 
     Points are evaluated in blocks of EVAL_CHUNK; each block builds the
     powers of every variable once, by repeated multiplication, and every
-    polynomial reads its terms from that shared table.
+    polynomial reads its terms from that shared table.  A scalar is the
+    point set of shape (): there is one path for every point set.
 
     values() sums each polynomial's terms in its own term order, so the one
     polynomial case (MPoly.evaluate) keeps the rounding of the term-by-term
@@ -417,11 +418,7 @@ class CompiledPolys:
 
     def values(self, point: Mapping[str, "complex | np.ndarray"]) -> np.ndarray:
         """Complex values, shape (len(self), *broadcast shape of the point)."""
-        vals = [point[v] for v in self.variables]
-        if not any(getattr(v, "ndim", 0) for v in vals):
-            powers = [_powers(complex(v), top) for v, top in zip(vals, self._top)]
-            return np.array([_sum_terms(terms, powers) for terms in self._terms], dtype=complex)
-        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in vals))
+        arrays = np.broadcast_arrays(*(np.asarray(point[v], dtype=complex) for v in self.variables))
         shape = arrays[0].shape
         flat = [a.reshape(-1) for a in arrays]
         out = np.zeros((len(self), flat[0].size), dtype=complex)

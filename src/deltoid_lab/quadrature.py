@@ -25,7 +25,7 @@ import numpy as np
 
 from .diffusion import DiffusionModel, gamma_apply, l_apply
 from .models import LAMBDA_RANGES, deltoid_boundary_values, z_of_theta
-from .poly import MPoly
+from .poly import CompiledPolys, MPoly
 from .scalars import RationalLike
 
 
@@ -92,8 +92,9 @@ class TorusGrid:
 
 
 def gram(polys: Sequence[MPoly], grid: TorusGrid) -> np.ndarray:
-    """Pairwise inner-product matrix of the polynomials (conjugate-bilinear)."""
-    values = np.stack([np.ravel(grid.evaluate(p)) for p in polys])
+    """Pairwise inner-product matrix of the polynomials (conjugate-bilinear),
+    compiled once and evaluated on the grid together."""
+    values = CompiledPolys(polys).values({"Z": grid.z.ravel(), "Zb": np.conj(grid.z).ravel()})
     w = np.ravel(grid.weight)
     norm = np.sum(w)
     return (values * w) @ values.conj().T / norm

@@ -541,22 +541,19 @@ def _suite_models_numeric(report: VerificationReport, config: VerifyConfig) -> N
                "second (which does not even vanish at the bitangent point (2,1))")
 
     with _numeric(report, "su3.casimir_pointwise") as record:
-        worst = 0.0
-        for g in sample_su3_haar(1000, config.seed + 2).points:
-            res = su3_gamma_pointwise(g)
-            worst = max(worst, res["residual_gamma_zz"], res["residual_gamma_zzb"],
-                        res["residual_l_z"], res["residual_trace_identity"])
-        record(f"scaled Casimir values match the deltoid table at parameter 4 to {worst:.2e} "
-               "on 1000 Haar samples (scale 1/2 for the unit-normalized entry table)",
-               Gate(worst, 1e-8))
+        res = su3_gamma_pointwise(sample_su3_haar(1000, config.seed + 2).points)
+        worst = max(float(res[f"residual_{name}"].max())
+                    for name in ("gamma_zz", "gamma_zzb", "l_z", "trace_identity"))
+        gate = Gate(worst, 1e-8)
+        # The residual is rounding noise of the samples; the details state its bound.
+        record(f"scaled Casimir values {'match' if gate.holds() else 'miss'} the deltoid table "
+               f"at parameter 4 to {gate.bound:.0e} on 1000 Haar samples (scale 1/2 for the "
+               "unit-normalized entry table)", gate)
 
     with _numeric(report, "sixdim.ellipticity") as record:
-        batch = sample_omega1(Fraction(11, 2), 500, config.seed + 3, method="rejection")
-        m = sixdim_model(3)
-        min_eig = math.inf
-        for z in batch.points[:200]:
-            point = {f"z{i+1}": z[i] for i in range(3)} | {f"zb{i+1}": np.conj(z[i]) for i in range(3)}
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(real_cometric_at(m, point)).min()))
+        z = sample_omega1(Fraction(11, 2), 200, config.seed + 3, method="rejection").points
+        point = dict(zip(SIXDIM_VARS, [*z.T, *np.conj(z.T)]))
+        min_eig = float(np.linalg.eigvalsh(real_cometric_at(sixdim_model(3), point)).min())
         record(f"smallest real-cometric eigenvalue over 200 domain samples: {min_eig:.3e} > 0",
                Gate(min_eig, 0.0, ">"))
 

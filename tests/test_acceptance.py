@@ -26,7 +26,7 @@ from deltoid_lab.verify import LAMBDA_EIGEN_SET, LAMBDA_INTERP, VerifyConfig, ru
 
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
 # sha256 of the report bytes that `deltoid-lab verify --out` writes at the default config.
-DEFAULT_REPORT_SHA256 = "0e62d9a73961d249cecdc664428e8177fc3fe7824b27720abd67baba36fc4a4a"
+DEFAULT_REPORT_SHA256 = "3ee1903e95613480dfd4d30645b11c7d581357d7ec3e3dcac1f79fa12e92e975"
 
 
 @pytest.fixture(scope="session")

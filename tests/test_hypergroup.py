@@ -19,7 +19,7 @@ from deltoid_lab.hypergroup import (
     rotation_delta_exact,
     theta_grid,
 )
-from deltoid_lab.models import ThetaPair
+from deltoid_lab.models import ThetaPair, deltoid_boundary_values
 from deltoid_lab.quadrature import TorusGrid
 from deltoid_lab.sampling import sample_omega1
 
@@ -238,15 +238,59 @@ class TestPositivityAndCoverage:
         for pair in theta_grid(6):
             assert pair.is_interior(1e-3)
 
+    def test_scan_matches_one_theta_at_a_time(self):
+        # The former scan, one markov_pair_exact call per theta and index
+        # with its own norm-ratio branch, is the oracle.
+        ctx4 = ProbeContext.build(LAM, 4, grid_n=64)
+        thetas = theta_grid(5)
+        worst = alpha_bound = 0.0
+        calls = 0
+        for theta in thetas:
+            for n, k in ctx4.pairs:
+                alpha, gamma = markov_pair_exact(ctx4, n, k, theta)
+                calls += 1
+                alpha_bound = max(alpha_bound, abs(alpha))
+                p_norm2, q_norm2 = ctx4.norms2[(n, k)]
+                if n == k:
+                    value = abs(alpha)
+                elif (n - k) % 3 != 0:
+                    value = math.sqrt(alpha * alpha + gamma * gamma)
+                else:
+                    value = math.sqrt(alpha * alpha + gamma * gamma * p_norm2 / q_norm2)
+                worst = max(worst, value)
+        assert calls == 200
+        scan = positivity_scan(ctx4, thetas)
+        assert abs(scan["worst_block_bound"] - worst) <= 1e-15
+        assert abs(scan["max_abs_alpha"] - alpha_bound) <= 1e-15
+
     def test_coverage(self):
         cov = coverage_check(300, 50)
         assert cov["interior_cells"] > 0 and cov["missed_cells"] == 0
 
-    def test_coverage_without_interior_cells_fails(self):
-        # A 2x2 omega grid has no cell center inside the domain, so the
-        # interior_cells > 0 gate fails.
+    def test_coverage_box_reaches_the_cusps(self):
+        # Count the interior cell centres of the cusp box [-1/2, 1] x
+        # [-sqrt(3)/2, sqrt(3)/2] one cell at a time.
+        per_axis = 40
+        height = math.sqrt(3.0)
+        count = 0
+        for i in range(per_axis):
+            for j in range(per_axis):
+                x = -0.5 + (i + 0.5) * 1.5 / per_axis
+                y = -height / 2 + (j + 0.5) * height / per_axis
+                count += deltoid_boundary_values(complex(x, y)) > 0.0
+        assert coverage_check(300, per_axis)["interior_cells"] == count
+
+    def test_coverage_without_interior_cells_fails(self, monkeypatch):
+        # With every cell centre outside the domain the interior_cells > 0
+        # gate is what fails; no omega grid of the cusp box is that coarse.
+        import deltoid_lab.hypergroup as hypergroup
+        from deltoid_lab.report import Gate
+
+        assert all(coverage_check(60, size)["interior_cells"] > 0 for size in range(1, 8))
+        monkeypatch.setattr(hypergroup, "deltoid_boundary_values", lambda z: -np.ones(np.shape(z)))
         cov = coverage_check(300, 2)
-        assert cov["interior_cells"] == 0
+        assert cov == {"interior_cells": 0, "missed_cells": 0}
+        assert not Gate(cov["interior_cells"], 0, ">").holds()
 
 
 class TestRepresentation:

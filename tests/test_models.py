@@ -190,6 +190,28 @@ class TestFlatTorus:
         assert report["deviation_minus_variant"] < 1e-10
         assert report["deviation_plus_variant"] > 0.4
 
+    def test_sign_report_matches_per_entry_loop(self):
+        # The former per-entry loop, one evaluate call per Gamma entry and
+        # model, is the oracle; the compiled sets must agree bit for bit.
+        n, seed = 300, 12
+        pts = constrained_torus_points(n, seed)
+        point = {name: pts[:, i % 3] if i < 3 else np.conj(pts[:, i % 3])
+                 for i, name in enumerate(SIXDIM_VARS)}
+        lifted, flat = sixdim_model(1), flat_torus_model()
+        dev_minus = dev_plus = 0.0
+        for i, u in enumerate(SIXDIM_VARS):
+            for v in SIXDIM_VARS[i:]:
+                lifted_vals = lifted.gamma_entry(u, v).evaluate(point)
+                flat_vals = flat.gamma_entry(u, v).evaluate(point)
+                dev_minus = max(dev_minus, float(np.max(np.abs(lifted_vals - flat_vals))))
+                cross = u.startswith("z") and not u.startswith("zb") and v.startswith("zb") \
+                    and u[1:] != v[2:]
+                flipped = -flat_vals if cross else flat_vals
+                dev_plus = max(dev_plus, float(np.max(np.abs(lifted_vals - flipped))))
+        report = flat_torus_sign_report(n, seed)
+        assert report["deviation_minus_variant"] == dev_minus
+        assert report["deviation_plus_variant"] == dev_plus
+
     def test_gamma_zz_on_constraints(self):
         pts = constrained_torus_points(300, 4)
         m = flat_torus_model()
@@ -216,17 +238,37 @@ class TestSU3:
     def test_haar_samples_match_lambda_four_table(self):
         from deltoid_lab.sampling import sample_su3_haar
 
-        gs = sample_su3_haar(300, 5).points
-        for g in gs:
-            res = su3_gamma_pointwise(g)
-            assert res["residual_gamma_zz"] < 1e-12
-            assert res["residual_gamma_zzb"] < 1e-12
-            assert res["residual_l_z"] < 1e-12
-            assert res["residual_trace_identity"] < 1e-12
+        res = su3_gamma_pointwise(sample_su3_haar(300, 5).points)
+        for name in ("gamma_zz", "gamma_zzb", "l_z", "trace_identity"):
+            assert res[f"residual_{name}"].shape == (300,)
+            assert np.all(res[f"residual_{name}"] < 1e-12)
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        from deltoid_lab.sampling import sample_su3_haar
+
+        gs = sample_su3_haar(50, 8).points
+        stacked = su3_gamma_pointwise(gs.reshape(5, 10, 3, 3))
+        for i, g in enumerate(gs):
+            single = su3_gamma_pointwise(g)
+            for key, value in single.items():
+                assert np.shape(value) == ()
+                assert stacked[key].shape == (5, 10)
+                assert abs(stacked[key][divmod(i, 10)] - value) <= 1e-14, key
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             su3_gamma_pointwise(np.eye(3) * 1.5)
+
+    def test_rejects_stack_with_one_non_unitary_matrix(self):
+        from deltoid_lab.sampling import sample_su3_haar
+
+        gs = sample_su3_haar(20, 6).points.copy()
+        gs[13] *= 1.001
+        with pytest.raises(ValueError, match=r"stack index \(13,\)"):
+            su3_gamma_pointwise(gs)
+        gs[13] = np.diag([1.0, 1.0, -1.0])  # unitary, determinant -1
+        with pytest.raises(ValueError, match=r"\|det - 1\| = 2\.000e\+00"):
+            su3_gamma_pointwise(gs)
 
 
 class TestMembership:
@@ -312,6 +354,33 @@ class TestOmega1:
             1j * rng.uniform(0, 2 * math.pi, size=(500, 3))
         )
         assert p1_polar_decomposition_residual(pts) < 1e-12
+
+    def test_cometric_stack_matches_per_point_matrices(self):
+        from deltoid_lab.sampling import sample_omega1
+
+        def cometric_at_one_point(model, point):
+            # The former per-point evaluator: one evaluate call per entry.
+            names = model.variables
+            n = len(names)
+            gamma_num = np.zeros((n, n), dtype=complex)
+            for i, u in enumerate(names):
+                for j, v in enumerate(names):
+                    gamma_num[i, j] = model.gamma_entry(u, v).evaluate(point)
+            jac = np.zeros((n, n), dtype=complex)
+            for k in range(n // 2):
+                jac[2 * k, [k, n // 2 + k]] = 0.5
+                jac[2 * k + 1, [k, n // 2 + k]] = [-0.5j, 0.5j]
+            return (jac @ gamma_num @ jac.T).real
+
+        pts = sample_omega1(Fraction(11, 2), 60, 7, method="rejection").points.reshape(6, 10, 3)
+        m = sixdim_model(3)
+        point = {f"z{i+1}": pts[..., i] for i in range(3)}
+        point |= {f"zb{i+1}": np.conj(pts[..., i]) for i in range(3)}
+        stacked = real_cometric_at(m, point)
+        assert stacked.shape == (6, 10, 6, 6)
+        for index in np.ndindex(6, 10):
+            one = cometric_at_one_point(m, {name: value[index] for name, value in point.items()})
+            assert np.max(np.abs(stacked[index] - one)) <= 1e-14
 
     def test_ellipticity_at_samples(self):
         from deltoid_lab.sampling import sample_omega1

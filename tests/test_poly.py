@@ -322,6 +322,25 @@ class TestCompiledEvaluator:
         assert abs(got - term_by_term(f, {"Z": 0.25 + 0.5j, "Zb": 0.25 - 0.5j})) < 1e-15
         assert MPoly.zero(VARS).evaluate({"Z": 1j, "Zb": -1j}) == 0j
 
+    @settings(max_examples=40, deadline=None)
+    @given(poly_strategy(VARS, max_degree=5, max_terms=8))
+    def test_scalar_evaluate_matches_exact(self, poly):
+        # A scalar point is a point set of shape (); evaluate still returns a complex.
+        point = {"Z": FieldScalar(Fraction(1, 4), Fraction(-3, 8)),
+                 "Zb": FieldScalar(Fraction(5, 8), Fraction(1, 2))}
+        got = poly.evaluate({name: value.to_complex() for name, value in point.items()})
+        expected = poly.evaluate_exact(point).to_complex()
+        assert type(got) is complex
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_scalar_evaluate_is_exact_on_dyadic_data(self):
+        # Dyadic coefficients and points: neither evaluation rounds.
+        f = Z**3 * Fraction(3, 4) - Z * Zb * Fraction(1, 2) + Zb**2 - 5
+        point = {"Z": FieldScalar(Fraction(1, 4), Fraction(1, 2)),
+                 "Zb": FieldScalar(Fraction(-3, 8), Fraction(1, 8))}
+        got = f.evaluate({name: value.to_complex() for name, value in point.items()})
+        assert type(got) is complex and got == f.evaluate_exact(point).to_complex()
+
     def test_rejects_mixed_rings_and_non_pairs(self):
         with pytest.raises(VariableMismatchError):
             CompiledPolys([Z, MPoly.var(("x",), "x")])
