@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Scan the exact kernel blocks over a theta grid and print a summary table.
 
-For each eigenspace index the scan reports max |alpha|, the worst
-orthonormalized block bound, and (for comparison) the three candidate values
-of the second diagonal entry at one interior theta: Monte-Carlo, the
+For each eigenspace index the scan reports max |alpha| and the orthonormal
+block bound (the norm of the block's exact first column in the unit-norm
+basis), then the worst bound, and (for comparison) the three candidate
+values of the second diagonal entry at one interior theta: Monte-Carlo, the
 rotation-derived value, and the printed cot-prefactor form.
 """
 
@@ -18,7 +19,6 @@ from deltoid_lab.hypergroup import (
     CONTRACTION_BOUND,
     ProbeContext,
     delta_report,
-    markov_pair_exact,
     positivity_scan,
     theta_grid,
 )
@@ -39,17 +39,12 @@ def main() -> int:
     thetas = theta_grid(args.theta_grid)
     print(f"parameter {lam}, {len(thetas)} theta points, indices n+k <= {args.degree_max}\n")
 
-    print(f"{'index':>8s} {'max |alpha|':>12s} {'max sqrt(a^2+g^2)':>18s}")
-    for n, k in sorted(ctx.pairs):
-        worst_alpha = 0.0
-        worst_pair = 0.0
-        for theta in thetas:
-            alpha, gamma = markov_pair_exact(ctx, n, k, theta)
-            worst_alpha = max(worst_alpha, abs(alpha))
-            worst_pair = max(worst_pair, (alpha * alpha + gamma * gamma) ** 0.5)
-        print(f"  ({n},{k})  {worst_alpha:12.6f} {worst_pair:18.6f}")
-
     scan = positivity_scan(ctx, thetas)
+    print(f"{'index':>8s} {'max |alpha|':>12s} {'orthonormal bound':>18s}")
+    for n, k in sorted(ctx.pairs):
+        print(f"  ({n},{k})  {scan['max_abs_alphas'][(n, k)]:12.6f} "
+              f"{scan['block_bounds'][(n, k)]:18.6f}")
+
     print(f"\nworst orthonormalized block bound: {scan['worst_block_bound']:.6f} "
           f"(contraction: {scan['worst_block_bound'] <= CONTRACTION_BOUND})")
 

@@ -218,20 +218,12 @@ def drift_from_measure(
     variables = tuple(variables)
     zero_drift = {v: MPoly.zero(variables) for v in variables}
     scratch = DiffusionModel(variables, dict(gamma), zero_drift)
-    drift: dict[str, MPoly] = {}
+    drift = divergence_sums(scratch)
     for u in variables:
-        total = MPoly.zero(variables)
-        for v in variables:
-            entry = scratch.gamma.get((u, v))
-            if entry is not None:
-                total = total + entry.diff(v)
+        xi = MPoly.var(variables, u)
         for base, exponent in factors:
-            if exponent == 0:
-                continue
-            xi = MPoly.var(variables, u)
-            numerator = gamma_apply(scratch, base, xi)
-            total = total + divide_exact(numerator, base) * exponent
-        drift[u] = total
+            if exponent != 0:
+                drift[u] = drift[u] + divide_exact(gamma_apply(scratch, base, xi), base) * exponent
     return drift
 
 

@@ -1,26 +1,27 @@
 """Probing the Markov transfer matrices of the rotated-coordinate kernels.
 
-For each eigenspace index (n, k) the conditional kernel of the rotated
-lifted process acts on the pair (P-hat, Q-hat) through a 2x2 matrix.  Two
-entries have closed forms that are exact evaluations of the eigenpolynomials,
+For each eigenspace index (n, k) the kernel K_theta of the rotated lifted
+process acts on the pair (P-hat, Q-hat) through a 2x2 block.  Among Markov
+operators commuting with the generator, K_theta is the point mass at
+Z(theta), so the block's first column is the pair evaluated there,
 
     alpha = P(Z(theta)) / P(1),      gamma = Q(Z(theta)) / P(1),
 
-with beta = -gamma; the remaining entry delta has no usable closed form in
-general and is estimated by Monte Carlo.  The estimation never bins
-conditionals: commutation with the generator forces the kernel to be block
-diagonal across eigenvalues, so the block entries are identified from plain
-unconditional correlations
+with beta = -gamma, and delta = alpha where the rotation Z -> jZ mixes the
+pair (spectral.rotation_mixes_pair); elsewhere delta has no closed form here.
+ProbeContext.first_columns is the one map from basis values to that column
+in the orthonormal basis: representation_check applies it to the moments of
+a stack of measures, and positivity_scan is that check at the point masses.
+The Monte-Carlo estimate never bins conditionals: commutation makes the
+kernel block diagonal across eigenvalues, so the entries come from plain
+unconditional correlations normalized by quadrature norms,
 
-    E[u(pi(Phi_theta xi)) v(pi(xi))] = M[u, v] * ||v||^2 ,
+    E[u(pi(Phi_theta xi)) v(pi(xi))] = M[u, v] * ||v||^2 .
 
-normalized by quadrature norms.  Each entry is labelled "exact" (a closed
-form, or a zero forced by Q-hat(n, n) = 0), "estimated" (a Monte-Carlo mean
-and its standard error) or "unavailable" (NaN, no closed form), and the
-labels are the whole comparison rule: MarkovMatrix.z_scores compares the
-entries one block estimates and the other knows exactly.  The module also
-hosts the parity and positivity scans and the moment-sequence
-representation check for measures on the domain.
+Each entry is labelled "exact" (a closed form, or a zero forced by
+Q-hat(n, n) = 0), "estimated" (a Monte-Carlo mean and its standard error)
+or "unavailable" (NaN, no closed form); MarkovMatrix.z_scores compares the
+entries one block estimates and the other knows exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .poly import CompiledPolys
 from .quadrature import TorusGrid
 from .sampling import MomentEstimate, SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
-from .spectral import EigenPoly, eigen_PQ_lambda, eigenvalue_deltoid, pq_indices, pq_polys
+from .spectral import EigenPoly, eigen_PQ_lambda, pq_indices, rotation_mixes_pair
 
 # A block bound or squared row norm at most this counts as a contraction.
 CONTRACTION_BOUND = 1.0 + 1e-9
@@ -73,7 +74,8 @@ class ProbeContext:
     pairs holds the (P-hat, Q-hat) eigenpolynomials per index; norms2 their
     squared quadrature norms; p_at_one the exact rational values P-hat(1).
     basis compiles every P-hat and Q-hat once, in the order of pairs (rows
-    2i and 2i + 1 for the i-th index), and evaluates their real form.
+    2i and 2i + 1 for the i-th index), and evaluates their real form;
+    first_columns maps basis values to every block's orthonormal first column.
 
     The values on a lifted sample batch are memoized, one entry for the
     projected batch and one for its rotation at the current theta.  Each
@@ -121,6 +123,22 @@ class ProbeContext:
         row = self._rows[(n, k)]
         return values[row], values[row + 1]
 
+    def first_columns(self, values: np.ndarray) -> dict:
+        """The first column (a, b) of every block in the orthonormal basis.
+
+        values holds the basis rows at points, or integrated against measures
+        (any trailing shape).  a = P-hat / P-hat(1) and b = Q-hat / P-hat(1)
+        times ||P-hat|| / ||Q-hat||: the printed ratios are leading-coefficient
+        normalized, the kernel block lives in the unit-norm basis.
+        """
+        columns = {}
+        for (n, k), (p_norm2, q_norm2) in self.norms2.items():
+            p_one = float(self.p_at_one[(n, k)])
+            factor = 0.0 if n == k else math.sqrt(p_norm2 / q_norm2)  # Q-hat(n, n) = 0
+            p_vals, q_vals = self.split(values, n, k)
+            columns[(n, k)] = (p_vals / p_one, q_vals / p_one * factor)
+        return columns
+
     def eval_pair(self, n: int, k: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.split(self.basis.real_values(z), n, k)
 
@@ -152,24 +170,19 @@ def markov_pair_exact(
 
 def rotation_delta_exact(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) -> float | None:
     """The rotation-derived delta of exact_markov_matrix, or None for n = k (mod 3)."""
-    if (n - k) % 3 == 0:
-        return None
-    return exact_markov_matrix(ctx, n, k, theta).delta
+    return exact_markov_matrix(ctx, n, k, theta).delta if rotation_mixes_pair(n, k) else None
 
 
 def estimate_markov_matrix(
-    ctx: ProbeContext,
-    n: int,
-    k: int,
-    theta: ThetaPair,
-    batch: SampleBatch,
+    ctx: ProbeContext, n: int, k: int, theta: ThetaPair, batch: SampleBatch
 ) -> MarkovMatrix:
     """Estimate the full 2x2 block from unconditional correlations.
 
     With u, v ranging over the pair, E[u(pi(Phi_theta xi)) v(pi(xi))] equals
     M[u, v] ||v||^2; the norms come from quadrature.  Entries carry standard
-    errors of the correlation means; Q-hat(n, n) = 0 makes the other three
-    entries of an n = k block exact zeros.
+    errors of the correlation means (batch means for a correlated MCMC
+    batch); Q-hat(n, n) = 0 makes the other three entries of an n = k block
+    exact zeros.
     """
     if batch.kind != "omega1":
         raise ValueError("markov estimation needs lifted-domain samples")
@@ -185,31 +198,22 @@ def estimate_markov_matrix(
     entries = dict.fromkeys(("alpha", "beta", "gamma", "delta"), 0.0)
     provenance = dict.fromkeys(entries, ("exact", 0.0))
     for name, u_vals, v_vals, v_norm2 in terms:
-        est = MomentEstimate.of(u_vals * v_vals)
+        est = MomentEstimate.of(u_vals * v_vals, batch.correlated)
         entries[name] = est.mean / v_norm2
         provenance[name] = ("estimated", est.standard_error / v_norm2)
     return MarkovMatrix(n, k, theta, **entries, provenance=provenance)
 
 
 def exact_markov_matrix(ctx: ProbeContext, n: int, k: int, theta: ThetaPair) -> MarkovMatrix:
-    """Exact (alpha, beta, gamma) and the rotation-derived delta when available.
-
-    Evaluating the kernel at the cusp j and using the rotation of the pair
-    forces delta(theta) = P(Z(theta))/P(1) = alpha whenever n - k is not
-    divisible by 3.  For n = k (mod 3) the rotation carries no information
-    and the delta entry is NaN: no exact value exists.
-    """
+    """Exact (alpha, beta, gamma), and delta = alpha where the rotation mixes the
+    pair (evaluating the kernel at the cusp j forces it); elsewhere delta is NaN,
+    "unavailable"."""
     alpha, gamma = markov_pair_exact(ctx, n, k, theta)
-    rotation = (n - k) % 3 != 0
-    provenance = {
-        "alpha": ("exact", 0.0),
-        "beta": ("exact", 0.0),
-        "gamma": ("exact", 0.0),
-        "delta": ("exact", 0.0) if rotation else ("unavailable", math.nan),
-    }
-    return MarkovMatrix(
-        n, k, theta, alpha, -gamma, gamma, alpha if rotation else math.nan, provenance,
-    )
+    rotation = rotation_mixes_pair(n, k)
+    provenance = dict.fromkeys(("alpha", "beta", "gamma"), ("exact", 0.0))
+    provenance["delta"] = ("exact", 0.0) if rotation else ("unavailable", math.nan)
+    return MarkovMatrix(n, k, theta, alpha, -gamma, gamma, alpha if rotation else math.nan,
+                        provenance)
 
 
 def delta_report(
@@ -235,34 +239,27 @@ def delta_report(
 
 
 def representation_check(ctx: ProbeContext, points: np.ndarray, weights: np.ndarray) -> dict:
-    """Moment coefficients of a probability measure on the domain, and their row test.
+    """Moment coefficients of probability measures on the domain, and their row test.
 
-    a = int P(z)/P(1) d nu and b = int Q(z)/P(1) d nu per index, expressed in
-    the unit-norm basis (the antisymmetric integral picks up the norm ratio
-    ||P|| / ||Q|| because the printed ratios are leading-coefficient
-    normalized while the kernel block lives in the orthonormal basis).  For a
-    symmetric Markov kernel the orthonormal-basis block row (a, b) must
-    satisfy a^2 + b^2 <= 1; the check reports the worst row norm over all
-    indices in the context.
+    weights has shape (..., points), one measure per leading index, each
+    normalized to total mass 1.  Per block index the coefficients are the
+    orthonormal first column (a, b) of ProbeContext.first_columns applied to
+    the measure's integrals of P-hat and Q-hat.  For a symmetric Markov kernel
+    the block row must satisfy a^2 + b^2 <= 1; row_norm_sq holds a^2 + b^2 per
+    index and worst_row_norm_sq its maximum over the indices, per measure.
     """
     z = np.asarray(points, dtype=complex)
     weights = np.asarray(weights, dtype=float)
-    weights = weights / weights.sum()
-    means = ctx.basis.real_values(z) @ weights
-    coeffs: dict[tuple[int, int], tuple[float, float]] = {}
-    for n, k in ctx.pairs:
-        p_mean, q_mean = ctx.split(means, n, k)
-        denom = float(ctx.p_at_one[(n, k)])
-        a = float(p_mean) / denom
-        if n == k:
-            b = 0.0
-        else:
-            p_norm2, q_norm2 = ctx.norms2[(n, k)]
-            b = float(q_mean) / denom * math.sqrt(p_norm2 / q_norm2)
-        coeffs[(n, k)] = (a, b)
-    worst = max([0.0, *(a * a + b * b for a, b in coeffs.values())])
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    # A stack of matrix-vector products: each measure's integrals are bit-equal
+    # to those of a call with that measure alone.
+    means = (ctx.basis.real_values(z) @ weights[..., None])[..., 0]
+    coeffs = ctx.first_columns(np.moveaxis(means, -1, 0))
+    row_norm_sq = {index: a * a + b * b for index, (a, b) in coeffs.items()}
+    worst = np.max([np.zeros(weights.shape[:-1]), *row_norm_sq.values()], axis=0)
     return {
         "coefficients": coeffs,
+        "row_norm_sq": row_norm_sq,
         "worst_row_norm_sq": worst,
         "contraction_ok": worst <= CONTRACTION_BOUND,
     }
@@ -283,27 +280,23 @@ def theta_grid(per_axis: int) -> list[ThetaPair]:
 
 
 def positivity_scan(ctx: ProbeContext, thetas: Sequence[ThetaPair]) -> dict:
-    """Contraction bounds for the exact entries over a theta grid.
+    """representation_check on the point masses at Z(theta), one per theta.
 
-    The first column (alpha, gamma) of every block is exact.  In the
-    orthonormal basis its norm is sqrt(alpha^2 + gamma^2 ||P||^2 / ||Q||^2),
-    with gamma = 0 when n = k (Q-hat vanishes); it is a lower bound for the
-    block's largest singular value and must itself be <= 1.  The basis is
-    evaluated once, at Z(theta) for the whole grid.
+    The kernel K_theta is the point mass at Z(theta), so its moment
+    coefficients are the exact first column of every block in the
+    orthonormal basis.  The column's norm is a lower bound for the block's
+    largest singular value and must itself be <= 1.  Per index: the largest
+    norm over the grid (block_bounds) and the largest |alpha|
+    (max_abs_alphas); worst_block_bound and max_abs_alpha are their maxima.
     """
     z = z_of_theta([theta.t1 for theta in thetas], [theta.t2 for theta in thetas])
-    values = ctx.basis.real_values(z)
-    worst = alpha_bound = 0.0
-    for (n, k) in ctx.pairs:
-        denom = float(ctx.p_at_one[(n, k)])
-        p_vals, q_vals = ctx.split(values, n, k)
-        alpha, gamma = p_vals / denom, q_vals / denom
-        p_norm2, q_norm2 = ctx.norms2[(n, k)]
-        ratio2 = 0.0 if n == k else p_norm2 / q_norm2
-        bound = np.sqrt(alpha * alpha + gamma * gamma * ratio2)
-        alpha_bound = max(alpha_bound, float(np.max(np.abs(alpha), initial=0.0)))
-        worst = max(worst, float(np.max(bound, initial=0.0)))
-    return {"worst_block_bound": worst, "max_abs_alpha": alpha_bound}
+    rep = representation_check(ctx, z, np.eye(len(z)))
+    bounds = {index: math.sqrt(float(np.max(norm_sq, initial=0.0)))
+              for index, norm_sq in rep["row_norm_sq"].items()}
+    alphas = {index: float(np.max(np.abs(a), initial=0.0))
+              for index, (a, _) in rep["coefficients"].items()}
+    return {"block_bounds": bounds, "max_abs_alphas": alphas,
+            "worst_block_bound": max(bounds.values()), "max_abs_alpha": max(alphas.values())}
 
 
 def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
@@ -333,11 +326,7 @@ def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
     return {"interior_cells": cells, "missed_cells": missed}
 
 
-def block_cross_correlations(
-    ctx: ProbeContext,
-    theta: ThetaPair,
-    batch: SampleBatch,
-) -> list[dict]:
+def block_cross_correlations(ctx: ProbeContext, theta: ThetaPair, batch: SampleBatch) -> list[dict]:
     """Empirical correlations between distinct-eigenvalue eigenfunctions.
 
     Commutation forces these to vanish; each entry reports the correlation
@@ -348,17 +337,17 @@ def block_cross_correlations(
     # (label, eigenvalue, rotated values, base values) per unit-norm function,
     # sorted by index so that the earlier index of a pair is the rotated one.
     functions = []
-    for flavor, n, k, _ in sorted(pq_polys(ctx.lam, ctx.degree_max), key=lambda e: e[1:3]):
-        row = "PQ".index(flavor)
-        scale = math.sqrt(ctx.norms2[(n, k)][row])
-        functions.append(((flavor, n, k), eigenvalue_deltoid(ctx.lam, n, k),
-                          ctx.split(rotated, n, k)[row] / scale,
-                          ctx.split(base, n, k)[row] / scale))
+    for (n, k), pair in sorted(ctx.pairs.items()):
+        for row, e in enumerate(pair[:1] if n == k else pair):  # Q-hat(n, n) = 0
+            scale = math.sqrt(ctx.norms2[(n, k)][row])
+            functions.append(((e.flavor, n, k), e.eigenvalue,
+                              ctx.split(rotated, n, k)[row] / scale,
+                              ctx.split(base, n, k)[row] / scale))
     out = []
     for i, (label1, mu1, rot1, _) in enumerate(functions):
         for label2, mu2, _, base2 in functions[i + 1:]:
             if mu1 != mu2:
-                est = MomentEstimate.of(rot1 * base2)
+                est = MomentEstimate.of(rot1 * base2, batch.correlated)
                 out.append({"pair": (label1, label2), "correlation": est.mean,
                             "standard_error": est.standard_error})
     return out

@@ -318,6 +318,12 @@ def pq_polys(lam: RationalLike, degree_max: int) -> list[tuple[str, int, int, MP
     return out
 
 
+def rotation_mixes_pair(n: int, k: int) -> bool:
+    """Whether Z -> jZ, which multiplies P-hat + i Q-hat by j^(n - k), mixes the
+    pair: n - k is not divisible by 3.  Otherwise it fixes both polynomials."""
+    return (n - k) % 3 != 0
+
+
 @dataclass(frozen=True)
 class RotationReport:
     """Exact verification of the three-fold rotation action on (P, Q)."""
@@ -326,7 +332,6 @@ class RotationReport:
     k: int
     ok_2x2: bool
     ok_scalar: bool
-    factor_exponent: int  # the pair rotates by j**(n - k)
 
     @property
     def ok(self) -> bool:
@@ -357,7 +362,7 @@ def verify_rotation(model: DiffusionModel, n: int, k: int) -> RotationReport:
     )
     combo = p_hat.poly + q_hat.poly * I
     ok_scalar = combo.rotate_j(DELTOID_J_WEIGHTS) == combo * jm
-    return RotationReport(n, k, ok_2x2, ok_scalar, m % 3)
+    return RotationReport(n, k, ok_2x2, ok_scalar)
 
 
 # ---------------------------------------------------------------------------

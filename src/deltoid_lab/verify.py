@@ -121,6 +121,7 @@ from .spectral import (
     pq_indices,
     pq_polys,
     rewrite_symmetric_in_sp,
+    rotation_mixes_pair,
     verify_rotation,
 )
 
@@ -664,17 +665,13 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
         for lam in (Fraction(1), Fraction(4)):
             grid = TorusGrid.build(lam, config.grid_n)
             entries = pq_polys(lam, config.gram_degree_max)
-            labels = [entry[:3] for entry in entries]
             gmat = gram([poly for *_, poly in entries], grid)
             off = gmat - np.diag(np.diag(gmat))
             worst_off = max(worst_off, float(np.max(np.abs(off))))
-            for i, (flavor, n, k) in enumerate(labels):
-                if flavor == "P" and (n - k) % 3 != 0:
-                    j = labels.index(("Q", n, k))
-                    worst_norm = max(
-                        worst_norm,
-                        abs(math.sqrt(gmat[i, i].real) - math.sqrt(gmat[j, j].real)),
-                    )
+            norms = np.sqrt(np.diag(gmat).real)
+            for i, (flavor, n, k, _) in enumerate(entries):
+                if flavor == "P" and rotation_mixes_pair(n, k):  # Q-hat(n, k) comes next
+                    worst_norm = max(worst_norm, abs(float(norms[i] - norms[i + 1])))
         return worst_off, worst_norm
 
     with _numeric(report, "quadrature.gram_orthogonality") as record:
@@ -827,27 +824,26 @@ def _suite_hypergroup(report: VerificationReport, config: VerifyConfig) -> None:
                Gate(cov["missed_cells"], 0, "=="), Gate(cov["interior_cells"], 0, ">"))
 
     with _numeric(report, "hypergroup.representation_check") as record:
-        ctx = probe()
         grid = TorusGrid.build(lam, 64)
-        repc = representation_check(ctx, grid.z.ravel(), grid.weight.ravel())
-        mu_zero = max(abs(a) + abs(b) for (a, b) in repc["coefficients"].values())
         nodes = grid.z.ravel()
         point_mass = np.zeros(len(nodes))
         point_mass[int(np.argmin(np.abs(nodes - 1.0)))] = 1.0
-        repc_cusp = representation_check(ctx, nodes, point_mass)
-        a10 = repc_cusp["coefficients"][(1, 0)]
-        worst_row = max(repc["worst_row_norm_sq"], repc_cusp["worst_row_norm_sq"])
+        # Row 0: the invariant measure; row 1: the point mass nearest the cusp.
+        repc = representation_check(probe(), nodes, np.stack([grid.weight.ravel(), point_mass]))
+        mu_zero = max(abs(a[0]) + abs(b[0]) for a, b in repc["coefficients"].values())
+        a10 = repc["coefficients"][(1, 0)][0][1]
+        worst_row = float(np.max(repc["worst_row_norm_sq"]))
         # The 11/2-parameter weight is only C^2, so quadrature carries ~1e-8
         # absolute error into the moment coefficients.
         record(f"invariant measure gives vanishing coefficients (max {mu_zero:.2e}); "
-               f"near-cusp point mass gives a(1,0) = {a10[0]:.4f} ~ 1; all rows contract "
+               f"near-cusp point mass gives a(1,0) = {a10:.4f} ~ 1; all rows contract "
                f"(worst row norm^2 {worst_row:.6f})",
                Gate(worst_row, CONTRACTION_BOUND, "<="), Gate(mu_zero, 1e-6),
-               Gate(abs(a10[0] - 1.0), 0.05))
+               Gate(abs(a10 - 1.0), 0.05))
 
     with _numeric(report, "discrepancy.markov_delta_closed_form", "discrepancy-noted") as record:
         ctx = probe()
-        pick = next((n, k) for (n, k) in sorted(ctx.pairs) if (n - k) % 3 != 0)
+        pick = next(index for index in sorted(ctx.pairs) if rotation_mixes_pair(*index))
         drep = delta_report(ctx, pick[0], pick[1], theta_mid, samples())
         record(f"index {drep['index']} at theta = ({theta_mid.t1:.3f}, {theta_mid.t2:.3f}): "
                f"Monte-Carlo delta = {drep['monte_carlo']:.4f} +- {drep['monte_carlo_se']:.4f}; "

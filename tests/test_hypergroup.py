@@ -19,9 +19,10 @@ from deltoid_lab.hypergroup import (
     rotation_delta_exact,
     theta_grid,
 )
-from deltoid_lab.models import ThetaPair, deltoid_boundary_values
+from deltoid_lab.models import ThetaPair, deltoid_boundary_values, z_of_theta
 from deltoid_lab.quadrature import TorusGrid
-from deltoid_lab.sampling import sample_omega1
+from deltoid_lab.sampling import MomentEstimate, sample_omega1
+from deltoid_lab.spectral import eigenvalue_deltoid, pq_polys
 
 LAM = Fraction(11, 2)
 
@@ -177,6 +178,62 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_markov_matrix(ctx, 1, 0, ThetaPair(0.0, 0.0), sample_torus(10, 1))
 
+    def test_cross_list_bit_equal_to_pq_polys_list(self, ctx, batch):
+        # The list as it was built from spectral.pq_polys and eigenvalue_deltoid.
+        theta = ThetaPair(1.3, 2.9)
+        base, rotated = ctx.batch_values(batch), ctx.batch_values(batch, theta)
+        functions = []
+        for flavor, n, k, _ in sorted(pq_polys(ctx.lam, ctx.degree_max), key=lambda e: e[1:3]):
+            row = "PQ".index(flavor)
+            scale = math.sqrt(ctx.norms2[(n, k)][row])
+            functions.append(((flavor, n, k), eigenvalue_deltoid(ctx.lam, n, k),
+                              ctx.split(rotated, n, k)[row] / scale,
+                              ctx.split(base, n, k)[row] / scale))
+        expected = []
+        for i, (label1, mu1, rot1, _) in enumerate(functions):
+            for label2, mu2, _, base2 in functions[i + 1:]:
+                if mu1 != mu2:
+                    est = MomentEstimate.of(rot1 * base2)
+                    expected.append({"pair": (label1, label2), "correlation": est.mean,
+                                     "standard_error": est.standard_error})
+        assert block_cross_correlations(ctx, theta, batch) == expected
+
+
+class TestCorrelatedBatch:
+    """An MCMC batch is a correlated series: its errors come from batch means."""
+
+    LAM4 = Fraction(4)
+    THETA = ThetaPair(1.0, 2.0)
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        return ProbeContext.build(self.LAM4, 2, grid_n=64)
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return sample_omega1(self.LAM4, 4_000, 20260821, method="mcmc", step=0.25)
+
+    def test_block_errors_are_batch_means(self, probe, chain):
+        assert chain.correlated
+        est = estimate_markov_matrix(probe, 1, 0, self.THETA, chain)
+        p_base, _ = probe.split(probe.batch_values(chain), 1, 0)
+        p_rot, _ = probe.split(probe.batch_values(chain, self.THETA), 1, 0)
+        p_norm2 = probe.norms2[(1, 0)][0]
+        batch_means = MomentEstimate.of(p_rot * p_base, correlated=True).standard_error
+        independent = MomentEstimate.of(p_rot * p_base).standard_error
+        assert est.provenance["alpha"] == ("estimated", batch_means / p_norm2)
+        assert batch_means > 2 * independent
+
+    def test_cross_errors_are_batch_means(self, probe, chain):
+        crosses = block_cross_correlations(probe, self.THETA, chain)
+        # The first pair: P-hat(1, 0) rotated against P-hat(1, 1).
+        assert crosses[0]["pair"] == (("P", 1, 0), ("P", 1, 1))
+        p10 = probe.split(probe.batch_values(chain, self.THETA), 1, 0)[0]
+        p11 = probe.split(probe.batch_values(chain), 1, 1)[0]
+        expected = MomentEstimate.of(p10 / math.sqrt(probe.norms2[(1, 0)][0])
+                                     * (p11 / math.sqrt(probe.norms2[(1, 1)][0])), True)
+        assert crosses[0]["standard_error"] == expected.standard_error
+
 
 class TestBatchMemo:
     """The per-batch memo must give what a fresh context computes."""
@@ -263,6 +320,25 @@ class TestPositivityAndCoverage:
         assert abs(scan["worst_block_bound"] - worst) <= 1e-15
         assert abs(scan["max_abs_alpha"] - alpha_bound) <= 1e-15
 
+    def test_scan_equals_former_formula(self):
+        # The former scan: per index, sqrt(alpha^2 + gamma^2 ||P||^2/||Q||^2)
+        # from the leading-coefficient ratios, gamma dropped when n = k.
+        ctx4 = ProbeContext.build(LAM, 4, grid_n=64)
+        thetas = theta_grid(5)
+        values = ctx4.basis.real_values(z_of_theta([t.t1 for t in thetas], [t.t2 for t in thetas]))
+        scan = positivity_scan(ctx4, thetas)
+        for n, k in ctx4.pairs:
+            denom = float(ctx4.p_at_one[(n, k)])
+            p_vals, q_vals = ctx4.split(values, n, k)
+            alpha, gamma = p_vals / denom, q_vals / denom
+            p_norm2, q_norm2 = ctx4.norms2[(n, k)]
+            ratio2 = 0.0 if n == k else p_norm2 / q_norm2
+            bound = float(np.max(np.sqrt(alpha * alpha + gamma * gamma * ratio2)))
+            assert abs(scan["block_bounds"][(n, k)] - bound) <= 1e-15
+            assert scan["max_abs_alphas"][(n, k)] == float(np.max(np.abs(alpha)))
+        assert scan["worst_block_bound"] == max(scan["block_bounds"].values())
+        assert scan["max_abs_alpha"] == max(scan["max_abs_alphas"].values())
+
     def test_coverage(self):
         cov = coverage_check(300, 50)
         assert cov["interior_cells"] > 0 and cov["missed_cells"] == 0
@@ -311,6 +387,24 @@ class TestRepresentation:
         a, b = rep["coefficients"][(1, 0)]
         assert a == pytest.approx(1.0, abs=5e-3)
         assert b == pytest.approx(0.0, abs=5e-3)
+
+    def test_stacked_measures_equal_one_call_per_measure(self, ctx):
+        grid = TorusGrid.build(LAM, 64)
+        nodes = grid.z.ravel()
+        rng = np.random.default_rng(7)
+        point_mass = np.zeros(len(nodes))
+        point_mass[int(np.argmin(np.abs(nodes - 1.0)))] = 1.0
+        measures = np.stack([grid.weight.ravel(), point_mass,
+                             rng.random(len(nodes)), rng.random(len(nodes))]).reshape(2, 2, -1)
+        stacked = representation_check(ctx, nodes, measures)
+        for i in range(2):
+            for j in range(2):
+                single = representation_check(ctx, nodes, measures[i, j])
+                for index, (a, b) in single["coefficients"].items():
+                    assert stacked["coefficients"][index][0][i, j] == a
+                    assert stacked["coefficients"][index][1][i, j] == b
+                assert stacked["worst_row_norm_sq"][i, j] == single["worst_row_norm_sq"]
+                assert stacked["contraction_ok"][i, j] == single["contraction_ok"]
 
     def test_conditional_law_matches_exact_pair(self, ctx, batch):
         # nu = empirical law of pi(Phi_theta xi) conditioned near the cusp

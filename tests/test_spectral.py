@@ -30,6 +30,7 @@ from deltoid_lab.spectral import (
     pq_pair,
     pq_polys,
     rewrite_symmetric_in_sp,
+    rotation_mixes_pair,
     verify_rotation,
 )
 
@@ -169,7 +170,18 @@ class TestRotation:
     def test_rotation_relation(self, n, k):
         rep = verify_rotation(MODEL, n, k)
         assert rep.ok_2x2 and rep.ok_scalar
-        assert rep.factor_exponent == (n - k) % 3
+
+    def test_mixing_predicate_matches_the_rotation(self):
+        # Z -> jZ moves P-hat (and so mixes in Q-hat) exactly when the
+        # predicate holds; otherwise it fixes both polynomials.
+        w = {"Z": 1, "Zb": -1}
+        indices = pq_indices(6, include_constant=True)
+        for n, k in indices:
+            p_hat, q_hat = eigen_PQ(MODEL, n, k)
+            fixed = p_hat.poly.rotate_j(w) == p_hat.poly and q_hat.poly.rotate_j(w) == q_hat.poly
+            assert rotation_mixes_pair(n, k) == (not fixed), (n, k)
+        assert [ix for ix in indices if not rotation_mixes_pair(*ix)] == [
+            (0, 0), (1, 1), (3, 0), (2, 2), (4, 1), (6, 0), (3, 3)]
 
     def test_trivial_when_class_zero(self):
         p_hat, q_hat = eigen_PQ(MODEL, 3, 0)
