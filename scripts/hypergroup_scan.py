@@ -6,15 +6,19 @@ block bound (the norm of the block's exact first column in the unit-norm
 basis), then the worst bound, and (for comparison) the three candidate
 values of the second diagonal entry at one interior theta: Monte-Carlo, the
 rotation-derived value, and the printed cot-prefactor form.
+
+The Monte-Carlo column samples by rejection, so --lambda must admit it
+(lambda >= 11/2).  Another value, or text that is not a rational number,
+ends the script before any output with a one-line usage error and exit 3.
 """
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from deltoid_lab.cli import UsageError, parse_lambda
 from deltoid_lab.hypergroup import (
     CONTRACTION_BOUND,
     ProbeContext,
@@ -34,7 +38,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20260808)
     args = parser.parse_args()
 
-    lam = Fraction(args.lam)
+    try:
+        lam = parse_lambda(args.lam, "rejection_sampler")
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 3
     ctx = ProbeContext.build(lam, args.degree_max)
     thetas = theta_grid(args.theta_grid)
     print(f"parameter {lam}, {len(thetas)} theta points, indices n+k <= {args.degree_max}\n")

@@ -46,7 +46,7 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
-def _lambda(text: str, layer: str) -> Fraction:
+def parse_lambda(text: str, layer: str) -> Fraction:
     """Parse --lambda and reject, before any work, a value the layer cannot run."""
     from .models import LAMBDA_RANGES
 
@@ -145,7 +145,7 @@ def cmd_eigen(args) -> int:
     from .models import deltoid_model
     from .spectral import eigen_PQ, eigenbasis, pq_indices
 
-    lam = _lambda(args.lam, "model")
+    lam = parse_lambda(args.lam, "model")
     model = deltoid_model(lam)
     basis = eigenbasis(model, args.degree_max)
     polys = [basis[(d - k, k)] for d in range(args.degree_max + 1) for k in range(d + 1)]
@@ -161,7 +161,7 @@ def cmd_gram(args) -> int:
     from .quadrature import TorusGrid, gram
     from .spectral import pq_polys
 
-    lam = _lambda(args.lam, "quadrature")
+    lam = parse_lambda(args.lam, "quadrature")
     grid = TorusGrid.build(lam, args.grid)
     entries = pq_polys(lam, args.degree_max)
     labels = [f"{flavor}{n}{k}" for flavor, n, k, _ in entries]
@@ -188,7 +188,7 @@ def cmd_markov(args) -> int:
     from .sampling import sample_omega1
     from .verify import Z_GATE
 
-    lam = _lambda(args.lam, "rejection_sampler")
+    lam = parse_lambda(args.lam, "rejection_sampler")
     if args.n is not None:
         if args.degree_max is not None:
             raise UsageError("--degree-max and --n exclude each other")
@@ -246,7 +246,7 @@ def cmd_sample(args) -> int:
             columns[f"im{idx}"] = flat[:, idx].imag
     elif args.kind == "omega1":
         sampler = "rejection_sampler" if args.method == "rejection" else "lifted_sampler"
-        lam = _lambda(args.lam, sampler)
+        lam = parse_lambda(args.lam, sampler)
         try:
             batch = sample_omega1(lam, args.n, args.seed, method=args.method)
         except SamplingError as exc:
@@ -283,7 +283,7 @@ def cmd_plot(args) -> int:
     elif args.what == "eigen":
         from .spectral import eigen_PQ_lambda
 
-        lam = _lambda(args.lam, "model")
+        lam = parse_lambda(args.lam, "model")
         p_hat, _ = eigen_PQ_lambda(lam, args.n, args.k)
         text = eigen_levels_svg(p_hat.poly)
     else:  # pragma: no cover

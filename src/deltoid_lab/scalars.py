@@ -7,169 +7,162 @@ eigenpolynomials, whose coefficients are purely imaginary) and the primitive
 cube root of unity j = -1/2 + i*sqrt(3)/2 (needed for the three-fold rotation
 symmetry of the deltoid domain).
 
-An element is stored as rational components (a, b, c, d) representing
+An element is stored as five Python ints, ``ints = (a, b, c, d, q)``, for
 
-    a + b*i + c*sqrt(3) + d*i*sqrt(3)
+    (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q
 
-with i**2 = -1 and sqrt(3)**2 = 3.  Field conjugation sends i to -i, that is
-(a, b, c, d) -> (a, -b, c, -d).
+with i**2 = -1 and sqrt(3)**2 = 3, in the one canonical form q > 0 and
+gcd(a, b, c, d, q) = 1 (zero is (0, 0, 0, 0, 1)), so equal elements have
+equal ints, hashes and text.  An operation does int arithmetic over one
+common denominator and divides out one multi-argument gcd, where a Fraction
+per component pays a gcd each.  ``a`` to ``d`` are read-only Fraction views
+of the components, for code off the hot paths.  Field conjugation sends i to
+-i, that is (a, b, c, d) -> (a, -b, c, -d).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, sqrt
 from typing import Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 
-_SQRT3 = math.sqrt(3.0)
+_SQRT3 = sqrt(3.0)
+_ZERO_INTS = (0, 0, 0, 0, 1)
+_QZERO = Fraction(0)
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _rational_parts(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction; the denominator is > 0."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-_QZERO = Fraction(0)
-
-# Products of the basis (1, i, sqrt(3), i*sqrt(3)): e_j * e_k = factor * e_m
-# is stored as _BASIS_PRODUCT[j][k] = (m, factor).
-_BASIS_PRODUCT = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, -1), (3, 1), (2, -1)),
-    ((2, 1), (3, 1), (0, 3), (1, 3)),
-    ((3, 1), (2, -1), (1, 3), (0, -3)),
-)
+def _view(k: int, doc: str) -> property:
+    """Read-only Fraction view of component k; a zero component costs no gcd."""
+    return property(lambda self: Fraction(self.ints[k], self.ints[4]) if self.ints[k] else _QZERO, doc=doc)
 
 
-def _plus(x: Fraction, y: Fraction) -> Fraction:
-    if not y:
-        return x
-    return x + y if x else y
-
-
-def _minus(x: Fraction, y: Fraction) -> Fraction:
-    if not y:
-        return x
-    return x - y if x else -y
-
-
-@dataclass(frozen=True, slots=True)
 class FieldScalar:
-    """Element a + b*i + c*sqrt(3) + d*i*sqrt(3) of Q(i, sqrt(3))."""
+    """Element of Q(i, sqrt(3)) from rational (int or Fraction) components a, b, c, d."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    __slots__ = ("ints",)
+
+    def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
+                 c: RationalLike = 0, d: RationalLike = 0):
+        # Over the lcm of reduced denominators the ints are already coprime.
+        parts = [_rational_parts(x) for x in (a, b, c, d)]
+        q = lcm(*(m for _, m in parts))
+        _set_ints(self, tuple(n * (q // m) for n, m in parts) + (q,))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"FieldScalar is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _scalar, (self.ints,)
+
+    a = _view(0, "Rational part.")
+    b = _view(1, "Coefficient of i.")
+    c = _view(2, "Coefficient of sqrt(3).")
+    d = _view(3, "Coefficient of i*sqrt(3).")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(x: RationalLike) -> "FieldScalar":
-        return FieldScalar(_frac(x))
+        n, m = _rational_parts(x)
+        return _scalar((n, 0, 0, 0, m))
 
     @staticmethod
     def coerce(x: "FieldScalar | RationalLike") -> "FieldScalar":
-        if isinstance(x, FieldScalar):
-            return x
-        return FieldScalar(_frac(x))
+        return x if isinstance(x, FieldScalar) else FieldScalar.from_rational(x)
 
-    # -- predicates --------------------------------------------------------
+    # -- predicates and identity -------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.d)
+        return self.ints != _ZERO_INTS
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        _, b, c, d, _ = self.ints
+        return not (b or c or d)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self.a
 
+    def __eq__(self, other: object) -> bool:
+        return self.ints == other.ints if isinstance(other, FieldScalar) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.ints)
+
     # -- ring operations ---------------------------------------------------
-    #
-    # Most operands in the exact layers are rational or have one nonzero
-    # component, so every operation below skips zero components instead of
-    # paying a Fraction product or sum for them.  A skipped component is
-    # still the zero Fraction, so results print exactly as the full formula's.
 
     def __add__(self, other: "FieldScalar | RationalLike") -> "FieldScalar":
-        o = FieldScalar.coerce(other)
-        return FieldScalar(_plus(self.a, o.a), _plus(self.b, o.b),
-                           _plus(self.c, o.c), _plus(self.d, o.d))
+        a1, b1, c1, d1, q1 = self.ints
+        a2, b2, c2, d2, q2 = FieldScalar.coerce(other).ints
+        if q1 == q2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                        c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldScalar":
-        return FieldScalar(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self.ints
+        return _scalar((-a, -b, -c, -d, q))
 
     def __sub__(self, other: "FieldScalar | RationalLike") -> "FieldScalar":
-        o = FieldScalar.coerce(other)
-        return FieldScalar(_minus(self.a, o.a), _minus(self.b, o.b),
-                           _minus(self.c, o.c), _minus(self.d, o.d))
+        a1, b1, c1, d1, q1 = self.ints
+        a2, b2, c2, d2, q2 = FieldScalar.coerce(other).ints
+        if q1 == q2:
+            return _reduced(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
+        return _reduced(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
+                        c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
     def __rsub__(self, other: RationalLike) -> "FieldScalar":
         return FieldScalar.coerce(other) - self
 
     def __mul__(self, other: "FieldScalar | RationalLike") -> "FieldScalar":
+        a1, b1, c1, d1, q1 = self.ints
         if isinstance(other, FieldScalar):
-            if other.is_rational():
-                scale, x = other.a, self
-            elif self.is_rational():
-                scale, x = self.a, other
-            else:
-                return self._mul_irrational(other)
+            a2, b2, c2, d2, q2 = other.ints
+            if b2 or c2 or d2:
+                if b1 or c1 or d1:
+                    # The basis (1, i, r, i*r) with r = sqrt(3), r*r = 3.
+                    return _reduced(a1 * a2 - b1 * b2 + 3 * (c1 * c2 - d1 * d2),
+                                    a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+                                    a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+                                    a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+                                    q1 * q2)
+                # self is rational: scale other by it.
+                a1, b1, c1, d1, q1, a2, q2 = a2, b2, c2, d2, q2, a1, q1
         else:
-            scale, x = _frac(other), self
-        if not scale:
-            return ZERO
-        a, b, c, d = x.a, x.b, x.c, x.d
-        return FieldScalar(a and a * scale, b and b * scale,
-                           c and c * scale, d and d * scale)
+            a2, q2 = _rational_parts(other)
+        return _reduced(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q1 * q2)
 
     __rmul__ = __mul__
 
-    def _mul_irrational(self, other: "FieldScalar") -> "FieldScalar":
-        """The product of two irrational elements, one term per nonzero pair."""
-        out = [_QZERO, _QZERO, _QZERO, _QZERO]
-        right = [(k, y) for k, y in enumerate((other.a, other.b, other.c, other.d)) if y]
-        for j, x in enumerate((self.a, self.b, self.c, self.d)):
-            if not x:
-                continue
-            row = _BASIS_PRODUCT[j]
-            for k, y in right:
-                m, factor = row[k]
-                term = x * y
-                if factor != 1:
-                    term = -term if factor == -1 else factor * term
-                out[m] = out[m] + term if out[m] else term
-        return FieldScalar(*out)
-
     def inverse(self) -> "FieldScalar":
-        if not self:
-            raise ZeroDivisionError("inverse of zero in Q(i, sqrt(3))")
-        if self.is_rational():
-            return FieldScalar(1 / self.a)
-        # 1/(re + i*im) = (re - i*im) / (re^2 + im^2); the denominator lies
-        # in Q(sqrt(3)) and is inverted by its own conjugate.
+        a, b, c, d, q = self.ints
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("inverse of zero in Q(i, sqrt(3))")
+            return _scalar((q, 0, 0, 0, a) if a > 0 else (-q, 0, 0, 0, -a))
+        # 1/(re + i*im) = (re - i*im) / (re^2 + im^2); the denominator (n0 + n1*sqrt(3))/nq is
+        # inverted by its own conjugate: nq*(n0 - n1*sqrt(3)) / (n0^2 - 3*n1^2), never 0/0.
         conj = self.conj()
-        norm = self * conj  # purely real: b = d = 0
-        n0, n1 = norm.a, norm.c
+        n0, _, n1, _, nq = (self * conj).ints  # purely real: b = d = 0
         denom = n0 * n0 - 3 * n1 * n1
-        if denom == 0:
-            raise ZeroDivisionError("norm degenerates; element is zero")
-        inv0 = n0 / denom
-        inv1 = -n1 / denom
-        scale = FieldScalar(inv0, Fraction(0), inv1, Fraction(0))
-        return conj * scale
+        if denom < 0:
+            n0, n1, denom = -n0, -n1, -denom
+        return conj * _reduced(nq * n0, 0, -nq * n1, 0, denom)
 
     def __truediv__(self, other: "FieldScalar | RationalLike") -> "FieldScalar":
         return self * FieldScalar.coerce(other).inverse()
@@ -181,51 +174,58 @@ class FieldScalar:
 
     def conj(self) -> "FieldScalar":
         """Field conjugation i -> -i (restriction of complex conjugation)."""
-        return FieldScalar(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, q = self.ints
+        return _scalar((a, -b, c, -d, q))
 
     def to_complex(self) -> complex:
-        return complex(
-            float(self.a) + float(self.c) * _SQRT3,
-            float(self.b) + float(self.d) * _SQRT3,
-        )
+        # int / int is correctly rounded, as float() of the reduced Fraction
+        # is, so each component's float has the same bits.
+        a, b, c, d, q = self.ints
+        return complex(a / q + c / q * _SQRT3, b / q + d / q * _SQRT3)
 
     # -- canonical text ----------------------------------------------------
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for comp, tag in ((self.a, ""), (self.b, "i"), (self.c, "r3"), (self.d, "i*r3")):
-            if comp == 0:
+        for num, tag in zip(self.ints, ("", "i", "r3", "i*r3")):
+            if not num:
                 continue
+            comp = Fraction(num, self.ints[4])
             body = str(comp) if not tag else (f"{comp}*{tag}" if abs(comp) != 1 else ("-" + tag if comp < 0 else tag))
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append("-" + body[1:])
-            else:
-                parts.append("+" + body)
-        if not parts:
-            return "0"
-        return "".join(
-            p if i == 0 else (p[0] + p[1:]) for i, p in enumerate(parts)
-        )
+            parts.append(body if not parts or body.startswith("-") else "+" + body)
+        return "".join(parts) or "0"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FieldScalar({self})"
 
 
+_new = object.__new__
+_set_ints = FieldScalar.ints.__set__
+
+
+def _scalar(ints: tuple[int, int, int, int, int]) -> FieldScalar:
+    """The element with these ints, which must already be canonical."""
+    x = _new(FieldScalar)
+    _set_ints(x, ints)
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> FieldScalar:
+    """The element (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q for q > 0."""
+    g = gcd(a, b, c, d, q)
+    x = _new(FieldScalar)
+    _set_ints(x, (a, b, c, d, q) if g == 1 else (a // g, b // g, c // g, d // g, q // g))
+    return x
+
+
 ZERO = FieldScalar()
-ONE = FieldScalar(Fraction(1))
-I = FieldScalar(Fraction(0), Fraction(1))
+ONE = FieldScalar(1)
+I = FieldScalar(0, 1)
 # Primitive cube root of unity, j = -1/2 + i*sqrt(3)/2.
-J = FieldScalar(Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(1, 2))
+J = FieldScalar(Fraction(-1, 2), 0, 0, Fraction(1, 2))
 JBAR = J.conj()
 
 
 def j_power(k: int) -> FieldScalar:
     """j**k, reduced mod 3."""
-    k %= 3
-    if k == 0:
-        return ONE
-    if k == 1:
-        return J
-    return JBAR
+    return (ONE, J, JBAR)[k % 3]

@@ -395,10 +395,9 @@ def rewrite_symmetric_in_sp(poly: MPoly) -> MPoly:
 def coefficient_components_ok(e: EigenPoly) -> bool:
     """Realness pattern: R and P have b = c = d = 0; Q has a = c = 0."""
     for coeff in e.poly.terms.values():
-        if e.flavor in ("R", "P", "G"):
-            if coeff.b or coeff.c or coeff.d:
-                return False
-        elif e.flavor == "Q":
-            if coeff.a or coeff.c:
-                return False
+        a, _, c, _, _ = coeff.ints
+        if e.flavor in ("R", "P", "G") and not coeff.is_rational():
+            return False
+        if e.flavor == "Q" and (a or c):
+            return False
     return True

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -441,14 +442,40 @@ class TestVerifyCli:
             assert _build_verify_config(args).negative_control is expected
 
 
+SCAN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "hypergroup_scan.py"
+
+
 def test_hypergroup_scan_script_runs():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "hypergroup_scan.py"
     done = subprocess.run(
-        [sys.executable, str(script), "--samples", "2000", "--theta-grid", "2",
+        [sys.executable, str(SCAN_SCRIPT), "--samples", "2000", "--theta-grid", "2",
          "--degree-max", "2"],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "worst orthonormalized block bound" in done.stdout
+
+
+@pytest.mark.parametrize("lam", ["4", "abc"])
+def test_hypergroup_scan_script_rejects_bad_lambda(lam):
+    # 4 is below the rejection sampler's 11/2; "abc" is not a rational number.
+    # Either ends before any output, as the CLI does.
+    done = subprocess.run([sys.executable, str(SCAN_SCRIPT), "--lambda", lam, "--samples", "2000"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+# sha256 of `hypergroup_scan.py --samples 20000` standard output, recorded
+# under numpy 2.4.6 like the report digest.
+DEFAULT_SCAN_SHA256 = "bfc6ce05647cacaf4e2d1aff63d5a7d410c7c0760d8767ee90d592aa55efef04"
+
+
+def test_hypergroup_scan_script_default_output_is_pinned():
+    done = subprocess.run([sys.executable, str(SCAN_SCRIPT), "--samples", "20000"],
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == DEFAULT_SCAN_SHA256
 
 
 def test_model_registry_matches_docs():
