@@ -18,6 +18,10 @@ unconditional correlations normalized by quadrature norms,
 
     E[u(pi(Phi_theta xi)) v(pi(xi))] = M[u, v] * ||v||^2 .
 
+ProbeContext.correlations makes all of them at one theta in one pass over
+the batch, streamed through poly.streamed_mean_se in blocks of EVAL_CHUNK
+points (batch means for a correlated MCMC batch).
+
 Each entry is labelled "exact" (a closed form, or a zero forced by
 Q-hat(n, n) = 0), "estimated" (a Monte-Carlo mean and its standard error)
 or "unavailable" (NaN, no closed form); MarkovMatrix.z_scores compares the
@@ -34,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ThetaPair, deltoid_boundary_values, z_of_theta, phi_theta
-from .poly import CompiledPolys
+from .poly import EVAL_CHUNK, CompiledPolys, streamed_mean_se
 from .quadrature import TorusGrid
 from .sampling import MomentEstimate, SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
@@ -77,9 +81,9 @@ class ProbeContext:
     2i and 2i + 1 for the i-th index), and evaluates their real form;
     first_columns maps basis values to every block's orthonormal first column.
 
-    The values on a lifted sample batch are memoized, one entry for the
-    projected batch and one for its rotation at the current theta.  Each
-    entry holds the batch object itself and is reused only for that object.
+    The basis values at a lifted sample batch and its correlations at one
+    theta are memoized; each entry holds the batch object itself and theta,
+    and is reused only for that object and that theta.
     """
 
     lam: Fraction
@@ -142,20 +146,44 @@ class ProbeContext:
     def eval_pair(self, n: int, k: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.split(self.basis.real_values(z), n, k)
 
-    def batch_values(self, batch: SampleBatch, theta: ThetaPair | None = None) -> np.ndarray:
-        """Basis values at the projected batch, or at its rotation by theta."""
-        key = "base" if theta is None else "rotated"
-        entry = self._memo.get(key)
-        if entry is not None and entry[0] is batch and entry[1] == theta:
-            return entry[2]
-        if theta is None:
-            z = pushforward_deltoid(batch)
-        else:
-            z = phi_theta(batch.points, theta).mean(axis=1)
-        values = self.basis.real_values(z)
-        values.flags.writeable = False  # callers get row views of the memo
-        self._memo[key] = (batch, theta, values)
-        return values
+    def batch_values(self, batch: SampleBatch) -> np.ndarray:
+        """Basis values at the projected batch."""
+        entry = self._memo.get("base")
+        if entry is None or entry[0] is not batch:
+            values = self.basis.real_values(pushforward_deltoid(batch))
+            values.flags.writeable = False  # callers get row views of the memo
+            entry = self._memo["base"] = (batch, values)
+        return entry[1]
+
+    def correlations(self, batch: SampleBatch, theta: ThetaPair) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and standard error of u(pi(Phi_theta xi)) v(pi(xi)), each of shape
+        (len(pairs), 2, 2): [i, a, b] takes row a (P-hat, Q-hat) of the i-th
+        index at the rotated points and row b at the points."""
+        entry = self._memo.get("correlations")
+        if entry is None or entry[0] is not batch or entry[1] != theta:
+            count = len(self.pairs)
+            mean, se = self._mean_se(batch, theta, lambda rotated, base: (
+                rotated.reshape(count, 2, 1, -1) * base.reshape(count, 1, 2, -1)
+            ).reshape(4 * count, -1))
+            entry = self._memo["correlations"] = (
+                batch, theta, (mean.reshape(count, 2, 2), se.reshape(count, 2, 2)))
+        return entry[2]
+
+    def _mean_se(self, batch: SampleBatch, theta: ThetaPair, product) -> tuple:
+        """Mean and standard error per row of product(basis values at the rotated
+        points, at the points), streamed in blocks of EVAL_CHUNK points, or by
+        MomentEstimate.of's batch means over a correlated batch's whole series."""
+        base = self.batch_values(batch)
+        phases = phi_theta(np.ones(3), theta)
+        size = len(batch) if batch.correlated else EVAL_CHUNK
+        # One matrix-vector product rotates, to the bit as phi_theta(...).mean(axis=1).
+        blocks = (product(self.basis.real_values(batch.points[start:start + size] @ phases / 3.0),
+                          base[:, start:start + size]) for start in range(0, len(batch), size))
+        if not batch.correlated:
+            return streamed_mean_se(blocks)
+        estimates = [MomentEstimate.of(row, True) for block in blocks for row in block]
+        return (np.array([e.mean for e in estimates]),
+                np.array([e.standard_error for e in estimates]))
 
 
 def markov_pair_exact(
@@ -181,26 +209,23 @@ def estimate_markov_matrix(
     With u, v ranging over the pair, E[u(pi(Phi_theta xi)) v(pi(xi))] equals
     M[u, v] ||v||^2; the norms come from quadrature.  Entries carry standard
     errors of the correlation means (batch means for a correlated MCMC
-    batch); Q-hat(n, n) = 0 makes the other three entries of an n = k block
-    exact zeros.
+    batch), read from ProbeContext.correlations; Q-hat(n, n) = 0 makes the
+    other three entries of an n = k block exact zeros.
     """
     if batch.kind != "omega1":
         raise ValueError("markov estimation needs lifted-domain samples")
-    p_base, q_base = ctx.split(ctx.batch_values(batch), n, k)
-    p_rot, q_rot = ctx.split(ctx.batch_values(batch, theta), n, k)
     p_norm2, q_norm2 = ctx.norms2[(n, k)]
     if p_norm2 <= 0 or (n != k and q_norm2 <= 0):
         raise ArithmeticError(f"degenerate quadrature norms for index ({n},{k})")
-    terms = [("alpha", p_rot, p_base, p_norm2)]
+    means, errors = (values[ctx._rows[(n, k)] // 2] for values in ctx.correlations(batch, theta))
+    terms = [("alpha", 0, 0, p_norm2)]
     if n != k:
-        terms += [("beta", p_rot, q_base, q_norm2), ("gamma", q_rot, p_base, p_norm2),
-                  ("delta", q_rot, q_base, q_norm2)]
+        terms += [("beta", 0, 1, q_norm2), ("gamma", 1, 0, p_norm2), ("delta", 1, 1, q_norm2)]
     entries = dict.fromkeys(("alpha", "beta", "gamma", "delta"), 0.0)
     provenance = dict.fromkeys(entries, ("exact", 0.0))
-    for name, u_vals, v_vals, v_norm2 in terms:
-        est = MomentEstimate.of(u_vals * v_vals, batch.correlated)
-        entries[name] = est.mean / v_norm2
-        provenance[name] = ("estimated", est.standard_error / v_norm2)
+    for name, rotated_row, base_row, v_norm2 in terms:
+        entries[name] = float(means[rotated_row, base_row]) / v_norm2
+        provenance[name] = ("estimated", float(errors[rotated_row, base_row]) / v_norm2)
     return MarkovMatrix(n, k, theta, **entries, provenance=provenance)
 
 
@@ -332,22 +357,19 @@ def block_cross_correlations(ctx: ProbeContext, theta: ThetaPair, batch: SampleB
     Commutation forces these to vanish; each entry reports the correlation
     normalized to unit-norm functions together with its standard error.
     """
-    base = ctx.batch_values(batch)
-    rotated = ctx.batch_values(batch, theta)
-    # (label, eigenvalue, rotated values, base values) per unit-norm function,
-    # sorted by index so that the earlier index of a pair is the rotated one.
-    functions = []
-    for (n, k), pair in sorted(ctx.pairs.items()):
-        for row, e in enumerate(pair[:1] if n == k else pair):  # Q-hat(n, n) = 0
-            scale = math.sqrt(ctx.norms2[(n, k)][row])
-            functions.append(((e.flavor, n, k), e.eigenvalue,
-                              ctx.split(rotated, n, k)[row] / scale,
-                              ctx.split(base, n, k)[row] / scale))
-    out = []
-    for i, (label1, mu1, rot1, _) in enumerate(functions):
-        for label2, mu2, _, base2 in functions[i + 1:]:
-            if mu1 != mu2:
-                est = MomentEstimate.of(rot1 * base2, batch.correlated)
-                out.append({"pair": (label1, label2), "correlation": est.mean,
-                            "standard_error": est.standard_error})
-    return out
+    # Label, eigenvalue, basis row and norm per function, sorted by index so
+    # that the earlier index of a pair is the rotated one.
+    labels, eigenvalues, rows, norms = (list(column) for column in zip(*(
+        ((e.flavor, n, k), e.eigenvalue, ctx._rows[(n, k)] + row,
+         math.sqrt(ctx.norms2[(n, k)][row]))
+        for (n, k), pair in sorted(ctx.pairs.items())
+        for row, e in enumerate(pair[:1] if n == k else pair))))  # Q-hat(n, n) = 0
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+             if eigenvalues[i] != eigenvalues[j]]
+    first, second = [i for i, _ in pairs], [j for _, j in pairs]
+    scale = np.array(norms)[:, None]
+    # Unit-norm rotated and base values, then one row per pair.
+    mean, se = ctx._mean_se(batch, theta, lambda rotated, base: (
+        (rotated[rows] / scale)[first] * (base[rows] / scale)[second]))
+    return [{"pair": (labels[i], labels[j]), "correlation": float(m), "standard_error": float(e)}
+            for (i, j), m, e in zip(pairs, mean, se)]

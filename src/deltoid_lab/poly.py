@@ -55,6 +55,14 @@ class MPoly:
                     clean[tuple(exps)] = coeff
         self.terms: dict[Exponents, FieldScalar] = clean
 
+    @staticmethod
+    def _adopt(variables: tuple[str, ...], terms: dict[Exponents, FieldScalar]) -> "MPoly":
+        """MPoly taking over a clean term dict (tuples of the right length, no
+        zero coefficients), unchecked and uncopied; for the ring operations."""
+        poly = object.__new__(MPoly)
+        poly.variables, poly.terms = variables, terms
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -136,12 +144,12 @@ class MPoly:
                 out[exps] = new
             elif acc is not None:
                 del out[exps]
-        return MPoly(self.variables, out)
+        return MPoly._adopt(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MPoly._adopt(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly | CoeffLike") -> "MPoly":
         if not isinstance(other, MPoly):
@@ -156,7 +164,7 @@ class MPoly:
             scalar = FieldScalar.coerce(other)
             if not scalar:
                 return MPoly(self.variables)
-            return MPoly(self.variables, {e: c * scalar for e, c in self.terms.items()})
+            return MPoly._adopt(self.variables, {e: c * scalar for e, c in self.terms.items()})
         self._check_same_ring(other)
         out: dict[Exponents, FieldScalar] = {}
         for e1, c1 in self.terms.items():
@@ -169,7 +177,7 @@ class MPoly:
                     out[exps] = new
                 elif acc is not None:
                     del out[exps]
-        return MPoly(self.variables, out)
+        return MPoly._adopt(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -201,7 +209,7 @@ class MPoly:
             new = list(exps)
             new[idx] = k - 1
             out[tuple(new)] = coeff * k
-        return MPoly(self.variables, out)
+        return MPoly._adopt(self.variables, out)
 
     def subs(self, images: Mapping[str, "MPoly"]) -> "MPoly":
         """Exact composition f(images); one image per variable of f.
@@ -367,16 +375,24 @@ def _powers(base, top: int) -> list:
     return out[: top + 1]
 
 
-def _sum_terms(terms: list[tuple[complex, Exponents]], powers: list[list]):
-    """Sum of (c * x1**k1) * x2**k2 * ... over the terms, in term order."""
-    total = 0j
+def _sum_terms(terms: list[tuple[complex, Exponents]], powers: list[list],
+               out: np.ndarray, buffers: np.ndarray) -> None:
+    """out = 0 + (c * x1**k1) * x2**k2 * ... over the terms, in term order, with
+    the operations of that expression in its order (so its bits) and no
+    temporaries.  Each product goes to the row of buffers that is not its
+    operand: numpy may round an in-place complex product differently."""
+    out.fill(0.0)
     for coeff, exps in terms:
-        term = coeff
-        for p, k in zip(powers, exps):
-            if k:
-                term = term * p[k]
-        total = total + term
-    return total
+        factors = [p[k] for p, k in zip(powers, exps) if k]
+        if not factors:
+            out += coeff
+            continue
+        term, spare = buffers[:, :out.size]
+        np.multiply(coeff, factors[0], out=term)
+        for factor in factors[1:]:
+            np.multiply(term, factor, out=spare)
+            term, spare = spare, term
+        out += term
 
 
 class CompiledPolys:
@@ -421,12 +437,13 @@ class CompiledPolys:
         arrays = np.broadcast_arrays(*(np.asarray(point[v], dtype=complex) for v in self.variables))
         shape = arrays[0].shape
         flat = [a.reshape(-1) for a in arrays]
-        out = np.zeros((len(self), flat[0].size), dtype=complex)
+        out = np.empty((len(self), flat[0].size), dtype=complex)
+        buffers = np.empty((2, min(flat[0].size, EVAL_CHUNK)), dtype=complex)
         for start in range(0, flat[0].size, EVAL_CHUNK):
             block = slice(start, start + EVAL_CHUNK)
             powers = [_powers(a[block], top) for a, top in zip(flat, self._top)]
             for i, terms in enumerate(self._terms):
-                out[i, block] = _sum_terms(terms, powers)
+                _sum_terms(terms, powers, out[i, block], buffers)
         return out.reshape((len(self), *shape))
 
     # -- real form, one conjugate pair -------------------------------------------
@@ -476,26 +493,33 @@ class CompiledPolys:
         return out.reshape((len(self), *w.shape))
 
     def real_mean_se(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sample mean and its standard error of Re f(w, conj w), per polynomial.
-
-        Reduced block by block (Chan's pairwise update), so no array of all
-        values is ever held.
-        """
-        count = 0
-        mean = np.zeros(len(self))
-        m2 = np.zeros(len(self))
-        for values in self._real_blocks(w):
-            size = values.shape[1]
-            block_mean = values.mean(axis=1)
-            block_m2 = ((values - block_mean[:, None]) ** 2).sum(axis=1)
-            delta = block_mean - mean
-            total = count + size
-            mean = mean + delta * (size / total)
-            m2 = m2 + block_m2 + delta * delta * (count * size / total)
-            count = total
-        if count < 2:
+        """Sample mean and its standard error of Re f(w, conj w), per polynomial,
+        reduced block by block by streamed_mean_se."""
+        if np.size(w) < 2:
             raise ValueError("need at least two points for a standard error")
-        return mean, np.sqrt(m2 / (count - 1) / count)
+        return streamed_mean_se(self._real_blocks(w))
+
+
+def streamed_mean_se(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error std(ddof=1)/sqrt(n) per row of values arriving
+    in column blocks, by Chan's pairwise update (Chan, Golub & LeVeque, Amer.
+    Statist. 1983): no array of all values is held, and each block is
+    overwritten.  The error is 0.0 below two values, as in MomentEstimate.of."""
+    count = 0
+    mean = m2 = 0.0
+    for values in blocks:
+        size = values.shape[1]
+        block_mean = values.mean(axis=1)
+        deviations = np.subtract(values, block_mean[:, None], out=values)
+        block_m2 = np.square(deviations, out=deviations).sum(axis=1)
+        delta = block_mean - mean
+        total = count + size
+        mean = mean + delta * (size / total)
+        m2 = m2 + block_m2 + delta * delta * (count * size / total)
+        count = total
+    if count < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.sqrt(m2 / (count - 1) / count)
 
 
 # -- exact division -----------------------------------------------------------

@@ -35,6 +35,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .models import LAMBDA_RANGES, omega1_boundary_values, omega1_membership, z_of_theta
+from .poly import EVAL_CHUNK
 from .scalars import RationalLike
 
 
@@ -195,6 +196,8 @@ def su3_trace_samples(n: int, seed: int) -> np.ndarray:
     equal to rounding, but the matrices are never assembled: each block sums
     the diagonal of its orthonormal basis and scales it once.
     """
+    if n < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=complex)
     for block in _blocks(n):
@@ -214,7 +217,18 @@ def _beta_of_lambda(lam: Fraction) -> Fraction:
 
 def _polydisc_screen(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Indices of the polydisc proposals sqrt(u) * exp(1j * angles) that may
-    lie in the lifted domain, computed in real arithmetic on the draws.
+    lie in the lifted domain (see _screen_mask), screened in blocks of
+    EVAL_CHUNK proposals so that the temporaries stay in cache."""
+    keep = np.empty(len(u), dtype=bool)
+    for start in range(0, len(u), EVAL_CHUNK):
+        block = slice(start, start + EVAL_CHUNK)
+        keep[block] = _screen_mask(u[block], angles[block])
+    return np.flatnonzero(keep)
+
+
+def _screen_mask(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Which polydisc proposals sqrt(u) * exp(1j * angles) may lie in the
+    lifted domain, computed in real arithmetic on the draws.
 
     With s1 = sum u_i and s2 = sum u_i^2 (u_i = |z_i|^2),
 
@@ -240,7 +254,7 @@ def _polydisc_screen(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     t = s1 + 1.0
     p1 = 2.0 - t * t + 2.0 * s2 + 8.0 * np.sqrt(u0 * u1 * u2) * np.cos(
         angles[:, 0] + angles[:, 1] + angles[:, 2])
-    return np.flatnonzero((p1 > -SCREEN_MARGIN) & (p2 < SCREEN_MARGIN))
+    return (p1 > -SCREEN_MARGIN) & (p2 < SCREEN_MARGIN)
 
 
 def sample_omega1(

@@ -144,24 +144,30 @@ def graded_triangular_solve(
     lead: Exponents,
     order_key: OrderKey,
     table: OperatorTable,
+    eigenvalues: dict[Exponents, Fraction] | None = None,
 ) -> tuple[MPoly, Fraction, tuple[Exponents, ...]]:
     """Back-substitute the eigenpolynomial with the given leading monomial.
 
     Returns (polynomial, eigenvalue mu, benign collisions).  The table must
     hold the lead and every monomial strictly below it in the grading order
     that the operator can reach; monomials above the lead are ignored.
+    eigenvalues maps a monomial to minus the diagonal coefficient of L on it,
+    the eigenvalue of the eigenpolynomial it leads; it is read from the
+    table when not given.
     """
     variables = model.variables
     lead = tuple(lead)
     lead_key = order_key(lead)
 
-    mu = -_diagonal(table, lead)
     below = sorted(
         (e for e in table if order_key(e) < lead_key),
         key=order_key,
         reverse=True,
     )
-    collisions = tuple(e for e in below if -_diagonal(table, e) == mu)
+    if eigenvalues is None:
+        eigenvalues = {e: -_diagonal(table, e) for e in (lead, *below)}
+    mu = eigenvalues[lead]
+    collisions = tuple(e for e in below if eigenvalues[e] == mu)
 
     coeffs: dict[Exponents, FieldScalar] = {lead: ONE}
     # acc holds (L + mu)(partial solution); consumed as coefficients are fixed.
@@ -187,7 +193,7 @@ def graded_triangular_solve(
         rhs = acc.pop(exps, None)
         if rhs is None or not rhs:
             continue
-        denom = mu + _diagonal(table, exps)  # mu - mu_m with mu_m = -diagonal
+        denom = mu - eigenvalues[exps]
         if denom == 0:
             raise EigenvalueCollisionError(lead, exps, mu)
         c = rhs * Fraction(-1, 1) / FieldScalar.from_rational(denom)
@@ -228,6 +234,7 @@ class _OperatorBasis:
         self.model = model
         self.basis = basis
         self.table: OperatorTable = {}
+        self.eigenvalues: dict[Exponents, Fraction] = {}  # minus L's diagonal, per monomial
         self.leads: dict[Exponents, EigenPoly] = {}
         self.pairs: dict[tuple[int, int], tuple[EigenPoly, EigenPoly]] = {}
 
@@ -236,8 +243,10 @@ class _OperatorBasis:
             if min(lead) < 0:
                 raise ValueError("indices must be nonnegative")
             operator_table(self.model, self.basis, self.basis.degree(lead), self.table)
+            for exps in self.table.keys() - self.eigenvalues.keys():
+                self.eigenvalues[exps] = -_diagonal(self.table, exps)
             poly, mu, collisions = graded_triangular_solve(
-                self.model, lead, self.basis.order_key, self.table)
+                self.model, lead, self.basis.order_key, self.table, self.eigenvalues)
             self.leads[lead] = EigenPoly(lead[0], lead[1], mu, poly, self.basis.flavor, collisions)
         return self.leads[lead]
 

@@ -19,7 +19,8 @@ from deltoid_lab.hypergroup import (
     rotation_delta_exact,
     theta_grid,
 )
-from deltoid_lab.models import ThetaPair, deltoid_boundary_values, z_of_theta
+from deltoid_lab.models import ThetaPair, deltoid_boundary_values, phi_theta, z_of_theta
+from deltoid_lab.poly import EVAL_CHUNK, streamed_mean_se
 from deltoid_lab.quadrature import TorusGrid
 from deltoid_lab.sampling import MomentEstimate, sample_omega1
 from deltoid_lab.spectral import eigenvalue_deltoid, pq_polys
@@ -179,9 +180,11 @@ class TestEstimation:
             estimate_markov_matrix(ctx, 1, 0, ThetaPair(0.0, 0.0), sample_torus(10, 1))
 
     def test_cross_list_bit_equal_to_pq_polys_list(self, ctx, batch):
-        # The list as it was built from spectral.pq_polys and eigenvalue_deltoid.
+        # The list as it was built from spectral.pq_polys and eigenvalue_deltoid,
+        # each pair reduced by streamed_mean_se in blocks of EVAL_CHUNK points.
         theta = ThetaPair(1.3, 2.9)
-        base, rotated = ctx.batch_values(batch), ctx.batch_values(batch, theta)
+        base = ctx.batch_values(batch)
+        rotated = ctx.basis.real_values(phi_theta(batch.points, theta).mean(axis=1))
         functions = []
         for flavor, n, k, _ in sorted(pq_polys(ctx.lam, ctx.degree_max), key=lambda e: e[1:3]):
             row = "PQ".index(flavor)
@@ -189,14 +192,78 @@ class TestEstimation:
             functions.append(((flavor, n, k), eigenvalue_deltoid(ctx.lam, n, k),
                               ctx.split(rotated, n, k)[row] / scale,
                               ctx.split(base, n, k)[row] / scale))
-        expected = []
+        labels, products = [], []
         for i, (label1, mu1, rot1, _) in enumerate(functions):
             for label2, mu2, _, base2 in functions[i + 1:]:
                 if mu1 != mu2:
-                    est = MomentEstimate.of(rot1 * base2)
-                    expected.append({"pair": (label1, label2), "correlation": est.mean,
-                                     "standard_error": est.standard_error})
+                    labels.append((label1, label2))
+                    products.append(rot1 * base2)
+        products = np.array(products)
+        mean, se = streamed_mean_se(products[:, start:start + EVAL_CHUNK].copy()
+                                    for start in range(0, len(batch), EVAL_CHUNK))
+        expected = [{"pair": pair, "correlation": m, "standard_error": e}
+                    for pair, m, e in zip(labels, mean.tolist(), se.tolist())]
         assert block_cross_correlations(ctx, theta, batch) == expected
+
+
+def former_estimate(ctx, n, k, theta, batch):
+    """estimate_markov_matrix as it was: one MomentEstimate.of per entry, on the
+    basis values at phi_theta(points, theta).mean(axis=1) and at the batch."""
+    p_base, q_base = ctx.split(ctx.basis.real_values(batch.points.mean(axis=1)), n, k)
+    p_rot, q_rot = ctx.split(ctx.basis.real_values(phi_theta(batch.points, theta).mean(axis=1)),
+                             n, k)
+    p_norm2, q_norm2 = ctx.norms2[(n, k)]
+    terms = [("alpha", p_rot, p_base, p_norm2)]
+    if n != k:
+        terms += [("beta", p_rot, q_base, q_norm2), ("gamma", q_rot, p_base, p_norm2),
+                  ("delta", q_rot, q_base, q_norm2)]
+    entries = {}
+    for name, u_vals, v_vals, v_norm2 in terms:
+        est = MomentEstimate.of(u_vals * v_vals, batch.correlated)
+        entries[name] = (est.mean / v_norm2, est.standard_error / v_norm2)
+    return entries
+
+
+class TestBlockedPass:
+    """ProbeContext.correlations: one streamed pass per batch and theta."""
+
+    @staticmethod
+    def close(got, expected):
+        return abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_entries_match_moment_estimates(self, ctx, batch):
+        assert len(batch) % EVAL_CHUNK and len(batch) > 3 * EVAL_CHUNK
+        base = ctx.basis.real_values(batch.points.mean(axis=1))
+        for theta in (ThetaPair(1.0, 2.0), ThetaPair(2.5, 0.7), ThetaPair(4.1, 5.9)):
+            rotated = ctx.basis.real_values(phi_theta(batch.points, theta).mean(axis=1))
+            mean, se = ctx.correlations(batch, theta)
+            assert mean.shape == se.shape == (len(ctx.pairs), 2, 2)
+            for i, (n, k) in enumerate(ctx.pairs):
+                for a, u_vals in enumerate(ctx.split(rotated, n, k)):
+                    for b, v_vals in enumerate(ctx.split(base, n, k)):
+                        est = MomentEstimate.of(u_vals * v_vals)
+                        assert self.close(mean[i, a, b], est.mean), (n, k, a, b)
+                        assert self.close(se[i, a, b], est.standard_error), (n, k, a, b)
+                got = estimate_markov_matrix(ctx, n, k, theta, batch)
+                for name, (value, error) in former_estimate(ctx, n, k, theta, batch).items():
+                    assert self.close(getattr(got, name), value)
+                    assert self.close(got.provenance[name][1], error)
+
+    def test_memo_follows_theta_and_batch(self, batch):
+        ctx = ProbeContext.build(LAM, 3, grid_n=64)
+        fresh = ProbeContext.build(LAM, 3, grid_n=64)
+        first, second = ThetaPair(1.0, 2.0), ThetaPair(2.5, 0.7)
+        result = ctx.correlations(batch, first)
+        assert ctx.correlations(batch, first) is result
+        other_theta = ctx.correlations(batch, second)
+        assert other_theta is not result
+        assert all(np.array_equal(x, y) for x, y in zip(other_theta,
+                                                        fresh.correlations(batch, second)))
+        # An equal batch in a new object is a new batch to the memo.
+        copy = dataclasses.replace(batch, points=batch.points.copy())
+        again = ctx.correlations(copy, second)
+        assert again is not other_theta
+        assert all(np.array_equal(x, y) for x, y in zip(again, other_theta))
 
 
 class TestCorrelatedBatch:
@@ -217,18 +284,26 @@ class TestCorrelatedBatch:
         assert chain.correlated
         est = estimate_markov_matrix(probe, 1, 0, self.THETA, chain)
         p_base, _ = probe.split(probe.batch_values(chain), 1, 0)
-        p_rot, _ = probe.split(probe.batch_values(chain, self.THETA), 1, 0)
+        p_rot, _ = probe.eval_pair(1, 0, phi_theta(chain.points, self.THETA).mean(axis=1))
         p_norm2 = probe.norms2[(1, 0)][0]
         batch_means = MomentEstimate.of(p_rot * p_base, correlated=True).standard_error
         independent = MomentEstimate.of(p_rot * p_base).standard_error
         assert est.provenance["alpha"] == ("estimated", batch_means / p_norm2)
         assert batch_means > 2 * independent
 
+    def test_entries_bit_equal_to_former_estimates(self, probe, chain):
+        for theta in (self.THETA, ThetaPair(2.5, 0.7)):
+            for n, k in probe.pairs:
+                got = estimate_markov_matrix(probe, n, k, theta, chain)
+                for name, (value, error) in former_estimate(probe, n, k, theta, chain).items():
+                    assert getattr(got, name) == value
+                    assert got.provenance[name] == ("estimated", error)
+
     def test_cross_errors_are_batch_means(self, probe, chain):
         crosses = block_cross_correlations(probe, self.THETA, chain)
         # The first pair: P-hat(1, 0) rotated against P-hat(1, 1).
         assert crosses[0]["pair"] == (("P", 1, 0), ("P", 1, 1))
-        p10 = probe.split(probe.batch_values(chain, self.THETA), 1, 0)[0]
+        p10 = probe.eval_pair(1, 0, phi_theta(chain.points, self.THETA).mean(axis=1))[0]
         p11 = probe.split(probe.batch_values(chain), 1, 1)[0]
         expected = MomentEstimate.of(p10 / math.sqrt(probe.norms2[(1, 0)][0])
                                      * (p11 / math.sqrt(probe.norms2[(1, 1)][0])), True)

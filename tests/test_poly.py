@@ -17,8 +17,9 @@ from deltoid_lab.poly import (
     monomials_up_to,
     solve_field_linear,
     try_divide,
+    _powers,
 )
-from deltoid_lab.scalars import FieldScalar, I, ONE
+from deltoid_lab.scalars import FieldScalar, I, ONE, ZERO
 from deltoid_lab.spectral import eigen_PQ_lambda, pq_indices
 
 from conftest import deltoid_polys, g2_polys, poly_strategy
@@ -43,6 +44,20 @@ def test_p1_plus_p2_at_origin():
     p1, p2 = p1_p2()
     total = (p1 + p2).constant_term()
     assert total.rational_value() == Fraction(-2)
+
+
+def test_constructor_checks_lengths_and_drops_zeros():
+    with pytest.raises(ValueError):
+        MPoly(VARS, {(1,): ONE})
+    with pytest.raises(ValueError):
+        MPoly(VARS, {(1, 0, 0): ONE, (0, 1): ONE})
+    p = MPoly(VARS, {(1, 0): ZERO, (0, 1): ONE, (2, 2): FieldScalar(0, 0, 0, 0)})
+    assert p.terms == {(0, 1): ONE}
+    assert not MPoly(VARS, {(1, 1): ZERO})
+    # Results of the ring operations are as clean as constructed ones.
+    q = Z * Zb - Zb * Z
+    assert q.terms == {} and q == MPoly.zero(VARS)
+    assert (Z + Zb - Z).terms == {(0, 1): ONE}
 
 
 def test_variable_mismatch():
@@ -259,7 +274,38 @@ def eigen_pairs(lam, degree):
             for e in eigen_PQ_lambda(lam, n, k)]
 
 
+def sum_terms_written_out(poly, point):
+    """The compiled evaluator's sum as an expression, block by block: powers by
+    repeated multiplication and 0 + (c * x1**k1) * x2**k2 + ... in term order."""
+    flat = [np.asarray(point[v], dtype=complex).reshape(-1) for v in poly.variables]
+    top = [max([e[i] for e in poly.terms], default=0) for i in range(len(poly.variables))]
+    blocks = []
+    for start in range(0, flat[0].size, EVAL_CHUNK):
+        powers = [_powers(a[start:start + EVAL_CHUNK], t) for a, t in zip(flat, top)]
+        total = 0j
+        for exps, coeff in poly.terms.items():
+            term = coeff.to_complex()
+            for p, k in zip(powers, exps):
+                if k:
+                    term = term * p[k]
+            total = total + term
+        blocks.append(np.broadcast_to(total, flat[0][start:start + EVAL_CHUNK].shape))
+    return np.concatenate(blocks)
+
+
 class TestCompiledEvaluator:
+    @pytest.mark.parametrize("shape", ["scalar", "0-d", "multi-chunk"])
+    def test_in_place_sum_bit_equal_to_expression(self, shape):
+        z = deltoid_points(2 * EVAL_CHUNK + 37, seed=13)
+        value = {"scalar": 0.3 - 0.1j, "0-d": np.asarray(z[5]), "multi-chunk": z}[shape]
+        point = {"Z": value, "Zb": value.conjugate()}
+        polys = eigen_pairs(Fraction(4), 4) + [MPoly.zero(VARS), MPoly.const(VARS, -2) + Z]
+        values = CompiledPolys(polys).values(point)
+        for row, poly in zip(values, polys):
+            expected = sum_terms_written_out(poly, point)
+            # Bits, not values: -0.0 and 0.0 differ here.
+            assert np.array_equal(row.reshape(-1).view(np.uint64), expected.view(np.uint64))
+
     def test_evaluate_matches_term_by_term(self):
         z = deltoid_points(3000)
         point = {"Z": z, "Zb": z.conj()}

@@ -69,6 +69,13 @@ def test_su3_gram_schmidt_matches_qr_oracle():
     assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_samplers_refuse_fewer_than_one_sample(n):
+    for sampler in (sample_torus, sample_su3_haar, su3_trace_samples):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            sampler(n, 1)
+
+
 def test_su3_trace_streaming_consistent():
     # Within one block and across blocks with a partial last one.
     for n in (1000, 3 * sampling.SU3_CHUNK + 17):
@@ -171,6 +178,16 @@ class TestOmega1:
         member[survivors] = omega1_membership(
             np.sqrt(u[survivors]) * np.exp(1j * angles[survivors]))
         return member
+
+    def test_blocked_screen_equals_one_pass(self):
+        rng = np.random.default_rng(97)
+        size = 3 * sampling.EVAL_CHUNK + 101
+        u = rng.uniform(size=(size, 3))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(size, 3))
+        one_pass = np.flatnonzero(sampling._screen_mask(u, angles))
+        assert 0 < len(one_pass) < size
+        assert np.array_equal(sampling._polydisc_screen(u, angles), one_pass)
+        assert len(sampling._polydisc_screen(u[:0], angles[:0])) == 0
 
     def test_screen_keeps_every_accepted_proposal(self):
         rng = np.random.default_rng(83)
