@@ -19,8 +19,8 @@ unconditional correlations normalized by quadrature norms,
     E[u(pi(Phi_theta xi)) v(pi(xi))] = M[u, v] * ||v||^2 .
 
 ProbeContext.correlations makes all of them at one theta in one pass over
-the batch, streamed through poly.streamed_mean_se in blocks of EVAL_CHUNK
-points (batch means for a correlated MCMC batch).
+blocks of EVAL_CHUNK points, each block's moments matrix products, combined
+by poly.streamed_mean_se (batch means for a correlated MCMC batch).
 
 Each entry is labelled "exact" (a closed form, or a zero forced by
 Q-hat(n, n) = 0), "estimated" (a Monte-Carlo mean and its standard error)
@@ -82,8 +82,8 @@ class ProbeContext:
     first_columns maps basis values to every block's orthonormal first column.
 
     The basis values at a lifted sample batch and its correlations at one
-    theta are memoized; each entry holds the batch object itself and theta,
-    and is reused only for that object and that theta.
+    theta (block moments from matrix products) are memoized; each entry
+    holds the batch object and theta, and is reused only for those.
     """
 
     lam: Fraction
@@ -158,32 +158,53 @@ class ProbeContext:
     def correlations(self, batch: SampleBatch, theta: ThetaPair) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of u(pi(Phi_theta xi)) v(pi(xi)), each of shape
         (len(pairs), 2, 2): [i, a, b] takes row a (P-hat, Q-hat) of the i-th
-        index at the rotated points and row b at the points."""
+        index at the rotated points and row b at the points.  Per block and index,
+        (2, block) @ (block, 2) products of the rows and of their squares give
+        the sums; an n = k index takes only its P-hat rows (Q-hat(n, n) = 0)."""
         entry = self._memo.get("correlations")
         if entry is None or entry[0] is not batch or entry[1] != theta:
             count = len(self.pairs)
-            mean, se = self._mean_se(batch, theta, lambda rotated, base: (
+            widths = [1 if n == k else 2 for n, k in self.pairs]
+            squares = np.empty((2, EVAL_CHUNK))  # base squares, one block at a time
+
+            def sums(rotated, base):
+                s1, s2 = np.zeros((2, count, 2, 2))
+                for i, w in enumerate(widths):
+                    u, v = rotated[2 * i:2 * i + w], base[2 * i:2 * i + w]
+                    s1[i, :w, :w] = u @ v.T
+                    v2 = np.square(v, out=squares[:w, :v.shape[1]])
+                    s2[i, :w, :w] = np.square(u, out=u) @ v2.T
+                return s1, s2
+
+            mean, se = self._mean_se(batch, theta, sums, lambda rotated, base: (
                 rotated.reshape(count, 2, 1, -1) * base.reshape(count, 1, 2, -1)
             ).reshape(4 * count, -1))
             entry = self._memo["correlations"] = (
                 batch, theta, (mean.reshape(count, 2, 2), se.reshape(count, 2, 2)))
         return entry[2]
 
-    def _mean_se(self, batch: SampleBatch, theta: ThetaPair, product) -> tuple:
-        """Mean and standard error per row of product(basis values at the rotated
-        points, at the points), streamed in blocks of EVAL_CHUNK points, or by
-        MomentEstimate.of's batch means over a correlated batch's whole series."""
+    def _mean_se(self, batch: SampleBatch, theta: ThetaPair, sums, products) -> tuple:
+        """Mean and standard error per entry of products of basis values at the
+        rotated points and at the points: streamed_mean_se over blocks of
+        EVAL_CHUNK points, each summed by sums(rotated, base), or batch means
+        per row of products(rotated, base) over a correlated batch's series."""
         base = self.batch_values(batch)
         phases = phi_theta(np.ones(3), theta)
-        size = len(batch) if batch.correlated else EVAL_CHUNK
         # One matrix-vector product rotates, to the bit as phi_theta(...).mean(axis=1).
-        blocks = (product(self.basis.real_values(batch.points[start:start + size] @ phases / 3.0),
-                          base[:, start:start + size]) for start in range(0, len(batch), size))
-        if not batch.correlated:
-            return streamed_mean_se(blocks)
-        estimates = [MomentEstimate.of(row, True) for block in blocks for row in block]
-        return (np.array([e.mean for e in estimates]),
-                np.array([e.standard_error for e in estimates]))
+        if batch.correlated:
+            rows = products(self.basis.real_values(batch.points @ phases / 3.0), base)
+            estimates = [MomentEstimate.of(row, True) for row in rows]
+            return np.array([(e.mean, e.standard_error) for e in estimates]).T
+        moments = []  # (size, mean, M2 = sum of squares - size * mean^2) per block
+        for start in range(0, len(batch), EVAL_CHUNK):
+            block = slice(start, start + EVAL_CHUNK)
+            (rotated,) = self.basis._real_blocks(batch.points[block] @ phases / 3.0)
+            s1, s2 = sums(rotated, base[:, block])
+            size = rotated.shape[1]
+            mean = s1 / size
+            # M2 of one value is 0, where S2 - mean^2 may round to either sign.
+            moments.append((size, mean, s2 - size * (mean * mean) if size > 1 else 0.0 * s2))
+        return streamed_mean_se(moments)
 
 
 def markov_pair_exact(
@@ -248,19 +269,12 @@ def delta_report(
     only, the printed form cot(2 pi (n - k)/3) * alpha, which violates
     delta(0) = 1.  Both candidates are None for n = k (mod 3)."""
     estimated = estimate_markov_matrix(ctx, n, k, theta, batch)
-    exact = exact_markov_matrix(ctx, n, k, theta)
-    rotation = cot = None
-    if exact.provenance["delta"][0] == "exact":
-        angle = 2.0 * math.pi * (n - k) / 3.0
-        rotation, cot = exact.delta, (math.cos(angle) / math.sin(angle)) * exact.alpha
-    return {
-        "index": (n, k),
-        "theta": (theta.t1, theta.t2),
-        "monte_carlo": estimated.delta,
-        "monte_carlo_se": estimated.provenance["delta"][1],
-        "rotation_derived": rotation,
-        "cot_closed_form": cot,
-    }
+    rotation = rotation_delta_exact(ctx, n, k, theta)  # = alpha where it exists
+    angle = 2.0 * math.pi * (n - k) / 3.0
+    cot = None if rotation is None else (math.cos(angle) / math.sin(angle)) * rotation
+    return {"index": (n, k), "theta": (theta.t1, theta.t2), "monte_carlo": estimated.delta,
+            "monte_carlo_se": estimated.provenance["delta"][1], "rotation_derived": rotation,
+            "cot_closed_form": cot}
 
 
 def representation_check(ctx: ProbeContext, points: np.ndarray, weights: np.ndarray) -> dict:
@@ -295,13 +309,8 @@ def theta_grid(per_axis: int) -> list[ThetaPair]:
     two_pi = 2.0 * math.pi
     axis1 = [(i + 0.31) * two_pi / per_axis for i in range(per_axis)]
     axis2 = [(j + 0.618) * two_pi / per_axis for j in range(per_axis)]
-    out = []
-    for t1 in axis1:
-        for t2 in axis2:
-            pair = ThetaPair(t1, t2)
-            if pair.is_interior(1e-3):
-                out.append(pair)
-    return out
+    pairs = (ThetaPair(t1, t2) for t1 in axis1 for t2 in axis2)
+    return [pair for pair in pairs if pair.is_interior(1e-3)]
 
 
 def positivity_scan(ctx: ProbeContext, thetas: Sequence[ThetaPair]) -> dict:
@@ -368,8 +377,14 @@ def block_cross_correlations(ctx: ProbeContext, theta: ThetaPair, batch: SampleB
              if eigenvalues[i] != eigenvalues[j]]
     first, second = [i for i, _ in pairs], [j for _, j in pairs]
     scale = np.array(norms)[:, None]
-    # Unit-norm rotated and base values, then one row per pair.
-    mean, se = ctx._mean_se(batch, theta, lambda rotated, base: (
+
+    def sums(rotated, base):
+        u, v = rotated[rows] / scale, base[rows] / scale
+        s1 = (u @ v.T)[first, second]
+        return s1, (np.square(u, out=u) @ np.square(v, out=v).T)[first, second]
+
+    # Unit-norm rotated and base values; a correlated batch takes one row per pair.
+    mean, se = ctx._mean_se(batch, theta, sums, lambda rotated, base: (
         (rotated[rows] / scale)[first] * (base[rows] / scale)[second]))
     return [{"pair": (labels[i], labels[j]), "correlation": float(m), "standard_error": float(e)}
             for (i, j), m, e in zip(pairs, mean, se)]

@@ -493,25 +493,30 @@ class CompiledPolys:
         return out.reshape((len(self), *w.shape))
 
     def real_mean_se(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sample mean and its standard error of Re f(w, conj w), per polynomial,
-        reduced block by block by streamed_mean_se."""
+        """Sample mean and its standard error of Re f(w, conj w), per polynomial:
+        each block's two-pass mean and M2, combined by streamed_mean_se."""
         if np.size(w) < 2:
             raise ValueError("need at least two points for a standard error")
-        return streamed_mean_se(self._real_blocks(w))
+
+        def moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+            mean = values.mean(axis=1)
+            deviations = np.subtract(values, mean[:, None], out=values)
+            return values.shape[1], mean, np.square(deviations, out=deviations).sum(axis=1)
+
+        return streamed_mean_se(moments(values) for values in self._real_blocks(w))
 
 
-def streamed_mean_se(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error std(ddof=1)/sqrt(n) per row of values arriving
-    in column blocks, by Chan's pairwise update (Chan, Golub & LeVeque, Amer.
-    Statist. 1983): no array of all values is held, and each block is
-    overwritten.  The error is 0.0 below two values, as in MomentEstimate.of."""
+def streamed_mean_se(moments: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error std(ddof=1)/sqrt(n) per entry of values that
+    arrive in blocks, each block as its (size, mean, M2 = sum of squared
+    deviations from its mean), combined by Chan's pairwise update (Chan, Golub
+    & LeVeque, Amer. Statist. 1983).  A negative M2 raises; the error is 0.0
+    below two values, as in MomentEstimate.of."""
     count = 0
     mean = m2 = 0.0
-    for values in blocks:
-        size = values.shape[1]
-        block_mean = values.mean(axis=1)
-        deviations = np.subtract(values, block_mean[:, None], out=values)
-        block_m2 = np.square(deviations, out=deviations).sum(axis=1)
+    for size, block_mean, block_m2 in moments:
+        if np.any(block_m2 < 0.0):
+            raise ArithmeticError(f"negative block M2 {np.min(block_m2):.3g}")
         delta = block_mean - mean
         total = count + size
         mean = mean + delta * (size / total)

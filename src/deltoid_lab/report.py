@@ -152,24 +152,12 @@ def markov_matrices_to_csv(matrices) -> str:
     writer = csv.DictWriter(buf, fieldnames=MARKOV_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     for m in matrices:
-        prov = "exact" if m.provenance["alpha"][0] == "exact" else "estimated"
-        writer.writerow(
-            {
-                "n": m.n,
-                "k": m.k,
-                "theta1": f"{m.theta.t1:.12g}",
-                "theta2": f"{m.theta.t2:.12g}",
-                "alpha": f"{m.alpha:.12g}",
-                "beta": f"{m.beta:.12g}",
-                "gamma": f"{m.gamma:.12g}",
-                "delta": f"{m.delta:.12g}",
-                "alpha_se": f"{m.provenance['alpha'][1]:.6g}",
-                "beta_se": f"{m.provenance['beta'][1]:.6g}",
-                "gamma_se": f"{m.provenance['gamma'][1]:.6g}",
-                "delta_se": f"{m.provenance['delta'][1]:.6g}",
-                "provenance": prov,
-            }
-        )
+        row = {"n": m.n, "k": m.k, "theta1": f"{m.theta.t1:.12g}", "theta2": f"{m.theta.t2:.12g}",
+               "provenance": "exact" if m.provenance["alpha"][0] == "exact" else "estimated"}
+        for name in ("alpha", "beta", "gamma", "delta"):
+            row[name] = f"{getattr(m, name):.12g}"
+            row[f"{name}_se"] = f"{m.provenance[name][1]:.6g}"
+        writer.writerow(row)
     return buf.getvalue()
 
 

@@ -20,9 +20,9 @@ every polydisc proposal in real arithmetic on the drawn moduli and angles
 and builds complex points only for the few percent that survive; the
 screen's margin exceeds its rounding error, so it never drops a point
 omega1_membership accepts, and omega1_membership stays the only judge.
-Haar SU(3) draws go through one Gram-Schmidt kernel in blocks of SU3_CHUNK
-matrices; the trace path sums three diagonal entries and never builds the
-matrices.
+Haar SU(3) draws go through one Gram-Schmidt kernel (two columns, the third
+from their cross product) in blocks of SU3_CHUNK matrices; the trace path
+sums three diagonal entries and never builds the matrices.
 """
 
 from __future__ import annotations
@@ -121,55 +121,43 @@ def sample_torus(n: int, seed: int) -> SampleBatch:
 
 def _gram_schmidt_su3(
     rng: np.random.Generator, n: int
-) -> tuple[list[list[np.ndarray]], np.ndarray]:
-    """Haar SU(3) by Gram-Schmidt on the columns of a complex Ginibre ensemble.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Haar SU(3) by Gram-Schmidt on the columns g1, g2, g3 of a complex Ginibre ensemble.
 
     Orthonormalizing the columns in order is the QR decomposition with a
     positive real R diagonal, which is unique, so Q is Haar on U(3)
-    (Mezzadri 2007, Notices AMS).  Each column is projected twice ("twice
-    is enough"), which keeps Q unitary to rounding.  Dividing by the
-    principal cube root of the determinant (by cofactors) projects onto the
-    det = 1 slice, and left-invariance makes the result Haar there.
+    (Mezzadri 2007, Notices AMS).  The columns a, b are projected twice
+    ("twice is enough"), which keeps them orthonormal to rounding; conj(a x b)
+    is the unit vector orthogonal to both, and w = (a x b) . g3 = r33 det Q,
+    so c = (w / |w|) conj(a x b) and det Q = w / |w|.  Dividing by its
+    principal cube root exp(i arg(w) / 3) projects onto the det = 1 slice,
+    and left-invariance makes the result Haar there.
 
     Returns (basis, inverse_root): basis[j][i] is entry (i, j) of every Q,
-    and the SU(3) matrix is Q * inverse_root.  det has modulus 1 up to
-    rounding, so its cube root is taken in floats from its angle / 3 and
-    cbrt(|det|), on the principal branch as before.
+    and the SU(3) matrix is Q * inverse_root.
     """
     # Interleave the real and imaginary draws per entry so that blocked
     # generation consumes the stream exactly like one bulk call.
     raw = rng.standard_normal((n, 3, 3, 2))
-    # columns[j][i] is entry (i, j) of every matrix, as one contiguous array.
-    columns = np.ascontiguousarray(raw.view(complex)[..., 0].transpose(2, 1, 0))
-    basis: list[list[np.ndarray]] = []
-    for column in columns:
-        v = list(column)
-        for _ in range(2):
-            for q in basis:
-                coeff = q[0].conj() * v[0] + q[1].conj() * v[1] + q[2].conj() * v[2]
-                v = [vi - qi * coeff for vi, qi in zip(v, q)]
-        scale = 1.0 / np.sqrt(sum(vi.real**2 + vi.imag**2 for vi in v))
-        basis.append([vi * scale for vi in v])
-    a, b, c = basis
-    det = (a[0] * (b[1] * c[2] - b[2] * c[1])
-           - a[1] * (b[0] * c[2] - b[2] * c[0])
-           + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    third = np.arctan2(det.imag, det.real) / 3.0
-    modulus = np.cbrt(np.hypot(det.real, det.imag))
-    inverse_root = np.empty(n, dtype=complex)
-    inverse_root.real = np.cos(third) / modulus
-    inverse_root.imag = -np.sin(third) / modulus
-    return basis, inverse_root
+    # g[i] is row i of the column g of every matrix, as one contiguous array.
+    g1, g2, g3 = np.ascontiguousarray(raw.view(complex)[..., 0].transpose(2, 1, 0))
+
+    def unit(v: np.ndarray) -> np.ndarray:
+        return v * (1.0 / np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0)))
+
+    a, b = unit(g1), g2
+    for _ in range(2):
+        b = b - a * np.sum(a.conj() * b, axis=0)
+    b = unit(b)
+    cross = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+    w = np.sum(cross * g3, axis=0)
+    return [a, b, cross.conj() * (w / np.abs(w))], np.exp(-1j * (np.angle(w) / 3.0))
 
 
 def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar SU(3) matrices, shape (n, 3, 3), from _gram_schmidt_su3."""
     basis, inverse_root = _gram_schmidt_su3(rng, n)
-    q = np.empty((n, 3, 3), dtype=complex)
-    for j, column in enumerate(basis):
-        for i in range(3):
-            q[:, i, j] = column[i] * inverse_root
-    return q
+    return np.array(basis).transpose(2, 1, 0) * inverse_root[:, None, None]
 
 
 def _blocks(n: int):

@@ -180,8 +180,10 @@ class TestEstimation:
             estimate_markov_matrix(ctx, 1, 0, ThetaPair(0.0, 0.0), sample_torus(10, 1))
 
     def test_cross_list_bit_equal_to_pq_polys_list(self, ctx, batch):
-        # The list as it was built from spectral.pq_polys and eigenvalue_deltoid,
-        # each pair reduced by streamed_mean_se in blocks of EVAL_CHUNK points.
+        # The list as it was built from spectral.pq_polys and eigenvalue_deltoid;
+        # each block of EVAL_CHUNK points gives its sums of the unit-norm pair
+        # products and of their squares as matrix products, and streamed_mean_se
+        # combines the blocks' (size, mean, M2).
         theta = ThetaPair(1.3, 2.9)
         base = ctx.batch_values(batch)
         rotated = ctx.basis.real_values(phi_theta(batch.points, theta).mean(axis=1))
@@ -192,15 +194,26 @@ class TestEstimation:
             functions.append(((flavor, n, k), eigenvalue_deltoid(ctx.lam, n, k),
                               ctx.split(rotated, n, k)[row] / scale,
                               ctx.split(base, n, k)[row] / scale))
-        labels, products = [], []
-        for i, (label1, mu1, rot1, _) in enumerate(functions):
-            for label2, mu2, _, base2 in functions[i + 1:]:
+        labels, first, second = [], [], []
+        for i, (label1, mu1, _, _) in enumerate(functions):
+            for j, (label2, mu2, _, _) in enumerate(functions[i + 1:], i + 1):
                 if mu1 != mu2:
                     labels.append((label1, label2))
-                    products.append(rot1 * base2)
-        products = np.array(products)
-        mean, se = streamed_mean_se(products[:, start:start + EVAL_CHUNK].copy()
-                                    for start in range(0, len(batch), EVAL_CHUNK))
+                    first.append(i)
+                    second.append(j)
+        rot_rows = np.array([f[2] for f in functions])
+        base_rows = np.array([f[3] for f in functions])
+
+        def moments():
+            for start in range(0, len(batch), EVAL_CHUNK):
+                u = rot_rows[:, start:start + EVAL_CHUNK].copy()
+                v = base_rows[:, start:start + EVAL_CHUNK].copy()
+                s1 = (u @ v.T)[first, second]
+                s2 = (np.square(u) @ np.square(v).T)[first, second]
+                mean = s1 / u.shape[1]
+                yield u.shape[1], mean, s2 - u.shape[1] * (mean * mean)
+
+        mean, se = streamed_mean_se(moments())
         expected = [{"pair": pair, "correlation": m, "standard_error": e}
                     for pair, m, e in zip(labels, mean.tolist(), se.tolist())]
         assert block_cross_correlations(ctx, theta, batch) == expected
@@ -231,10 +244,20 @@ class TestBlockedPass:
     def close(got, expected):
         return abs(got - expected) <= 1e-12 * abs(expected)
 
-    def test_entries_match_moment_estimates(self, ctx, batch):
+    @pytest.fixture(scope="class")
+    def large_batch(self):
+        return sample_omega1(LAM, 100_000, 408, method="rejection")
+
+    def test_entries_match_moment_estimates(self, large_batch):
+        # Block sums from matrix products against the two-pass MomentEstimate.of,
+        # every entry at every theta of theta_grid(5), at verify's probe degree.
+        ctx = ProbeContext.build(LAM, 4, grid_n=64)
+        batch = large_batch
         assert len(batch) % EVAL_CHUNK and len(batch) > 3 * EVAL_CHUNK
         base = ctx.basis.real_values(batch.points.mean(axis=1))
-        for theta in (ThetaPair(1.0, 2.0), ThetaPair(2.5, 0.7), ThetaPair(4.1, 5.9)):
+        thetas = theta_grid(5)
+        assert len(thetas) == 25
+        for theta in thetas:
             rotated = ctx.basis.real_values(phi_theta(batch.points, theta).mean(axis=1))
             mean, se = ctx.correlations(batch, theta)
             assert mean.shape == se.shape == (len(ctx.pairs), 2, 2)
@@ -242,12 +265,27 @@ class TestBlockedPass:
                 for a, u_vals in enumerate(ctx.split(rotated, n, k)):
                     for b, v_vals in enumerate(ctx.split(base, n, k)):
                         est = MomentEstimate.of(u_vals * v_vals)
-                        assert self.close(mean[i, a, b], est.mean), (n, k, a, b)
-                        assert self.close(se[i, a, b], est.standard_error), (n, k, a, b)
+                        assert self.close(mean[i, a, b], est.mean), (theta, n, k, a, b)
+                        assert self.close(se[i, a, b], est.standard_error), (theta, n, k, a, b)
+        for theta in thetas[:3]:
+            for n, k in ctx.pairs:
                 got = estimate_markov_matrix(ctx, n, k, theta, batch)
                 for name, (value, error) in former_estimate(ctx, n, k, theta, batch).items():
                     assert self.close(getattr(got, name), value)
                     assert self.close(got.provenance[name][1], error)
+
+    def test_one_point_last_block(self, ctx, batch):
+        # S2 - mean^2 of a single value rounds to either sign; its M2 is 0.
+        short = dataclasses.replace(batch, points=batch.points[:EVAL_CHUNK + 1])
+        theta = ThetaPair(1.0, 2.0)
+        mean, se = ctx.correlations(short, theta)
+        rotated = ctx.basis.real_values(phi_theta(short.points, theta).mean(axis=1))
+        base = ctx.basis.real_values(short.points.mean(axis=1))
+        for i, (n, k) in enumerate(ctx.pairs):
+            u_vals, v_vals = ctx.split(rotated, n, k)[0], ctx.split(base, n, k)[0]
+            est = MomentEstimate.of(u_vals * v_vals)
+            assert self.close(mean[i, 0, 0], est.mean) and self.close(se[i, 0, 0], est.standard_error)
+        assert block_cross_correlations(ctx, theta, short)
 
     def test_memo_follows_theta_and_batch(self, batch):
         ctx = ProbeContext.build(LAM, 3, grid_n=64)

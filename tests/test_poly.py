@@ -16,6 +16,7 @@ from deltoid_lab.poly import (
     divide_exact,
     monomials_up_to,
     solve_field_linear,
+    streamed_mean_se,
     try_divide,
     _powers,
 )
@@ -340,6 +341,37 @@ class TestCompiledEvaluator:
             vals = np.real(term_by_term(poly, {"Z": z, "Zb": z.conj()}))
             assert abs(mean[i] - vals.mean()) < 1e-14
             assert abs(se[i] / (vals.std(ddof=1) / np.sqrt(len(vals))) - 1.0) < 1e-12
+
+    def test_mean_and_standard_error_bit_equal_to_values_reduction(self):
+        # The reduction as it was: Chan's update over the value blocks themselves.
+        def former(blocks):
+            count, mean, m2 = 0, 0.0, 0.0
+            for values in blocks:
+                size = values.shape[1]
+                block_mean = values.mean(axis=1)
+                deviations = np.subtract(values, block_mean[:, None], out=values)
+                block_m2 = np.square(deviations, out=deviations).sum(axis=1)
+                delta = block_mean - mean
+                total = count + size
+                mean = mean + delta * (size / total)
+                m2 = m2 + block_m2 + delta * delta * (count * size / total)
+                count = total
+            return mean, np.sqrt(m2 / (count - 1) / count)
+
+        compiled = CompiledPolys(eigen_pairs(Fraction(4), 3))
+        z = deltoid_points(3 * EVAL_CHUNK + 123, seed=7)
+        values = compiled.real_values(z)
+        expected = former(values[:, start:start + EVAL_CHUNK].copy()
+                          for start in range(0, z.size, EVAL_CHUNK))
+        got = compiled.real_mean_se(z)
+        assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+
+    def test_negative_block_m2_raises(self):
+        moments = [(3, np.array([1.0, 2.0]), np.array([0.5, 0.25])),
+                   (2, np.array([1.0, 2.0]), np.array([0.5, -1e-18]))]
+        with pytest.raises(ArithmeticError, match="negative block M2"):
+            streamed_mean_se(iter(moments))
+        assert streamed_mean_se(iter(moments[:1]))[0].tolist() == [1.0, 2.0]
 
     def test_partial_last_chunk(self):
         poly = eigen_pairs(Fraction(7, 3), 4)[-2]

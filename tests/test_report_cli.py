@@ -27,6 +27,12 @@ from deltoid_lab.report import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# sha256 of the CSV and of the verdict that `markov --lambda 11/2 --samples
+# 5000 --theta-grid 2` writes, recorded under numpy 2.4.6 like the report digest.
+MARKOV_CSV_SHA256 = "3c2eadc0430a2fc031b3031c557c3339a4419498cd5ecedeb97ce45c84b5f85c"
+MARKOV_VERDICT_SHA256 = "36e9af91a7ecad802cc89d72f6c352906f3c8fa86a4d69b82d4fa5b0daadf6f2"
+
+
 def markov_matrices_from_csv(text: str) -> list[dict]:
     """Read back the rows markov_matrices_to_csv writes."""
     out = []
@@ -321,6 +327,24 @@ class TestCli:
         assert len(exact) == len(estimated) > 0
         verdict = json.loads(verdict_out.read_text())
         assert verdict["pass"] is True
+
+    def test_markov_cli_output_is_pinned(self, tmp_path):
+        csv_out, verdict_out = tmp_path / "markov.csv", tmp_path / "verdict.json"
+        assert main(["markov", "--lambda", "11/2", "--samples", "5000", "--theta-grid", "2",
+                     "--out", str(csv_out), "--verdict", str(verdict_out)]) == 0
+        assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == MARKOV_CSV_SHA256
+        assert hashlib.sha256(verdict_out.read_bytes()).hexdigest() == MARKOV_VERDICT_SHA256
+
+    def test_sample_cli_su3_is_special_unitary(self, tmp_path):
+        out = tmp_path / "su3.csv"
+        assert main(["sample", "su3", "--n", "50", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header.split(",") == [f"{part}{i}" for i in range(9) for part in ("re", "im")]
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        g = (values[:, 0::2] + 1j * values[:, 1::2]).reshape(50, 3, 3)
+        unitarity = np.einsum("nij,nik->njk", g.conj(), g) - np.eye(3)
+        assert np.max(np.abs(unitarity)) < 1e-14
+        assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-14
 
     def test_plot_eigen(self, tmp_path):
         out = tmp_path / "eigen.svg"
