@@ -7,6 +7,7 @@ command from a checkout.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -47,6 +48,8 @@ def main() -> int:
     print()
     for suite, seconds in report.suite_seconds.items():
         print(f"{seconds:8.2f}s  {suite}")
+    # ru_maxrss is in KiB on Linux.
+    print(f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.1f} MiB peak RSS")
     print(f"\n{len(report.entries)} identities in {elapsed:.1f}s; exit code {code}")
     print(f"report: {outdir / 'verify_report.json'}")
     return code

@@ -93,10 +93,14 @@ class ProbeContext:
     p_at_one: dict[tuple[int, int], Fraction]
     basis: CompiledPolys = field(repr=False, compare=False)
     _rows: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _live: dict[int, int] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_rows", {index: 2 * i for i, index in enumerate(self.pairs)})
+        # Basis row -> its row in a basis._real_blocks block (the live rows only).
+        _, live, _ = self.basis._real_matrix()
+        object.__setattr__(self, "_live", {int(row): j for j, row in enumerate(live)})
 
     @staticmethod
     def build(lam: RationalLike, degree_max: int, grid_n: int = 96) -> "ProbeContext":
@@ -170,7 +174,8 @@ class ProbeContext:
             def sums(rotated, base):
                 s1, s2 = np.zeros((2, count, 2, 2))
                 for i, w in enumerate(widths):
-                    u, v = rotated[2 * i:2 * i + w], base[2 * i:2 * i + w]
+                    r = self._live[2 * i]
+                    u, v = rotated[r:r + w], base[2 * i:2 * i + w]
                     s1[i, :w, :w] = u @ v.T
                     v2 = np.square(v, out=squares[:w, :v.shape[1]])
                     s2[i, :w, :w] = np.square(u, out=u) @ v2.T
@@ -186,8 +191,9 @@ class ProbeContext:
     def _mean_se(self, batch: SampleBatch, theta: ThetaPair, sums, products) -> tuple:
         """Mean and standard error per entry of products of basis values at the
         rotated points and at the points: streamed_mean_se over blocks of
-        EVAL_CHUNK points, each summed by sums(rotated, base), or batch means
-        per row of products(rotated, base) over a correlated batch's series."""
+        EVAL_CHUNK points, each summed by sums(rotated, base) with the rotated
+        live rows (ProbeContext._live) and all base rows, or batch means per row
+        of products(rotated, base) over a correlated batch's series (all rows)."""
         base = self.batch_values(batch)
         phases = phi_theta(np.ones(3), theta)
         # One matrix-vector product rotates, to the bit as phi_theta(...).mean(axis=1).
@@ -293,9 +299,15 @@ def representation_check(ctx: ProbeContext, points: np.ndarray, weights: np.ndar
     # A stack of matrix-vector products: each measure's integrals are bit-equal
     # to those of a call with that measure alone.
     means = (ctx.basis.real_values(z) @ weights[..., None])[..., 0]
-    coeffs = ctx.first_columns(np.moveaxis(means, -1, 0))
+    return _row_test(ctx, np.moveaxis(means, -1, 0))
+
+
+def _row_test(ctx: ProbeContext, integrals: np.ndarray) -> dict:
+    """representation_check's result from the measures' integrals of the basis
+    rows, shape (len(ctx.basis), *measures)."""
+    coeffs = ctx.first_columns(integrals)
     row_norm_sq = {index: a * a + b * b for index, (a, b) in coeffs.items()}
-    worst = np.max([np.zeros(weights.shape[:-1]), *row_norm_sq.values()], axis=0)
+    worst = np.max([np.zeros(integrals.shape[1:]), *row_norm_sq.values()], axis=0)
     return {
         "coefficients": coeffs,
         "row_norm_sq": row_norm_sq,
@@ -324,7 +336,8 @@ def positivity_scan(ctx: ProbeContext, thetas: Sequence[ThetaPair]) -> dict:
     (max_abs_alphas); worst_block_bound and max_abs_alpha are their maxima.
     """
     z = z_of_theta([theta.t1 for theta in thetas], [theta.t2 for theta in thetas])
-    rep = representation_check(ctx, z, np.eye(len(z)))
+    # A point mass integrates each basis row to its value at the point.
+    rep = _row_test(ctx, ctx.basis.real_values(z))
     bounds = {index: math.sqrt(float(np.max(norm_sq, initial=0.0)))
               for index, norm_sq in rep["row_norm_sq"].items()}
     alphas = {index: float(np.max(np.abs(a), initial=0.0))
@@ -339,18 +352,21 @@ def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
     Every cell of the omega grid over the cusps' box [-1/2, 1] x
     [-sqrt(3)/2, sqrt(3)/2] whose center lies strictly inside the domain
     must receive at least one image point of the theta grid, and there must
-    be such a cell.
+    be such a cell.  The image points are binned one block of theta rows
+    (about EVAL_CHUNK points) at a time.
     """
     two_pi = 2.0 * math.pi
     ts = np.arange(theta_per_axis) * two_pi / theta_per_axis
-    t1, t2 = np.meshgrid(ts, ts, indexing="ij")
-    z = z_of_theta(t1, t2).ravel()
     x_lo, x_hi = -0.5, 1.0
     y_hi = math.sqrt(3.0) / 2.0
-    xs = np.clip(((z.real - x_lo) / (x_hi - x_lo) * omega_per_axis).astype(int), 0, omega_per_axis - 1)
-    ys = np.clip(((z.imag + y_hi) / (2.0 * y_hi) * omega_per_axis).astype(int), 0, omega_per_axis - 1)
+    top = omega_per_axis - 1
     hit = np.zeros((omega_per_axis, omega_per_axis), dtype=bool)
-    hit[xs, ys] = True
+    rows = max(1, EVAL_CHUNK // theta_per_axis)  # t1 values per block of about EVAL_CHUNK points
+    for start in range(0, theta_per_axis, rows):
+        z = z_of_theta(ts[start:start + rows, None], ts[None, :])
+        xs = np.clip(((z.real - x_lo) / (x_hi - x_lo) * omega_per_axis).astype(int), 0, top)
+        ys = np.clip(((z.imag + y_hi) / (2.0 * y_hi) * omega_per_axis).astype(int), 0, top)
+        hit[xs, ys] = True
     centers_x = x_lo + (np.arange(omega_per_axis) + 0.5) * (x_hi - x_lo) / omega_per_axis
     centers_y = -y_hi + (np.arange(omega_per_axis) + 0.5) * (2.0 * y_hi) / omega_per_axis
     cx, cy = np.meshgrid(centers_x, centers_y, indexing="ij")
@@ -377,9 +393,10 @@ def block_cross_correlations(ctx: ProbeContext, theta: ThetaPair, batch: SampleB
              if eigenvalues[i] != eigenvalues[j]]
     first, second = [i for i, _ in pairs], [j for _, j in pairs]
     scale = np.array(norms)[:, None]
+    live_rows = [ctx._live[row] for row in rows]
 
     def sums(rotated, base):
-        u, v = rotated[rows] / scale, base[rows] / scale
+        u, v = rotated[live_rows] / scale, base[rows] / scale
         s1 = (u @ v.T)[first, second]
         return s1, (np.square(u, out=u) @ np.square(v, out=v).T)[first, second]
 

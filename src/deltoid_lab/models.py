@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diffusion import DiffusionModel, drift_from_measure, pushforward
-from .poly import CompiledPolys, MPoly, divide_exact
+from .poly import EVAL_CHUNK, CompiledPolys, MPoly, divide_exact
 from .scalars import RationalLike
 
 DELTOID_VARS = ("Z", "Zb")
@@ -410,11 +410,20 @@ class ThetaPair:
 
 
 def z_of_theta(t1, t2):
-    """Z(theta) = (exp(i t1) + exp(i t2) + exp(-i (t1 + t2))) / 3."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    value = (np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))) / 3.0
-    return value if value.shape else complex(value)
+    """Z(theta) = (exp(i t1) + exp(i t2) + exp(-i (t1 + t2))) / 3.
+
+    Arrays broadcast; the result is filled in blocks of EVAL_CHUNK points, so
+    the temporaries stay block-sized (every operation is elementwise, so the
+    bits are those of the one-shot expression).  Scalars give a complex.
+    """
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    out = np.empty(t1.shape, dtype=complex)
+    a, b, z = t1.reshape(-1), t2.reshape(-1), out.reshape(-1)
+    for start in range(0, z.size, EVAL_CHUNK):
+        block = slice(start, start + EVAL_CHUNK)
+        s1, s2 = a[block], b[block]
+        z[block] = (np.exp(1j * s1) + np.exp(1j * s2) + np.exp(-1j * (s1 + s2))) / 3.0
+    return out if out.shape else complex(out)
 
 
 def phi_theta(points: np.ndarray, theta: ThetaPair | tuple[float, float]) -> np.ndarray:

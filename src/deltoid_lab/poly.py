@@ -16,7 +16,7 @@ exact determinants / linear solves over the coefficient field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -409,7 +409,8 @@ class CompiledPolys:
     at wb = conj(w): since w^a wb^b is w^(a-b) |w|^(2b) for a >= b and the
     conjugate of w^(b-a) |w|^(2a) otherwise, the real parts of all the
     polynomials are one real coefficient matrix times the table of the
-    features Re and Im of w^m |w|^(2s).
+    features Re and Im of w^m |w|^(2s).  Only the rows whose real form is not
+    identically zero are multiplied; the others are exact zeros.
     """
 
     __slots__ = ("variables", "_terms", "_top", "_real")
@@ -425,7 +426,7 @@ class CompiledPolys:
         self._terms = [[(c.to_complex(), e) for e, c in p.terms.items()] for p in polys]
         exponents = [e for p in polys for e in p.terms] or [(0,) * len(self.variables)]
         self._top = [max(column) for column in zip(*exponents)]
-        self._real: tuple[list[tuple[int, int, bool]], np.ndarray] | None = None
+        self._real: tuple[list[tuple[int, int, bool]], np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -448,8 +449,9 @@ class CompiledPolys:
 
     # -- real form, one conjugate pair -------------------------------------------
 
-    def _real_matrix(self) -> tuple[list[tuple[int, int, bool]], np.ndarray]:
-        """Features (m, s, imaginary part) and the real coefficient matrix over them."""
+    def _real_matrix(self) -> tuple[list[tuple[int, int, bool]], np.ndarray, np.ndarray]:
+        """Features (m, s, imaginary part), the live rows (real form not
+        identically zero) and their real coefficient matrix over the features."""
         if self._real is None:
             if len(self.variables) != 2:
                 raise ValueError("the real form needs one conjugate pair of variables")
@@ -465,12 +467,14 @@ class CompiledPolys:
             matrix = np.zeros((len(self), len(features)))
             for i, key, value in entries:
                 matrix[i, column[key]] += value
-            self._real = (features, matrix)
+            live = np.flatnonzero(matrix.any(axis=1))
+            self._real = (features, live, matrix[live])
         return self._real
 
     def _real_blocks(self, w: np.ndarray):
-        """Yield Re f(w, conj w) for every polynomial, one (len(self), block) array per block."""
-        features, matrix = self._real_matrix()
+        """Yield Re f(w, conj w) for the live rows of _real_matrix, one
+        (len(live), block) array per block of EVAL_CHUNK points."""
+        features, _, matrix = self._real_matrix()
         w = np.asarray(w, dtype=complex).reshape(-1)
         top_m = max((m for m, _, _ in features), default=0)
         top_s = max((s for _, s, _ in features), default=0)
@@ -487,23 +491,38 @@ class CompiledPolys:
     def real_values(self, w: np.ndarray) -> np.ndarray:
         """Re f(w, conj w) for every polynomial, shape (len(self), *w.shape)."""
         w = np.asarray(w, dtype=complex)
-        out = np.empty((len(self), w.size))
+        _, live, _ = self._real_matrix()
+        out = np.zeros((len(self), w.size))
         for start, values in zip(range(0, w.size, EVAL_CHUNK), self._real_blocks(w)):
-            out[:, start:start + values.shape[1]] = values
+            out[live, start:start + values.shape[1]] = values
         return out.reshape((len(self), *w.shape))
 
-    def real_mean_se(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sample mean and its standard error of Re f(w, conj w), per polynomial:
-        each block's two-pass mean and M2, combined by streamed_mean_se."""
-        if np.size(w) < 2:
-            raise ValueError("need at least two points for a standard error")
+    def real_mean_se(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """Sample mean and its standard error of Re f(w, conj w), per polynomial.
+
+        w is an array of points or an iterator over point arrays, a stream
+        that is never held whole.  Each is evaluated in EVAL_CHUNK slices, and
+        every slice's two-pass mean and M2 is combined by streamed_mean_se, so
+        an array and the stream of its EVAL_CHUNK slices give the same bits.
+        """
+        _, live, _ = self._real_matrix()
+        count = 0
 
         def moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+            nonlocal count
+            count += values.shape[1]
             mean = values.mean(axis=1)
             deviations = np.subtract(values, mean[:, None], out=values)
             return values.shape[1], mean, np.square(deviations, out=deviations).sum(axis=1)
 
-        return streamed_mean_se(moments(values) for values in self._real_blocks(w))
+        blocks = w if isinstance(w, Iterator) else (w,)
+        mean, se = streamed_mean_se(moments(values) for block in blocks
+                                    for values in self._real_blocks(block))
+        if count < 2:
+            raise ValueError("need at least two points for a standard error")
+        out = np.zeros((2, len(self)))  # rows that are identically zero: 0.0 and 0.0
+        out[:, live] = mean, se
+        return out[0], out[1]
 
 
 def streamed_mean_se(moments: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,12 @@ omega1_membership accepts, and omega1_membership stays the only judge.
 Haar SU(3) draws go through one Gram-Schmidt kernel (two columns, the third
 from their cross product) in blocks of SU3_CHUNK matrices; the trace path
 sums three diagonal entries and never builds the matrices.
+
+A pass that only reduces a sample streams it: torus_z_blocks and
+su3_trace_blocks yield the projected torus draws and the SU(3) traces one
+block of at most EVAL_CHUNK points at a time, the same draws bit for bit as
+pushforward_deltoid(sample_torus(n, seed)) and su3_trace_samples(n, seed),
+so no whole sample is ever held.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -105,13 +111,34 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def sample_torus(n: int, seed: int) -> SampleBatch:
-    """n i.i.d. uniform angle pairs on [0, 2 pi)^2."""
+def _rng(n: int, seed: int | np.random.Generator) -> np.random.Generator:
+    """The generator of a batch of n >= 1 samples: a new one for an int seed,
+    or the Generator passed as seed, whose stream the batch continues."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 2.0 * math.pi, size=(n, 2))
+    return np.random.default_rng(seed)
+
+
+def _blocks(n: int, size: int = SU3_CHUNK):
+    """Consecutive slices of range(n) with at most size indices each."""
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
+def sample_torus(n: int, seed: int | np.random.Generator) -> SampleBatch:
+    """n i.i.d. uniform angle pairs on [0, 2 pi)^2.  Each value is one draw,
+    so consecutive batches from one Generator continue one bulk draw."""
+    pts = _rng(n, seed).uniform(0.0, 2.0 * math.pi, size=(n, 2))
     return SampleBatch("torus", seed, {"n": n}, pts)
+
+
+def torus_z_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
+    """pushforward_deltoid(sample_torus(n, seed)), bit for bit, one block of
+    at most EVAL_CHUNK points at a time (each block the next batch of one
+    generator), without ever holding the whole sample."""
+    rng = _rng(n, seed)
+    return (pushforward_deltoid(sample_torus(block.stop - block.start, rng))
+            for block in _blocks(n, EVAL_CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -160,38 +187,36 @@ def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.array(basis).transpose(2, 1, 0) * inverse_root[:, None, None]
 
 
-def _blocks(n: int):
-    """Consecutive slices of range(n) with at most SU3_CHUNK indices each."""
-    for start in range(0, n, SU3_CHUNK):
-        yield slice(start, min(start + SU3_CHUNK, n))
-
-
 def sample_su3_haar(n: int, seed: int) -> SampleBatch:
     """n Haar-distributed special unitary 3x3 matrices."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n, seed)
     points = np.empty((n, 3, 3), dtype=complex)
     for block in _blocks(n):
         points[block] = _haar_su3_chunk(rng, block.stop - block.start)
     return SampleBatch("su3", seed, {"n": n}, points)
 
 
-def su3_trace_samples(n: int, seed: int) -> np.ndarray:
+def su3_trace_samples(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Normalized traces trace(g)/3 of n Haar SU(3) matrices.
 
     The same draws as sample_su3_haar(n, seed) followed by the trace map,
     equal to rounding, but the matrices are never assembled: each block sums
     the diagonal of its orthonormal basis and scales it once.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n, seed)
     out = np.empty(n, dtype=complex)
     for block in _blocks(n):
         (a, b, c), inverse_root = _gram_schmidt_su3(rng, block.stop - block.start)
         out[block] = (a[0] + b[1] + c[2]) * inverse_root / 3.0
     return out
+
+
+def su3_trace_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
+    """su3_trace_samples(n, seed), bit for bit, one block of at most
+    EVAL_CHUNK traces at a time (each block the next batch of one generator),
+    without ever holding them all."""
+    rng = _rng(n, seed)
+    return (su3_trace_samples(block.stop - block.start, rng) for block in _blocks(n, EVAL_CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +391,7 @@ def _omega1_mcmc(
                     complex(z1.real + d[1], z1.imag + d[4]),
                     complex(z2.real + d[2], z2.imag + d[5]))
         log_p1 = _omega1_log_p1(*proposal)
-        if log_p1 > -math.inf and math.log(rng.uniform()) < beta_f * log_p1 - current_logp:
+        if log_p1 > -math.inf and math.log(rng.random()) < beta_f * log_p1 - current_logp:
             current = proposal
             current_logp = beta_f * log_p1
             accepted_moves += 1

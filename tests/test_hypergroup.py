@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -451,6 +452,63 @@ class TestPositivityAndCoverage:
             assert scan["max_abs_alphas"][(n, k)] == float(np.max(np.abs(alpha)))
         assert scan["worst_block_bound"] == max(scan["block_bounds"].values())
         assert scan["max_abs_alpha"] == max(scan["max_abs_alphas"].values())
+
+    @staticmethod
+    def former_scan(ctx, thetas):
+        """positivity_scan as it was: representation_check on the measures np.eye(T)."""
+        z = z_of_theta([theta.t1 for theta in thetas], [theta.t2 for theta in thetas])
+        rep = representation_check(ctx, z, np.eye(len(z)))
+        bounds = {index: math.sqrt(float(np.max(norm_sq, initial=0.0)))
+                  for index, norm_sq in rep["row_norm_sq"].items()}
+        alphas = {index: float(np.max(np.abs(a), initial=0.0))
+                  for index, (a, _) in rep["coefficients"].items()}
+        return {"block_bounds": bounds, "max_abs_alphas": alphas,
+                "worst_block_bound": max(bounds.values()), "max_abs_alpha": max(alphas.values())}
+
+    @pytest.mark.parametrize("per_axis", [5, 20])
+    def test_scan_equals_identity_measures(self, per_axis):
+        ctx4 = ProbeContext.build(LAM, 4, grid_n=64)
+        thetas = theta_grid(per_axis)
+        assert positivity_scan(ctx4, thetas) == self.former_scan(ctx4, thetas)
+
+    def test_scan_memory_is_bounded(self):
+        # The identity measures alone took T^2 doubles: about 100 MiB here.
+        ctx4 = ProbeContext.build(LAM, 4, grid_n=64)
+        thetas = theta_grid(60)
+        positivity_scan(ctx4, theta_grid(2))
+        tracemalloc.start()
+        try:
+            positivity_scan(ctx4, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @staticmethod
+    def former_coverage(theta_per_axis, omega_per_axis):
+        """coverage_check as it was: the whole theta meshgrid at once."""
+        two_pi = 2.0 * math.pi
+        ts = np.arange(theta_per_axis) * two_pi / theta_per_axis
+        t1, t2 = np.meshgrid(ts, ts, indexing="ij")
+        z = z_of_theta(t1, t2).ravel()
+        x_lo, x_hi = -0.5, 1.0
+        y_hi = math.sqrt(3.0) / 2.0
+        top = omega_per_axis - 1
+        xs = np.clip(((z.real - x_lo) / (x_hi - x_lo) * omega_per_axis).astype(int), 0, top)
+        ys = np.clip(((z.imag + y_hi) / (2.0 * y_hi) * omega_per_axis).astype(int), 0, top)
+        hit = np.zeros((omega_per_axis, omega_per_axis), dtype=bool)
+        hit[xs, ys] = True
+        centers_x = x_lo + (np.arange(omega_per_axis) + 0.5) * (x_hi - x_lo) / omega_per_axis
+        centers_y = -y_hi + (np.arange(omega_per_axis) + 0.5) * (2.0 * y_hi) / omega_per_axis
+        cx, cy = np.meshgrid(centers_x, centers_y, indexing="ij")
+        interior = np.asarray(deltoid_boundary_values(cx + 1j * cy)) > 0.0
+        return {"interior_cells": int(interior.sum()),
+                "missed_cells": int(np.count_nonzero(interior & ~hit))}
+
+    @pytest.mark.parametrize("theta_n,omega_n", [(600, 100), (300, 2), (300, 50)]
+                             + [(60, size) for size in range(1, 8)])
+    def test_blocked_coverage_equals_meshgrid(self, theta_n, omega_n):
+        assert coverage_check(theta_n, omega_n) == self.former_coverage(theta_n, omega_n)
 
     def test_coverage(self):
         cov = coverage_check(300, 50)

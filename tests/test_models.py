@@ -393,7 +393,27 @@ class TestOmega1:
             assert np.linalg.eigvalsh(real_cometric_at(m, point)).min() > 0
 
 
+def _z_one_shot(t1, t2):
+    """z_of_theta as one expression over the whole input."""
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    return (np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))) / 3.0
+
+
 class TestThetaMap:
+    @pytest.mark.parametrize("shape", ["scalar", "0-d", "broadcast", "above-chunk"])
+    def test_blocks_bit_equal_to_one_shot(self, shape):
+        from deltoid_lab.poly import EVAL_CHUNK
+
+        t = np.random.default_rng(71).uniform(0.0, 2.0 * math.pi, size=(2, 2 * EVAL_CHUNK + 37))
+        t1, t2 = {"scalar": (0.7, -1.9), "0-d": (np.asarray(t[0, 0]), np.asarray(t[1, 0])),
+                  "broadcast": (t[0, :300, None], t[1, None, :200]),
+                  "above-chunk": (t[0], t[1])}[shape]
+        got, expected = z_of_theta(t1, t2), _z_one_shot(t1, t2)
+        assert isinstance(got, complex) == (expected.shape == ())
+        got = np.asarray(got).reshape(-1)
+        assert got.size == expected.size
+        assert np.array_equal(got.view(np.uint64), expected.reshape(-1).view(np.uint64))
+
     def test_values(self):
         assert z_of_theta(0.0, 0.0) == pytest.approx(1.0)
         assert z_of_theta(2 * math.pi / 3, 2 * math.pi / 3) == pytest.approx(J)

@@ -1,12 +1,14 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from deltoid_lab.models import omega1_boundary_values, omega1_membership, phi_theta, ThetaPair
-from deltoid_lab import sampling
+from deltoid_lab import sampling, verify
+from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys
 from deltoid_lab.sampling import (
     MomentEstimate,
     SamplingError,
@@ -18,9 +20,11 @@ from deltoid_lab.sampling import (
     sample_omega1,
     sample_su3_haar,
     sample_torus,
+    su3_trace_blocks,
     su3_trace_samples,
+    torus_z_blocks,
 )
-from deltoid_lab.spectral import eigen_PQ_lambda, pq_indices
+from deltoid_lab.spectral import eigen_PQ_lambda, pq_indices, pq_polys
 
 
 def test_determinism():
@@ -71,7 +75,8 @@ def test_su3_gram_schmidt_matches_qr_oracle():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_samplers_refuse_fewer_than_one_sample(n):
-    for sampler in (sample_torus, sample_su3_haar, su3_trace_samples):
+    for sampler in (sample_torus, sample_su3_haar, su3_trace_samples, torus_z_blocks,
+                    su3_trace_blocks):
         with pytest.raises(ValueError, match="need at least one sample"):
             sampler(n, 1)
 
@@ -84,6 +89,53 @@ def test_su3_trace_streaming_consistent():
         assert np.max(np.abs(traces - np.trace(full, axis1=-2, axis2=-1) / 3.0)) < 1e-13
         # Blocks consume the stream like one bulk draw.
         assert np.array_equal(full, _haar_su3_chunk(np.random.default_rng(13), n))
+
+
+# Per stream: its block generator, the materialized sample it streams, and the
+# parameter whose eigenfunction means verify takes over it.
+STREAMS = {
+    "torus": (torus_z_blocks, lambda n, seed: pushforward_deltoid(sample_torus(n, seed)),
+              Fraction(1)),
+    "su3": (su3_trace_blocks, su3_trace_samples, Fraction(4)),
+}
+
+
+@pytest.mark.parametrize("n", [1000, 40_001, 10**6])
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+def test_streamed_blocks_bit_equal_to_materialized(kind, n):
+    blocks_of, materialized, _ = STREAMS[kind]
+    blocks = list(blocks_of(n, 83))
+    assert [len(b) for b in blocks[:-1]] == [EVAL_CHUNK] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= EVAL_CHUNK
+    assert np.array_equal(np.concatenate(blocks).view(np.uint64),
+                          materialized(n, 83).view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+def test_streamed_moments_bit_equal_to_array_path(kind):
+    blocks_of, materialized, lam = STREAMS[kind]
+    compiled = CompiledPolys([poly for *_, poly in pq_polys(lam, 4)])
+    n = 3 * EVAL_CHUNK + 101
+    streamed = compiled.real_mean_se(blocks_of(n, 89))
+    whole = compiled.real_mean_se(materialized(n, 89))
+    assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+               for x, y in zip(streamed, whole))
+    assert (verify._eigen_mean_worst_z(blocks_of(10**6, 89), lam, 4)
+            == verify._eigen_mean_worst_z(materialized(10**6, 89), lam, 4))
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+def test_streamed_pass_memory_is_bounded(kind):
+    # The 10**6 points alone take 16 MiB; the streamed pass never holds them.
+    blocks_of, _, lam = STREAMS[kind]
+    verify._eigen_mean_worst_z(blocks_of(100, 97), lam, 4)  # fill the exact caches first
+    tracemalloc.start()
+    try:
+        verify._eigen_mean_worst_z(blocks_of(10**6, 97), lam, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_torus_eigen_means_vanish():
@@ -259,6 +311,34 @@ class TestOmega1:
         # density; the scalar one must reproduce the chain bit for bit.
         mc = sample_omega1(lam, 1000, 43, method="mcmc", step=0.25, burn_in=2000, thinning=5)
         assert hashlib.sha256(mc.points.tobytes()).hexdigest() == digest
+        assert mc.stats["move_acceptance"] == acceptance
+
+    @staticmethod
+    def _former_mcmc(lam, n, seed, step, burn_in, thinning):
+        """The chain as it was drawn, acceptance uniform from rng.uniform()."""
+        rng = np.random.default_rng(seed)
+        beta = float((2 * lam - 11) / 6)
+        current = (0j, 0j, 0j)
+        current_logp = beta * _omega1_log_p1(*current)
+        kept, moves = [], 0
+        for it in range(burn_in + n * thinning):
+            d = rng.normal(scale=step, size=6).tolist()
+            proposal = tuple(complex(z.real + d[i], z.imag + d[i + 3])
+                             for i, z in enumerate(current))
+            log_p1 = _omega1_log_p1(*proposal)
+            if log_p1 > -math.inf and math.log(rng.uniform()) < beta * log_p1 - current_logp:
+                current, current_logp = proposal, beta * log_p1
+                moves += 1
+            if it >= burn_in and (it - burn_in) % thinning == 0 and len(kept) < n:
+                kept.append(current)
+        return np.array(kept), moves / (burn_in + n * thinning)
+
+    @pytest.mark.parametrize("seed", [43, 59])
+    def test_mcmc_matches_former_loop(self, seed):
+        lam = Fraction(13, 2)
+        mc = sample_omega1(lam, 1000, seed, method="mcmc", step=0.25, burn_in=2000, thinning=5)
+        points, acceptance = self._former_mcmc(lam, 1000, seed, 0.25, 2000, 5)
+        assert np.array_equal(mc.points.view(np.uint64), points.view(np.uint64))
         assert mc.stats["move_acceptance"] == acceptance
 
     def test_scalar_log_density_matches_array_path(self):
