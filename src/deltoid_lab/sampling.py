@@ -20,9 +20,10 @@ every polydisc proposal in real arithmetic on the drawn moduli and angles
 and builds complex points only for the few percent that survive; the
 screen's margin exceeds its rounding error, so it never drops a point
 omega1_membership accepts, and omega1_membership stays the only judge.
-Haar SU(3) draws go through one Gram-Schmidt kernel (two columns, the third
-from their cross product) in blocks of SU3_CHUNK matrices; the trace path
-sums three diagonal entries and never builds the matrices.
+Haar SU(3) draws go through one kernel in blocks of SU3_CHUNK matrices: it
+orthonormalizes two complex Gaussian columns a, b (12 normal draws per
+matrix) and completes them by conj(a x b), so det = 1 holds by construction;
+the trace path sums three diagonal entries and never builds the matrices.
 
 A pass that only reduces a sample streams it: torus_z_blocks and
 su3_trace_blocks yield the projected torus draws and the SU(3) traces one
@@ -50,8 +51,9 @@ from .scalars import RationalLike
 # ESS_BATCHES batch means.
 MIN_ESS = 100.0
 ESS_BATCHES = 32
-# The SU(3) samplers orthonormalize this many matrices at a time, so that a
-# block's temporaries take a few MiB rather than scaling with the sample size.
+# The SU(3) samplers draw and orthonormalize the 2-frames of this many
+# matrices at a time, so that a block's temporaries take a few MiB rather than
+# scaling with the sample size.
 SU3_CHUNK = 4096
 # Rejection keeps a proposal for the membership judge when its screened
 # P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN (see _polydisc_screen).
@@ -146,28 +148,26 @@ def torus_z_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _gram_schmidt_su3(
-    rng: np.random.Generator, n: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Haar SU(3) by Gram-Schmidt on the columns g1, g2, g3 of a complex Ginibre ensemble.
+def _su3_frame(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first two columns a, b of n Haar SU(3) matrices; the third is conj(a x b).
 
-    Orthonormalizing the columns in order is the QR decomposition with a
-    positive real R diagonal, which is unique, so Q is Haar on U(3)
-    (Mezzadri 2007, Notices AMS).  The columns a, b are projected twice
-    ("twice is enough"), which keeps them orthonormal to rounding; conj(a x b)
-    is the unit vector orthogonal to both, and w = (a x b) . g3 = r33 det Q,
-    so c = (w / |w|) conj(a x b) and det Q = w / |w|.  Dividing by its
-    principal cube root exp(i arg(w) / 3) projects onto the det = 1 slice,
-    and left-invariance makes the result Haar there.
+    Gram-Schmidt turns two complex Ginibre columns into an orthonormal
+    2-frame (a, b) of C^3; b is projected twice ("twice is enough"), which
+    keeps the frame orthonormal to rounding.  Gaussian columns are invariant
+    under U(3) and Gram-Schmidt commutes with it, so the frame's law is
+    U(3)-invariant.  SU(3) acts simply transitively on orthonormal 2-frames
+    (g is fixed by its first two columns, since det g = 1 forces the third
+    to be conj(a x b)), so the invariant law of the frame is the image of
+    Haar measure on SU(3), and [a, b, conj(a x b)] is Haar with
+    det = |a x b|^2 = 1 by construction.
 
-    Returns (basis, inverse_root): basis[j][i] is entry (i, j) of every Q,
-    and the SU(3) matrix is Q * inverse_root.
+    Returns (a, b): a[i] is entry (i, 0) and b[i] entry (i, 1) of every matrix.
     """
-    # Interleave the real and imaginary draws per entry so that blocked
-    # generation consumes the stream exactly like one bulk call.
-    raw = rng.standard_normal((n, 3, 3, 2))
+    # Twelve draws per matrix, real and imaginary interleaved per entry, so
+    # that blocked generation consumes the stream exactly like one bulk call.
+    raw = rng.standard_normal((n, 2, 3, 2))
     # g[i] is row i of the column g of every matrix, as one contiguous array.
-    g1, g2, g3 = np.ascontiguousarray(raw.view(complex)[..., 0].transpose(2, 1, 0))
+    g1, g2 = np.ascontiguousarray(raw.view(complex)[..., 0].transpose(1, 2, 0))
 
     def unit(v: np.ndarray) -> np.ndarray:
         return v * (1.0 / np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0)))
@@ -175,19 +175,17 @@ def _gram_schmidt_su3(
     a, b = unit(g1), g2
     for _ in range(2):
         b = b - a * np.sum(a.conj() * b, axis=0)
-    b = unit(b)
-    cross = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
-    w = np.sum(cross * g3, axis=0)
-    return [a, b, cross.conj() * (w / np.abs(w))], np.exp(-1j * (np.angle(w) / 3.0))
+    return a, unit(b)
 
 
 def _haar_su3_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar SU(3) matrices, shape (n, 3, 3), from _gram_schmidt_su3."""
-    basis, inverse_root = _gram_schmidt_su3(rng, n)
-    return np.array(basis).transpose(2, 1, 0) * inverse_root[:, None, None]
+    """n Haar SU(3) matrices [a, b, conj(a x b)], shape (n, 3, 3), from _su3_frame."""
+    a, b = _su3_frame(rng, n)
+    c = (a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]).conj()
+    return np.array([a, b, c]).transpose(2, 1, 0)
 
 
-def sample_su3_haar(n: int, seed: int) -> SampleBatch:
+def sample_su3_haar(n: int, seed: int | np.random.Generator) -> SampleBatch:
     """n Haar-distributed special unitary 3x3 matrices."""
     rng = _rng(n, seed)
     points = np.empty((n, 3, 3), dtype=complex)
@@ -200,14 +198,14 @@ def su3_trace_samples(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Normalized traces trace(g)/3 of n Haar SU(3) matrices.
 
     The same draws as sample_su3_haar(n, seed) followed by the trace map,
-    equal to rounding, but the matrices are never assembled: each block sums
-    the diagonal of its orthonormal basis and scales it once.
+    bit for bit, but the matrices are never assembled: each block sums
+    a[0] + b[1] + conj(a[0] b[1] - a[1] b[0]), the diagonal of [a, b, conj(a x b)].
     """
     rng = _rng(n, seed)
     out = np.empty(n, dtype=complex)
     for block in _blocks(n):
-        (a, b, c), inverse_root = _gram_schmidt_su3(rng, block.stop - block.start)
-        out[block] = (a[0] + b[1] + c[2]) * inverse_root / 3.0
+        a, b = _su3_frame(rng, block.stop - block.start)
+        out[block] = (a[0] + b[1] + (a[0] * b[1] - a[1] * b[0]).conj()) / 3.0
     return out
 
 

@@ -26,7 +26,7 @@ from deltoid_lab.verify import LAMBDA_EIGEN_SET, LAMBDA_INTERP, VerifyConfig, ru
 
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
 # sha256 of the report bytes that `deltoid-lab verify --out` writes at the default config.
-DEFAULT_REPORT_SHA256 = "3ee1903e95613480dfd4d30645b11c7d581357d7ec3e3dcac1f79fa12e92e975"
+DEFAULT_REPORT_SHA256 = "72f1f588dfa213b2805a7b7152eeceb96f3f829193bf246115ffd9c7baec869b"
 
 
 @pytest.fixture(scope="session")

@@ -53,15 +53,15 @@ def test_su3_construction():
 
 
 def _haar_su3_qr_oracle(rng, n):
-    """The QR construction the closed form replaced: numpy QR of the same
-    Ginibre draws, R-diagonal phase correction, principal cube root of det."""
-    raw = rng.standard_normal((n, 3, 3, 2))
-    z = raw[..., 0] + 1j * raw[..., 1]
+    """The frame by numpy: reduced QR of the same two Ginibre columns with the
+    R-diagonal phases divided out, completed by conj(a x b)."""
+    raw = rng.standard_normal((n, 2, 3, 2))
+    z = (raw[..., 0] + 1j * raw[..., 1]).transpose(0, 2, 1)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[:, np.newaxis, :]
-    det = np.linalg.det(q)
-    return q / np.power(det, 1.0 / 3.0)[:, np.newaxis, np.newaxis]
+    c = np.cross(q[..., 0], q[..., 1]).conj()
+    return np.concatenate([q, c[..., np.newaxis]], axis=-1)
 
 
 def test_su3_gram_schmidt_matches_qr_oracle():
@@ -86,7 +86,8 @@ def test_su3_trace_streaming_consistent():
     for n in (1000, 3 * sampling.SU3_CHUNK + 17):
         traces = su3_trace_samples(n, 13)
         full = sample_su3_haar(n, 13).points
-        assert np.max(np.abs(traces - np.trace(full, axis1=-2, axis2=-1) / 3.0)) < 1e-13
+        assert np.array_equal(traces.view(np.uint64),
+                              (np.trace(full, axis1=-2, axis2=-1) / 3.0).view(np.uint64))
         # Blocks consume the stream like one bulk draw.
         assert np.array_equal(full, _haar_su3_chunk(np.random.default_rng(13), n))
 
@@ -154,6 +155,16 @@ def test_su3_eigen_means_vanish():
         vals = np.real(p_hat.poly.evaluate({"Z": zs, "Zb": np.conj(zs)}))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean()) < 4 * se
+
+
+def test_su3_trace_moments_tell_haar_su3_apart():
+    # E[(tr g)^3] = 1 counts the invariant det in V^(x)3, which Haar U(3) (or a
+    # frame completed without the conjugate) lacks; E[|tr g|^4] = 2 counts the
+    # two irreducible summands of V (x) V.
+    t = 3.0 * su3_trace_samples(200_000, 37)
+    for values, exact in (((t**3).real, 1.0), ((t**3).imag, 0.0), (np.abs(t) ** 4, 2.0)):
+        estimate = MomentEstimate.of(values)
+        assert abs(estimate.mean - exact) < 4 * estimate.standard_error
 
 
 def test_su3_haar_center_symmetry():
