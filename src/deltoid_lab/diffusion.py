@@ -129,12 +129,14 @@ def rewrite_in_images(
     images: Mapping[str, MPoly],
     new_variables: tuple[str, ...],
     what: str = "rewrite",
+    built: dict[tuple[int, ...], MPoly] | None = None,
 ) -> MPoly:
     """Write target exactly as a polynomial in the image expressions.
 
     Candidate monomials are bounded by the weighted degree that the images
     induce; the coefficients are found by one exact linear solve and the
-    result is certified by re-substitution.
+    result is certified by re-substitution.  Each candidate's image is built
+    once per call, by one product; built, if given, shares them across calls.
     """
     if target.is_zero():
         return MPoly.zero(new_variables)
@@ -148,14 +150,15 @@ def rewrite_in_images(
         return sum(k * d for k, d in zip(e, img_degrees))
 
     candidates = monomials_up_to(new_variables, bound, weight=weighted)
-    # Image of every candidate monomial in the source ring.
-    candidate_polys: list[MPoly] = []
+    # Image of every candidate monomial in the source ring, in graded-lex order:
+    # the image of the candidate one variable lower is always built first.
+    built = {} if built is None else built
+    built.setdefault((0,) * len(new_variables), MPoly.const(target.variables, 1))
     for exps in candidates:
-        p = MPoly.const(target.variables, 1)
-        for g, k in zip(img_list, exps):
-            if k:
-                p = p * g**k
-        candidate_polys.append(p)
+        if exps not in built:
+            i = max(j for j, k in enumerate(exps) if k)
+            built[exps] = built[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] * img_list[i]
+    candidate_polys = [built[exps] for exps in candidates]
     row_index: dict[tuple[int, ...], int] = {}
     for p in candidate_polys + [target]:
         for e in p.terms:
@@ -185,22 +188,25 @@ def pushforward(
     """Image of the model under the polynomial map X = Phi(x).
 
     Computes Gamma(X_i, X_j) and L(X_i) upstairs and rewrites both in the
-    new variables; raises NotClosedError when the map does not carry the
+    new variables, building each candidate image once for all of the
+    call's rewrites; raises NotClosedError when the map does not carry the
     operator.
     """
     new_variables = tuple(images.keys())
     for name, g in images.items():
         if g.variables != model.variables:
             raise VariableMismatchError(f"image for {name} over wrong ring")
+    built: dict[tuple[int, ...], MPoly] = {}  # candidate images, shared by this call's rewrites
     gamma: dict[tuple[str, str], MPoly] = {}
     for i, u in enumerate(new_variables):
         for v in new_variables[i:]:
             upstairs = gamma_apply(model, images[u], images[v])
-            gamma[(u, v)] = rewrite_in_images(upstairs, images, new_variables, f"Gamma({u},{v})")
+            gamma[(u, v)] = rewrite_in_images(upstairs, images, new_variables,
+                                              f"Gamma({u},{v})", built)
     drift: dict[str, MPoly] = {}
     for u in new_variables:
         upstairs = l_apply(model, images[u])
-        drift[u] = rewrite_in_images(upstairs, images, new_variables, f"L({u})")
+        drift[u] = rewrite_in_images(upstairs, images, new_variables, f"L({u})", built)
     return DiffusionModel(new_variables, gamma, drift, dict(params or {}))
 
 

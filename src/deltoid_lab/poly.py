@@ -667,11 +667,11 @@ def solve_field_linear(
             continue
         a[r], a[pivot] = a[pivot], a[r]
         inv = a[r][col].inverse()
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
         for i in range(nrows):
             if i != r and a[i][col]:
                 factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - factor * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append((r, col))
         r += 1
         if r == nrows:

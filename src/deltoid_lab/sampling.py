@@ -389,7 +389,9 @@ def _omega1_mcmc(
                     complex(z1.real + d[1], z1.imag + d[4]),
                     complex(z2.real + d[2], z2.imag + d[5]))
         log_p1 = _omega1_log_p1(*proposal)
-        if log_p1 > -math.inf and math.log(rng.random()) < beta_f * log_p1 - current_logp:
+        # A uniform draw of exactly 0.0 has log -inf, which accepts the move.
+        if log_p1 > -math.inf and ((u := rng.random()) == 0.0
+                                   or math.log(u) < beta_f * log_p1 - current_logp):
             current = proposal
             current_logp = beta_f * log_p1
             accepted_moves += 1

@@ -190,8 +190,9 @@ class FieldScalar:
         for num, tag in zip(self.ints, ("", "i", "r3", "i*r3")):
             if not num:
                 continue
-            comp = Fraction(num, self.ints[4])
-            body = str(comp) if not tag else (f"{comp}*{tag}" if abs(comp) != 1 else ("-" + tag if comp < 0 else tag))
+            g = gcd(num, self.ints[4])
+            comp = str(num // g) if g == self.ints[4] else f"{num // g}/{self.ints[4] // g}"
+            body = comp if not tag else (f"{comp}*{tag}" if comp not in ("1", "-1") else comp[:-1] + tag)
             parts.append(body if not parts or body.startswith("-") else "+" + body)
         return "".join(parts) or "0"
 

@@ -5,10 +5,12 @@ and act lower-triangularly on monomials: applying L to a monomial returns
 the monomial itself (the diagonal, a rational multiple) plus monomials that
 are strictly smaller in the grading order.  The eigenpolynomial with a
 prescribed leading monomial is therefore found by back-substitution down
-the order, one exact rational coefficient at a time.  Every entry point
-reads one module-level cache keyed by the operator (variables, Gamma table,
-drift); each entry holds the graded basis, one operator table that grows by
-degree (L applied once per monomial) and the polynomials solved from it.
+the order, one exact rational coefficient at a time, read straight from the
+rows of the operator table.  Every entry point reads one module-level cache
+keyed by the operator (variables, Gamma table, drift); each entry holds the
+graded basis, whose monomials it enumerates once per degree the table grows
+to, one operator table (L applied once per monomial) and the polynomials
+solved from it.
 
 For the deltoid family the grading is the total degree in (Z, Zb) and the
 eigenvalue of the leading monomial Z^n Zb^k is
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .diffusion import DiffusionModel, l_apply
 from .models import (
@@ -119,14 +121,15 @@ def _monomial(variables: Sequence[str], exps: Exponents) -> MPoly:
 
 
 def operator_table(
-    model: DiffusionModel, basis: GradedBasis, max_degree: int, table: OperatorTable | None = None
+    model: DiffusionModel, basis: GradedBasis, monomials: Iterable[Exponents],
+    table: OperatorTable | None = None,
 ) -> OperatorTable:
-    """Apply L once to every basis monomial of degree <= max_degree.
+    """Apply L once to each of the given basis monomials.
 
     Given a table, fill in only the monomials it lacks and return it.
     """
     table = {} if table is None else table
-    for exps in basis.monomials(max_degree):
+    for exps in monomials:
         if exps not in table:
             table[exps] = l_apply(model, _monomial(basis.variables, exps))
     return table
@@ -155,7 +158,6 @@ def graded_triangular_solve(
     the eigenvalue of the eigenpolynomial it leads; it is read from the
     table when not given.
     """
-    variables = model.variables
     lead = tuple(lead)
     lead_key = order_key(lead)
 
@@ -170,16 +172,17 @@ def graded_triangular_solve(
     collisions = tuple(e for e in below if eigenvalues[e] == mu)
 
     coeffs: dict[Exponents, FieldScalar] = {lead: ONE}
-    # acc holds (L + mu)(partial solution); consumed as coefficients are fixed.
+    # acc holds (L + mu)(partial solution), read from the table's rows, except on
+    # fixed monomials: their diagonal is never read again ((mu - mu) * lead is 0).
     acc: dict[Exponents, FieldScalar] = {}
 
     def accumulate(exps: Exponents, scale: FieldScalar) -> None:
-        shifted = table[exps] + _monomial(variables, exps) * mu
-        for e, c in shifted.terms.items():
-            if order_key(e) > order_key(exps):
-                raise ValueError(
-                    f"operator is not triangular: {exps} feeds {e}"
-                )  # pragma: no cover - structural guard
+        key = order_key(exps)
+        for e, c in table[exps].terms.items():
+            if e == exps:
+                continue
+            if order_key(e) > key:  # pragma: no cover - structural guard
+                raise ValueError(f"operator is not triangular: {exps} feeds {e}")
             total = acc.get(e)
             new = c * scale if total is None else total + c * scale
             if new:
@@ -188,22 +191,20 @@ def graded_triangular_solve(
                 del acc[e]
 
     accumulate(lead, ONE)
-    acc.pop(lead, None)  # (mu - mu) * lead vanishes identically
     for exps in below:
         rhs = acc.pop(exps, None)
-        if rhs is None or not rhs:
+        if rhs is None:
             continue
-        denom = mu - eigenvalues[exps]
+        denom = eigenvalues[exps] - mu
         if denom == 0:
             raise EigenvalueCollisionError(lead, exps, mu)
-        c = rhs * Fraction(-1, 1) / FieldScalar.from_rational(denom)
+        c = rhs * (1 / denom)
         coeffs[exps] = c
         accumulate(exps, c)
-        acc.pop(exps, None)
     if acc:
         leftovers = sorted(acc, key=order_key, reverse=True)
         raise ValueError(f"graded solve left residual terms at {leftovers[:4]}")  # pragma: no cover
-    return MPoly(variables, coeffs), mu, collisions
+    return MPoly(model.variables, coeffs), mu, collisions
 
 
 def pq_pair(r_nk: EigenPoly, r_kn: EigenPoly) -> tuple[EigenPoly, EigenPoly]:
@@ -233,18 +234,28 @@ class _OperatorBasis:
     def __init__(self, model: DiffusionModel, basis: GradedBasis):
         self.model = model
         self.basis = basis
+        self.degree, self.held = -1, ()  # the table holds the monomials held, of degree <= degree
         self.table: OperatorTable = {}
         self.eigenvalues: dict[Exponents, Fraction] = {}  # minus L's diagonal, per monomial
         self.leads: dict[Exponents, EigenPoly] = {}
         self.pairs: dict[tuple[int, int], tuple[EigenPoly, EigenPoly]] = {}
 
+    def monomials(self, max_degree: int) -> tuple[Exponents, ...]:
+        """The basis monomials of degree <= max_degree in graded-lex order, each
+        in the table; they are enumerated once per degree the table grows to."""
+        if max_degree > self.degree:
+            self.degree, self.held = max_degree, tuple(self.basis.monomials(max_degree))
+            operator_table(self.model, self.basis, self.held, self.table)
+            self.eigenvalues = {e: -_diagonal(self.table, e) for e in self.held}
+        if max_degree == self.degree:
+            return self.held
+        return tuple(e for e in self.held if self.basis.degree(e) <= max_degree)
+
     def solve(self, lead: Exponents) -> EigenPoly:
         if lead not in self.leads:
             if min(lead) < 0:
                 raise ValueError("indices must be nonnegative")
-            operator_table(self.model, self.basis, self.basis.degree(lead), self.table)
-            for exps in self.table.keys() - self.eigenvalues.keys():
-                self.eigenvalues[exps] = -_diagonal(self.table, exps)
+            self.monomials(self.basis.degree(lead))
             poly, mu, collisions = graded_triangular_solve(
                 self.model, lead, self.basis.order_key, self.table, self.eigenvalues)
             self.leads[lead] = EigenPoly(lead[0], lead[1], mu, poly, self.basis.flavor, collisions)
@@ -278,7 +289,7 @@ def eigenbasis(model: DiffusionModel, max_degree: int) -> dict[Exponents, EigenP
     deltoid variables, the G2 basis keyed (r, t) for (s, p).
     """
     entry = _operator(model)
-    return {lead: entry.solve(lead) for lead in entry.basis.monomials(max_degree)}
+    return {lead: entry.solve(lead) for lead in entry.monomials(max_degree)}
 
 
 # ---------------------------------------------------------------------------

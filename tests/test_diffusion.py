@@ -17,13 +17,16 @@ from deltoid_lab.diffusion import (
 from deltoid_lab.models import (
     DELTOID_VARS,
     PI_IMAGES,
+    PSI1_IMAGES,
     PSI_IMAGES,
     deltoid_boundary_poly,
     deltoid_model,
     g2_from_lambda,
+    g2_model,
     sixdim_model,
 )
-from deltoid_lab.poly import MPoly, NonDivisibleError
+from deltoid_lab.poly import MPoly, NonDivisibleError, monomials_up_to
+from deltoid_lab.scalars import ZERO
 
 from conftest import deltoid_polys
 
@@ -123,6 +126,95 @@ def test_pushforward_not_closed():
     # Z Zb alone, so the one-coordinate map must be rejected.
     with pytest.raises(NotClosedError):
         pushforward(MODEL, {"p": Z * Zb})
+
+
+def former_solve_linear(rows, rhs):
+    """Gauss-Jordan elimination over every entry, zeros included."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    pivots, r = [], 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = a[r][col].inverse()
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][col]:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == nrows:
+            break
+    if any(a[i][ncols] for i in range(r, nrows)):
+        return None
+    solution = [ZERO] * ncols
+    for row, col in pivots:
+        solution[col] = a[row][ncols]
+    return solution
+
+
+def former_rewrite(target, images, new_variables):
+    """The rewrite as it was: every candidate image rebuilt from powers of the
+    images, once per rewrite."""
+    if target.is_zero():
+        return MPoly.zero(new_variables)
+    img_list = [images[v] for v in new_variables]
+    img_degrees = [g.total_degree() for g in img_list]
+    candidates = monomials_up_to(new_variables, target.total_degree(),
+                                 weight=lambda e: sum(k * d for k, d in zip(e, img_degrees)))
+    candidate_polys = []
+    for exps in candidates:
+        p = MPoly.const(target.variables, 1)
+        for g, k in zip(img_list, exps):
+            if k:
+                p = p * g**k
+        candidate_polys.append(p)
+    row_index = {}
+    for p in candidate_polys + [target]:
+        for e in p.terms:
+            row_index.setdefault(e, len(row_index))
+    rows = [[ZERO] * len(candidates) for _ in range(len(row_index))]
+    for col, p in enumerate(candidate_polys):
+        for e, c in p.terms.items():
+            rows[row_index[e]][col] = c
+    rhs = [ZERO] * len(row_index)
+    for e, c in target.terms.items():
+        rhs[row_index[e]] = c
+    solution = former_solve_linear(rows, rhs)
+    assert solution is not None
+    result = MPoly(new_variables, dict(zip(candidates, solution)))
+    assert result.subs(dict(images)) == target
+    return result
+
+
+def former_pushforward(model, images, params=None):
+    new_variables = tuple(images)
+    gamma = {(u, v): former_rewrite(gamma_apply(model, images[u], images[v]), images,
+                                    new_variables)
+             for i, u in enumerate(new_variables) for v in new_variables[i:]}
+    drift = {u: former_rewrite(l_apply(model, images[u]), images, new_variables)
+             for u in new_variables}
+    return DiffusionModel(new_variables, gamma, drift, dict(params or {}))
+
+
+@pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(4), Fraction(17, 5)])
+@pytest.mark.parametrize("source,images", [
+    (sixdim_model, PI_IMAGES),
+    (deltoid_model, PSI_IMAGES),
+    (lambda lam: g2_model(Fraction(-1, 2), (2 * lam - 5) / 6), PSI1_IMAGES),
+], ids=["pi", "psi", "psi1"])
+def test_pushforward_matches_former_rewrites(lam, source, images):
+    model = source(lam)
+    got = pushforward(model, images, {"lambda": lam})
+    expected = former_pushforward(model, images, {"lambda": lam})
+    assert got == expected
+    for key, entry in got.gamma.items():
+        assert list(entry.terms.items()) == list(expected.gamma[key].terms.items())
+    for u, entry in got.drift.items():
+        assert list(entry.terms.items()) == list(expected.drift[u].terms.items())
 
 
 def test_rewrite_certifies():

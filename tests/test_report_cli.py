@@ -31,6 +31,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # 5000 --theta-grid 2` writes, recorded under numpy 2.4.6 like the report digest.
 MARKOV_CSV_SHA256 = "3c2eadc0430a2fc031b3031c557c3339a4419498cd5ecedeb97ce45c84b5f85c"
 MARKOV_VERDICT_SHA256 = "36e9af91a7ecad802cc89d72f6c352906f3c8fa86a4d69b82d4fa5b0daadf6f2"
+# sha256 of `eigen --lambda 17/5 --degree-max 8`, a parameter and degree the
+# golden file does not cover; the same under every PYTHONHASHSEED tried.
+EIGEN_17_5_DEGREE8_SHA256 = "01b6a034e33f233b5639155d06e38fe6b4f9ed234b8b9640f3727ebf4f96e7fc"
 
 
 def markov_matrices_from_csv(text: str) -> list[dict]:
@@ -276,6 +279,11 @@ class TestCli:
         got = json.loads(out.read_text())
         expected = json.loads((GOLDEN / "eigen_degree4_lambda_7_3.json").read_text())
         assert got == expected
+
+    def test_eigen_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "eigen.json"
+        assert main(["eigen", "--lambda", "17/5", "--degree-max", "8", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EIGEN_17_5_DEGREE8_SHA256
 
     def test_gram_cli(self, tmp_path):
         out = tmp_path / "gram.json"

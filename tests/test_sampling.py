@@ -352,6 +352,42 @@ class TestOmega1:
         assert np.array_equal(mc.points.view(np.uint64), points.view(np.uint64))
         assert mc.stats["move_acceptance"] == acceptance
 
+    def test_mcmc_zero_uniform_accepts_the_move(self, monkeypatch):
+        # A uniform draw of exactly 0.0 (probability 2^-53 per in-domain
+        # step) has log -inf and must accept the move, not raise.
+        real_rng = np.random.default_rng
+
+        class Stub:
+            """The real stream, with the uniform draw of step zero_at read as 0.0."""
+
+            def __init__(self, seed, zero_at=None):
+                self.rng, self.zero_at, self.step, self.uniform_steps = real_rng(seed), zero_at, -1, []
+
+            def normal(self, *args, **kwargs):
+                self.step += 1
+                return self.rng.normal(*args, **kwargs)
+
+            def random(self):
+                self.uniform_steps.append(self.step)
+                u = self.rng.random()  # drawn either way: the stream stays as it is
+                return 0.0 if self.step == self.zero_at else u
+
+        def chain(zero_at):
+            stubs = []
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed: stubs.append(Stub(seed, zero_at)) or stubs[-1])
+            mc = sample_omega1(Fraction(13, 2), 6000, 43, method="mcmc", step=0.25,
+                               burn_in=0, thinning=1)
+            monkeypatch.undo()
+            return mc.points, stubs[0].uniform_steps
+
+        points, uniform_steps = chain(None)
+        # The first in-domain step whose move the real draw rejects.
+        rejected = next(i for i in uniform_steps if i and np.array_equal(points[i], points[i - 1]))
+        forced, _ = chain(rejected)
+        assert np.array_equal(forced[:rejected], points[:rejected])
+        assert not np.array_equal(forced[rejected], forced[rejected - 1])
+
     def test_scalar_log_density_matches_array_path(self):
         rng = np.random.default_rng(67)
         # The bulk reaches past the polydisc, where some points have P1 > 0

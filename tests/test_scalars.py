@@ -72,6 +72,34 @@ def test_canonical_string():
     assert str(-I) == "-i"
 
 
+def former_str(x: FieldScalar) -> str:
+    """The canonical text as formatted from one Fraction per component."""
+    parts: list[str] = []
+    for num, tag in zip(x.ints, ("", "i", "r3", "i*r3")):
+        if not num:
+            continue
+        comp = Fraction(num, x.ints[4])
+        body = str(comp) if not tag else (f"{comp}*{tag}" if abs(comp) != 1 else ("-" + tag if comp < 0 else tag))
+        parts.append(body if not parts or body.startswith("-") else "+" + body)
+    return "".join(parts) or "0"
+
+
+# Zero, +-1, integers, and fractions whose denominators run far past any
+# common factor of the others.
+text_components = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=10**15),
+)
+
+
+@given(text_components, text_components, text_components, text_components)
+def test_canonical_string_matches_fraction_formatter(a, b, c, d):
+    x = FieldScalar(a, b, c, d)
+    assert str(x) == former_str(x)
+    assert str(-x) == former_str(-x)
+
+
 def test_rational_value_guard():
     assert FieldScalar(Fraction(7, 3)).rational_value() == Fraction(7, 3)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from deltoid_lab.models import (
     g2_from_lambda,
 )
 from deltoid_lab.poly import MPoly
+from deltoid_lab.scalars import ONE, FieldScalar
 from deltoid_lab import spectral
 from deltoid_lab.spectral import (
     DELTOID_BASIS,
@@ -42,7 +43,7 @@ Zb = MPoly.var(DELTOID_VARS, "Zb")
 
 def reference_solve(model, basis, lead):
     """The eigenpolynomial of lead solved from a fresh table, outside the cache."""
-    table = operator_table(model, basis, basis.degree(lead))
+    table = operator_table(model, basis, basis.monomials(basis.degree(lead)))
     poly, mu, collisions = graded_triangular_solve(model, lead, basis.order_key, table)
     return EigenPoly(lead[0], lead[1], mu, poly, basis.flavor, collisions)
 
@@ -50,6 +51,45 @@ def reference_solve(model, basis, lead):
 def reference_pq(model, n, k):
     return pq_pair(reference_solve(model, DELTOID_BASIS, (n, k)),
                    reference_solve(model, DELTOID_BASIS, (k, n)))
+
+
+def former_solve(model, lead, order_key, table):
+    """The back-substitution as it was: every step builds table[m] + m * mu as
+    an MPoly and keeps its diagonal until the caller pops it."""
+    variables = model.variables
+    lead_key = order_key(lead)
+    below = sorted((e for e in table if order_key(e) < lead_key), key=order_key, reverse=True)
+    eigenvalues = {e: -spectral._diagonal(table, e) for e in (lead, *below)}
+    mu = eigenvalues[lead]
+    collisions = tuple(e for e in below if eigenvalues[e] == mu)
+    coeffs = {lead: ONE}
+    acc = {}
+
+    def accumulate(exps, scale):
+        shifted = table[exps] + MPoly(variables, {exps: ONE}) * mu
+        for e, c in shifted.terms.items():
+            total = acc.get(e)
+            new = c * scale if total is None else total + c * scale
+            if new:
+                acc[e] = new
+            elif total is not None:
+                del acc[e]
+
+    accumulate(lead, ONE)
+    acc.pop(lead, None)
+    for exps in below:
+        rhs = acc.pop(exps, None)
+        if rhs is None or not rhs:
+            continue
+        denom = mu - eigenvalues[exps]
+        if denom == 0:
+            raise EigenvalueCollisionError(lead, exps, mu)
+        c = rhs * Fraction(-1, 1) / FieldScalar.from_rational(denom)
+        coeffs[exps] = c
+        accumulate(exps, c)
+        acc.pop(exps, None)
+    assert not acc
+    return MPoly(variables, coeffs), mu, collisions
 
 
 def weird_model():
@@ -224,7 +264,7 @@ class TestGradedBasis:
     def test_operator_preserves_grading(self):
         for basis, model in ((DELTOID_BASIS, deltoid_model(Fraction(5, 2))),
                              (G2_BASIS, g2_from_lambda(Fraction(5, 2)))):
-            table = operator_table(model, basis, 6)
+            table = operator_table(model, basis, basis.monomials(6))
             assert all(basis.degree(e) <= basis.degree(exps)
                        for exps, image in table.items() for e in image.terms)
 
@@ -234,7 +274,7 @@ class TestGradedBasis:
         from deltoid_lab.spectral import GradedBasis, _total_degree_key
 
         plain = GradedBasis(("s", "p"), lambda e: sum(e), _total_degree_key, "G")
-        table = operator_table(g2_from_lambda(Fraction(5, 2)), plain, 4)
+        table = operator_table(g2_from_lambda(Fraction(5, 2)), plain, plain.monomials(4))
         assert any(sum(e) > sum(exps) for exps, image in table.items() for e in image.terms)
 
 
@@ -322,6 +362,74 @@ class TestOperatorCache:
         spectral._OPERATORS.clear()
         low_first = eigen_PQ_lambda(lam, 1, 1)
         assert (eigen_PQ_lambda(lam, 4, 2), low_first) == high_first
+
+
+class TestFormerSolveOracle:
+    """The solve reads the table's rows; the former MPoly arithmetic is the oracle."""
+
+    @staticmethod
+    def assert_same(model, basis, leads):
+        table = operator_table(model, basis, basis.monomials(max(map(basis.degree, leads))))
+        cached = eigenbasis(model, max(map(basis.degree, leads)))
+        for lead in leads:
+            expected = former_solve(model, lead, basis.order_key, table)
+            got = graded_triangular_solve(model, lead, basis.order_key, table)
+            assert got == expected, lead
+            # The same terms in the same order: numeric evaluation sums them in it.
+            assert list(got[0].terms.items()) == list(expected[0].terms.items())
+            e = cached[lead]
+            assert (e.poly, e.eigenvalue, e.collisions) == expected
+            assert list(e.poly.terms.items()) == list(expected[0].terms.items())
+
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(7, 3), Fraction(4),
+                                     Fraction(11, 2), Fraction(17, 5)])
+    def test_deltoid_leads_to_degree_eight(self, lam):
+        spectral._OPERATORS.clear()
+        self.assert_same(deltoid_model(lam), DELTOID_BASIS, DELTOID_BASIS.monomials(8))
+
+    @pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(17, 5)])
+    def test_g2_leads_to_weighted_degree_six(self, lam):
+        spectral._OPERATORS.clear()
+        self.assert_same(g2_from_lambda(lam), G2_BASIS, G2_BASIS.monomials(6))
+
+    def test_benign_collision(self):
+        model = deltoid_model(1)
+        table = operator_table(model, DELTOID_BASIS, DELTOID_BASIS.monomials(8))
+        expected = former_solve(model, (3, 5), DELTOID_BASIS.order_key, table)
+        assert (7, 0) in expected[2]
+        assert graded_triangular_solve(model, (3, 5), DELTOID_BASIS.order_key, table) == expected
+
+    def test_inconsistent_collision(self):
+        model = weird_model()
+        table = operator_table(model, DELTOID_BASIS, DELTOID_BASIS.monomials(4))
+        for solve in (former_solve, graded_triangular_solve):
+            with pytest.raises(EigenvalueCollisionError) as err:
+                solve(model, (3, 1), DELTOID_BASIS.order_key, table)
+            assert err.value.witness == (0, 1)
+
+
+class TestMonomialSequence:
+    def test_handed_out_monomials_are_immutable(self):
+        spectral._OPERATORS.clear()
+        entry = spectral._operator(deltoid_model(LAM))
+        held = entry.monomials(8)
+        assert isinstance(held, tuple) and held == tuple(DELTOID_BASIS.monomials(8))
+        with pytest.raises(TypeError):
+            held[0] = (9, 9)
+        with pytest.raises(AttributeError):
+            held.append((9, 0))
+        low = entry.monomials(4)
+        assert isinstance(low, tuple) and low == tuple(DELTOID_BASIS.monomials(4))
+        assert entry.monomials(8) == tuple(DELTOID_BASIS.monomials(8))
+
+    def test_lower_degrees_keep_the_graded_lex_order(self):
+        # The G2 weighted grading and graded-lex order disagree, so a lower
+        # degree is a filtered copy, not a prefix.
+        spectral._OPERATORS.clear()
+        entry = spectral._operator(g2_from_lambda(LAM))
+        entry.monomials(6)
+        for d in range(7):
+            assert entry.monomials(d) == tuple(G2_BASIS.monomials(d))
 
 
 class TestPieri:
