@@ -16,10 +16,12 @@ Everything is reproducible: a batch is a pure function of (parameters,
 seed).
 
 Two fast paths keep the random streams as they were.  Rejection screens
-every polydisc proposal in real arithmetic on the drawn moduli and angles
-and builds complex points only for the few percent that survive; the
-screen's margin exceeds its rounding error, so it never drops a point
-omega1_membership accepts, and omega1_membership stays the only judge.
+every polydisc proposal in real arithmetic on the drawn moduli and angles,
+taking a cosine only where a cosine-free bound can pass, and builds complex
+points only for the few percent that survive; the screen's margin exceeds
+its rounding error, so it never drops a point omega1_membership accepts,
+and omega1_membership stays the only judge.  A rejection round is streamed
+in blocks, so its memory does not grow with the number of proposals.
 Haar SU(3) draws go through one kernel in blocks of SU3_CHUNK matrices: it
 orthonormalizes two complex Gaussian columns a, b (12 normal draws per
 matrix) and completes them by conj(a x b), so det = 1 holds by construction;
@@ -34,6 +36,7 @@ so no whole sample is ever held.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,7 +59,7 @@ ESS_BATCHES = 32
 # scaling with the sample size.
 SU3_CHUNK = 4096
 # Rejection keeps a proposal for the membership judge when its screened
-# P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN (see _polydisc_screen).
+# P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN (see _screen_mask).
 SCREEN_MARGIN = 1e-9
 
 
@@ -226,27 +229,23 @@ def _beta_of_lambda(lam: Fraction) -> Fraction:
     return (2 * lam - 11) / 6
 
 
-def _polydisc_screen(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Indices of the polydisc proposals sqrt(u) * exp(1j * angles) that may
-    lie in the lifted domain (see _screen_mask), screened in blocks of
-    EVAL_CHUNK proposals so that the temporaries stay in cache."""
-    keep = np.empty(len(u), dtype=bool)
-    for start in range(0, len(u), EVAL_CHUNK):
-        block = slice(start, start + EVAL_CHUNK)
-        keep[block] = _screen_mask(u[block], angles[block])
-    return np.flatnonzero(keep)
-
-
 def _screen_mask(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Which polydisc proposals sqrt(u) * exp(1j * angles) may lie in the
     lifted domain, computed in real arithmetic on the draws.
 
     With s1 = sum u_i and s2 = sum u_i^2 (u_i = |z_i|^2),
 
-        P1 = 2 - (s1 + 1)^2 + 2*s2 + 8*sqrt(u0 u1 u2)*cos(a0 + a1 + a2),
+        P1 = base + amp*cos(a0 + a1 + a2),  base = 2 - (s1 + 1)^2 + 2*s2,
+                                             amp = 8*sqrt(u0 u1 u2),
         P2 = 2*(s2 - 1) - (s1 - 1)^2,
 
     and a proposal survives when P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN.
+    The cosine is taken in a second stage, only where P2 and the
+    cosine-free bound base + amp pass.  That stage drops nothing the
+    one-stage formula keeps: amp >= 0 and cos <= 1, and rounding is
+    monotone, so fl(base + fl(amp * c)) <= fl(base + amp) for every cosine c,
+    and the survivors are exactly those of evaluating P1 everywhere.
+
     The screen is conservative: omega1_membership evaluates the same
     polynomials from the complex points.  There |z_i|^2 differs from u_i by
     a few units of rounding eps = 2**-53 relative, and Re(z0 z1 z2) differs
@@ -263,9 +262,18 @@ def _screen_mask(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     t = s1 - 1.0
     p2 = 2.0 * (s2 - 1.0) - t * t
     t = s1 + 1.0
-    p1 = 2.0 - t * t + 2.0 * s2 + 8.0 * np.sqrt(u0 * u1 * u2) * np.cos(
-        angles[:, 0] + angles[:, 1] + angles[:, 2])
-    return (p1 > -SCREEN_MARGIN) & (p2 < SCREEN_MARGIN)
+    base = 2.0 - t * t + 2.0 * s2
+    amp = 8.0 * np.sqrt(u0 * u1 * u2)
+    keep = (base + amp > -SCREEN_MARGIN) & (p2 < SCREEN_MARGIN)
+    phase = angles[:, 0] + angles[:, 1] + angles[:, 2]
+    live = np.flatnonzero(keep)
+    keep[live] = base[live] + amp[live] * np.cos(phase[live]) > -SCREEN_MARGIN
+    return keep
+
+
+def _stream_at(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A Generator on a copy of rng's stream, advanced past skip draws."""
+    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
 def sample_omega1(
@@ -283,9 +291,12 @@ def sample_omega1(
     the membership set (exact at beta = 0, i.e. lambda = 11/2; beta > 0 is
     handled by an extra P1**beta acceptance using the envelope P1 <= 1;
     beta < 0 has no bounded envelope and requires MCMC).  A real-arithmetic
-    screen (_polydisc_screen) discards proposals far outside the domain
-    before omega1_membership judges the rest; points and stats are those of
-    judging every proposal.
+    screen (_screen_mask) discards proposals far outside the domain before
+    omega1_membership judges the rest; its cosine-free bound stage is never
+    below the rounded P1, so it drops nothing the full formula keeps.  Each
+    round is streamed in blocks of EVAL_CHUNK proposals; points, stats and
+    the random stream are those of drawing the round at once and judging
+    every proposal, and memory stays at one block plus the n kept points.
 
     method='mcmc' runs a symmetric Gaussian random walk with Metropolis
     correction, burn-in and thinning; the batch records an effective sample
@@ -313,29 +324,39 @@ def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> Sampl
             "Use method='mcmc'."
         )
     rng = np.random.default_rng(seed)
-    chunks: list[np.ndarray] = []
+    points = np.empty((n, 3), dtype=complex)
     proposed = 0
     accepted = 0
     beta_f = float(beta)
     while accepted < n:
         m = max(200_000, 4 * (n - accepted))
-        u = rng.uniform(size=(m, 3))
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(m, 3))
-        survivors = _polydisc_screen(u, angles)
-        pts = np.sqrt(u[survivors]) * np.exp(1j * angles[survivors])
-        mask = omega1_membership(pts)
-        if beta_f > 0.0:
-            p1, _ = omega1_boundary_values(pts)
-            density = np.where(mask, np.maximum(p1, 0.0) ** beta_f, 0.0)
-            # Envelope: P1 <= 1 on the domain (P1(0) = 1 is the maximum).
-            if np.any(density > 1.0 + 1e-12):
-                raise SamplingError("envelope P1 <= 1 violated; rejection invalid")
-            mask = mask & (rng.uniform(size=m)[survivors] < density)
-        kept = pts[mask]
-        chunks.append(kept)
+        # One round reads 3m moduli, then 3m angles, then (beta > 0) m density
+        # uniforms; each of the three is read block by block from its own copy
+        # of the stream, started where a bulk draw of the round would reach it.
+        u_rng, angle_rng, density_rng = (_stream_at(rng, skip) for skip in (0, 3 * m, 6 * m))
+        for block in _blocks(m, EVAL_CHUNK):
+            size = block.stop - block.start
+            u = u_rng.random((size, 3))
+            angles = angle_rng.random((size, 3))
+            angles *= 2.0 * math.pi  # == uniform(0, 2 pi): 0 + 2 pi * draw
+            survivors = np.flatnonzero(_screen_mask(u, angles))
+            pts = np.sqrt(u[survivors]) * np.exp(1j * angles[survivors])
+            mask = omega1_membership(pts)
+            if beta_f > 0.0:
+                density_u = density_rng.random(size)
+                p1, _ = omega1_boundary_values(pts)
+                density = np.where(mask, np.maximum(p1, 0.0) ** beta_f, 0.0)
+                # Envelope: P1 <= 1 on the domain (P1(0) = 1 is the maximum).
+                if np.any(density > 1.0 + 1e-12):
+                    raise SamplingError("envelope P1 <= 1 violated; rejection invalid")
+                mask &= density_u[survivors] < density
+            kept = pts[mask]
+            # The first n points are kept; the statistics count them all.
+            room = points[accepted:accepted + len(kept)]
+            room[...] = kept[:len(room)]
+            accepted += len(kept)
         proposed += m
-        accepted += len(kept)
-    points = np.concatenate(chunks)[:n]
+        rng.bit_generator.advance(7 * m if beta_f > 0.0 else 6 * m)
     stats = {"proposed": proposed, "acceptance_rate": accepted / proposed}
     return SampleBatch(
         "omega1", seed, {"lambda": lam, "beta": beta, "n": n, "method": "rejection"},

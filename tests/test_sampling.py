@@ -234,33 +234,56 @@ class TestOmega1:
         assert batch.stats == stats
 
     @staticmethod
+    def _one_stage_screen(u, angles):
+        """The screen as written before the bound stage: P1 with its cosine
+        and P2 for every proposal."""
+        u0, u1, u2 = u.T
+        s1 = u0 + u1 + u2
+        s2 = u0 * u0 + u1 * u1 + u2 * u2
+        t = s1 - 1.0
+        p2 = 2.0 * (s2 - 1.0) - t * t
+        t = s1 + 1.0
+        p1 = 2.0 - t * t + 2.0 * s2 + 8.0 * np.sqrt(u0 * u1 * u2) * np.cos(
+            angles[:, 0] + angles[:, 1] + angles[:, 2])
+        return (p1 > -sampling.SCREEN_MARGIN) & (p2 < sampling.SCREEN_MARGIN)
+
+    def _assert_screens_agree(self, u, angles):
+        assert np.array_equal(np.flatnonzero(sampling._screen_mask(u, angles)),
+                              np.flatnonzero(self._one_stage_screen(u, angles)))
+
+    @staticmethod
     def _screened_membership(u, angles):
         """Membership as the sampler decides it: screen, then judge the survivors."""
-        survivors = sampling._polydisc_screen(u, angles)
+        survivors = np.flatnonzero(sampling._screen_mask(u, angles))
         member = np.zeros(len(u), dtype=bool)
         member[survivors] = omega1_membership(
             np.sqrt(u[survivors]) * np.exp(1j * angles[survivors]))
         return member
 
     def test_blocked_screen_equals_one_pass(self):
+        # The sampler screens a round in blocks of EVAL_CHUNK proposals.
         rng = np.random.default_rng(97)
         size = 3 * sampling.EVAL_CHUNK + 101
         u = rng.uniform(size=(size, 3))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=(size, 3))
-        one_pass = np.flatnonzero(sampling._screen_mask(u, angles))
-        assert 0 < len(one_pass) < size
-        assert np.array_equal(sampling._polydisc_screen(u, angles), one_pass)
-        assert len(sampling._polydisc_screen(u[:0], angles[:0])) == 0
+        one_pass = sampling._screen_mask(u, angles)
+        assert 0 < one_pass.sum() < size
+        blocked = np.concatenate([sampling._screen_mask(u[block], angles[block])
+                                  for block in sampling._blocks(size, sampling.EVAL_CHUNK)])
+        assert np.array_equal(blocked, one_pass)
+        self._assert_screens_agree(u, angles)
+        assert len(sampling._screen_mask(u[:0], angles[:0])) == 0
 
     def test_screen_keeps_every_accepted_proposal(self):
         rng = np.random.default_rng(83)
         u = rng.uniform(size=(1_000_000, 3))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=(1_000_000, 3))
         judged = omega1_membership(np.sqrt(u) * np.exp(1j * angles))
-        survivors = sampling._polydisc_screen(u, angles)
+        survivors = np.flatnonzero(sampling._screen_mask(u, angles))
         assert 0.05 < judged.mean() and len(survivors) < 0.07 * len(u)
         assert np.all(np.isin(np.flatnonzero(judged), survivors))
         assert np.array_equal(self._screened_membership(u, angles), judged)
+        self._assert_screens_agree(u, angles)
 
     def test_screen_near_the_boundary_surfaces(self):
         rng = np.random.default_rng(89)
@@ -295,10 +318,55 @@ class TestOmega1:
         judged = omega1_membership(points(u, a))
         assert np.any(judged) and np.any(~judged)
         assert np.array_equal(self._screened_membership(u, a), judged)
+        self._assert_screens_agree(u, a)
         u, a = plant(flat, 1, lambda p2: p2 < 0)
         judged = omega1_membership(points(u, a))
         assert np.max(omega1_boundary_values(points(u, a))[0]) < 0 and not np.any(judged)
         assert np.array_equal(self._screened_membership(u, a), judged)
+        self._assert_screens_agree(u, a)
+
+    def test_screen_at_its_margin_where_the_bound_is_tight(self):
+        # At zero total phase the cosine is 1 and the bound stage evaluates
+        # P1 itself; plant proposals on both sides of {P1 = -SCREEN_MARGIN}
+        # there, a few units of rounding apart, where a bound that rounded
+        # below P1 would drop a survivor of the one-stage screen.
+        rng = np.random.default_rng(91)
+        w = rng.uniform(size=(4000, 3))
+        w /= np.max(w, axis=1, keepdims=True)
+        a = rng.uniform(0.0, 2.0 * math.pi, size=(4000, 2))
+        a = np.column_stack([a, np.mod(-a[:, 0] - a[:, 1], 2 * math.pi)])
+        assert np.all(np.cos(a[:, 0] + a[:, 1] + a[:, 2]) == 1.0)
+
+        def kept(t):
+            return self._one_stage_screen(t[:, None] * w, a)
+
+        crossing = ~kept(np.ones(len(w)))  # rays that leave the screen in the polydisc
+        w, a = w[crossing], a[crossing]
+        lo, hi = np.zeros(len(w)), np.ones(len(w))
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            ok = kept(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        ts = [lo, hi]
+        for _ in range(3):
+            ts = [np.nextafter(ts[0], 0.0), *ts, np.nextafter(ts[-1], 1.0)]
+        u = np.concatenate([t[:, None] * w for t in ts])
+        a = np.tile(a, (len(ts), 1))
+        reference = self._one_stage_screen(u, a)
+        assert 0.2 < reference.mean() < 0.8
+        self._assert_screens_agree(u, a)
+
+    def test_rejection_memory_is_bounded(self):
+        # A round of 200,000 proposals takes 9.2 MiB as whole arrays of
+        # moduli and angles; the streamed round holds one block of each.
+        sample_omega1(Fraction(11, 2), 200, 3)  # import-time and first-call allocations
+        tracemalloc.start()
+        try:
+            sample_omega1(Fraction(11, 2), 200, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_mcmc_and_agreement(self):
         lam = Fraction(11, 2)

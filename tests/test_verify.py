@@ -1,13 +1,24 @@
 """Unit checks of single verify suites, run apart from the full suite."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from deltoid_lab import verify
 from deltoid_lab.diffusion import drift_from_measure
-from deltoid_lab.models import DELTOID_VARS, deltoid_boundary_poly, deltoid_model
+from deltoid_lab.models import (
+    DELTOID_VARS,
+    deltoid_boundary_poly,
+    deltoid_boundary_values,
+    deltoid_model,
+)
+from deltoid_lab.poly import MPoly
 from deltoid_lab.report import VerificationReport
+from deltoid_lab.spectral import eigen_PQ_lambda, pq_indices
 
 
 def _report() -> VerificationReport:
@@ -98,3 +109,43 @@ def test_for_all_lambda_validates_inputs():
         assert status == "exact-fail"
         assert details.startswith("ValueError: need two or more distinct parameter values")
     assert not checked
+
+
+def _per_polynomial_cusp_scan(poly, ngrid):
+    """The cusp scan as verify ran it before cusp_scan: one MPoly.evaluate on
+    the whole grid per polynomial, -inf outside the closure."""
+    cell = 2.3 / (ngrid - 1)
+    xs = 1.0 - cell * np.arange(ngrid - 1, -1, -1)
+    ys = cell * (np.arange(ngrid) - (ngrid // 2))
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    zgrid = gx + 1j * gy
+    closure = np.asarray(deltoid_boundary_values(zgrid)) >= 0.0
+    vals = np.abs(poly.evaluate({"Z": zgrid, "Zb": np.conj(zgrid)}))
+    vals = np.where(closure, vals, -np.inf)
+    near = (np.abs(zgrid - 1.0) <= cell * 1.5) & closure
+    zstar = zgrid.ravel()[int(np.argmax(vals))]
+    return float(vals.max()), float(vals[near].max()), abs(zstar - 1.0)
+
+
+@pytest.mark.parametrize("lam", [Fraction(4), Fraction(11, 2)], ids=["4", "11/2"])
+def test_cusp_scan_matches_the_per_polynomial_scan(lam):
+    polys = [eigen_PQ_lambda(lam, n, k)[0].poly for n, k in pq_indices(5, include_constant=True)]
+    scans = verify.cusp_scan(polys, 400)
+    assert len(scans) == len(polys)
+    for poly, scan in zip(polys, scans):
+        grid_max, near_max, _ = _per_polynomial_cusp_scan(poly, 400)
+        assert scan[:2] == (grid_max, near_max)
+        assert near_max >= grid_max * (1.0 - 1e-12)  # no stray maximum
+
+
+def test_cusp_scan_sees_a_maximum_at_the_far_cusps():
+    # |Z - 1|^2 vanishes at Z = 1 and peaks at the far cusps exp(+-2 pi i / 3),
+    # at distance sqrt(3).  Neither is a lattice point and the domain thins
+    # to a cusp there, so the grid argmax lies a few cells short of sqrt(3).
+    z = MPoly.var(DELTOID_VARS, "Z")
+    zb = MPoly.var(DELTOID_VARS, "Zb")
+    one = MPoly.const(DELTOID_VARS, 1)
+    ((grid_max, near_max, dist),) = verify.cusp_scan([(z - one) * (zb - one)], 400)
+    assert (grid_max, near_max, dist) == _per_polynomial_cusp_scan((z - one) * (zb - one), 400)
+    assert near_max < grid_max * (1.0 - 1e-12)
+    assert math.sqrt(3.0) - 4 * (2.3 / 399) < dist < math.sqrt(3.0)
