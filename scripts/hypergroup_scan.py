@@ -8,8 +8,11 @@ values of the second diagonal entry at one interior theta: Monte-Carlo, the
 rotation-derived value, and the printed cot-prefactor form.
 
 The Monte-Carlo column samples by rejection, so --lambda must admit it
-(lambda >= 11/2).  Another value, or text that is not a rational number,
-ends the script before any output with a one-line usage error and exit 3.
+(lambda >= 11/2).  The sizes take the `markov` command's minimums
+(cli.SIZE_MINIMUMS): --degree-max and --theta-grid at least 1, --samples
+at least 2 and --seed at least 0.  Any other value, or a --lambda that is
+not a rational number, ends the script before any output with a one-line
+usage error and exit 3.
 """
 
 import argparse
@@ -18,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deltoid_lab.cli import UsageError, parse_lambda
+from deltoid_lab.cli import UsageError, check_sizes, parse_lambda
 from deltoid_lab.hypergroup import (
     CONTRACTION_BOUND,
     ProbeContext,
@@ -40,6 +43,7 @@ def main() -> int:
 
     try:
         lam = parse_lambda(args.lam, "rejection_sampler")
+        check_sizes("markov", vars(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

@@ -3,7 +3,8 @@
 
 Equivalent to `deltoid-lab verify --out verify_report.json` followed by the
 three standard plots; kept as a script so the default experiment is one
-command from a checkout.
+command from a checkout.  A --seed below verify's minimum (0) ends the
+script before any work with a one-line usage error and exit 3.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from deltoid_lab.cli import UsageError, check_sizes
 from deltoid_lab.report import deltoid_svg, emit_report, emit_svg, theta_coverage_svg
 from deltoid_lab.verify import VerifyConfig, run_verify
 
@@ -25,6 +27,11 @@ def main() -> int:
     parser.add_argument("--fast", action="store_true",
                         help="reduced sample sizes for a quick pass")
     args = parser.parse_args()
+    try:
+        check_sizes("verify", vars(args))
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 3
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

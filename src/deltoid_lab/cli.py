@@ -100,7 +100,7 @@ def _build_verify_config(args) -> "VerifyConfig":
             except ValueError:
                 raise UsageError(
                     f"config key {key!r} needs an integer, got {text!r}") from None
-        _check_sizes("verify", values, lambda name: f"config key {name!r}")
+        check_sizes("verify", values, lambda name: f"config key {name!r}")
     for name in (
         "seed", "grid_n", "torus_samples", "su3_samples", "omega1_samples",
         "theta_per_axis", "eigen_degree_max",
@@ -315,7 +315,10 @@ SIZE_MINIMUMS = {
 }
 
 
-def _check_sizes(command: str, values: dict, label) -> None:
+def check_sizes(command: str, values: dict,
+                label=lambda name: "--" + name.replace("_", "-")) -> None:
+    """Raise UsageError for the first value below its command's minimum; label
+    names a value in the message (by default as its command-line option)."""
     for name, minimum in SIZE_MINIMUMS[command].items():
         value = values.get(name)
         if value is not None and value < minimum:
@@ -406,7 +409,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_sizes(args.command, vars(args), lambda name: "--" + name.replace("_", "-"))
+        check_sizes(args.command, vars(args))
         _check_outputs(args)
         return args.func(args)
     except UsageError as exc:

@@ -20,7 +20,8 @@ unconditional correlations normalized by quadrature norms,
 
 ProbeContext.correlations makes all of them at one theta in one pass over
 blocks of EVAL_CHUNK points, each block's moments matrix products, combined
-by poly.streamed_mean_se (batch means for a correlated MCMC batch).
+by poly.streamed_mean_se.  The errors are those of independent samples, so
+the probe takes a rejection-sampled batch and refuses a correlated (MCMC) one.
 
 Each entry is labelled "exact" (a closed form, or a zero forced by
 Q-hat(n, n) = 0), "estimated" (a Monte-Carlo mean and its standard error)
@@ -40,7 +41,7 @@ import numpy as np
 from .models import ThetaPair, deltoid_boundary_values, z_of_theta, phi_theta
 from .poly import EVAL_CHUNK, CompiledPolys, streamed_mean_se
 from .quadrature import TorusGrid
-from .sampling import MomentEstimate, SampleBatch, pushforward_deltoid
+from .sampling import SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
 from .spectral import EigenPoly, eigen_PQ_lambda, pq_indices, rotation_mixes_pair
 
@@ -181,26 +182,26 @@ class ProbeContext:
                     s2[i, :w, :w] = np.square(u, out=u) @ v2.T
                 return s1, s2
 
-            mean, se = self._mean_se(batch, theta, sums, lambda rotated, base: (
-                rotated.reshape(count, 2, 1, -1) * base.reshape(count, 1, 2, -1)
-            ).reshape(4 * count, -1))
+            mean, se = self._mean_se(batch, theta, sums)
             entry = self._memo["correlations"] = (
                 batch, theta, (mean.reshape(count, 2, 2), se.reshape(count, 2, 2)))
         return entry[2]
 
-    def _mean_se(self, batch: SampleBatch, theta: ThetaPair, sums, products) -> tuple:
+    def _mean_se(self, batch: SampleBatch, theta: ThetaPair, sums) -> tuple:
         """Mean and standard error per entry of products of basis values at the
         rotated points and at the points: streamed_mean_se over blocks of
         EVAL_CHUNK points, each summed by sums(rotated, base) with the rotated
-        live rows (ProbeContext._live) and all base rows, or batch means per row
-        of products(rotated, base) over a correlated batch's series (all rows)."""
-        base = self.batch_values(batch)
-        phases = phi_theta(np.ones(3), theta)
-        # One matrix-vector product rotates, to the bit as phi_theta(...).mean(axis=1).
+        live rows (ProbeContext._live) and all base rows.  The errors assume
+        independent points, so batch must be lifted-domain samples drawn by
+        rejection; another batch raises ValueError."""
+        if batch.kind != "omega1":
+            raise ValueError("the kernel probe needs lifted-domain samples")
         if batch.correlated:
-            rows = products(self.basis.real_values(batch.points @ phases / 3.0), base)
-            estimates = [MomentEstimate.of(row, True) for row in rows]
-            return np.array([(e.mean, e.standard_error) for e in estimates]).T
+            raise ValueError("the kernel probe needs independent samples; draw the "
+                             "lifted-domain batch by rejection sampling, not MCMC")
+        base = self.batch_values(batch)
+        # One matrix-vector product rotates, to the bit as phi_theta(...).mean(axis=1).
+        phases = phi_theta(np.ones(3), theta)
         moments = []  # (size, mean, M2 = sum of squares - size * mean^2) per block
         for start in range(0, len(batch), EVAL_CHUNK):
             block = slice(start, start + EVAL_CHUNK)
@@ -235,12 +236,10 @@ def estimate_markov_matrix(
 
     With u, v ranging over the pair, E[u(pi(Phi_theta xi)) v(pi(xi))] equals
     M[u, v] ||v||^2; the norms come from quadrature.  Entries carry standard
-    errors of the correlation means (batch means for a correlated MCMC
-    batch), read from ProbeContext.correlations; Q-hat(n, n) = 0 makes the
-    other three entries of an n = k block exact zeros.
+    errors of the correlation means, read from ProbeContext.correlations,
+    which takes only a rejection-sampled lifted-domain batch; Q-hat(n, n) = 0
+    makes the other three entries of an n = k block exact zeros.
     """
-    if batch.kind != "omega1":
-        raise ValueError("markov estimation needs lifted-domain samples")
     p_norm2, q_norm2 = ctx.norms2[(n, k)]
     if p_norm2 <= 0 or (n != k and q_norm2 <= 0):
         raise ArithmeticError(f"degenerate quadrature norms for index ({n},{k})")
@@ -400,8 +399,6 @@ def block_cross_correlations(ctx: ProbeContext, theta: ThetaPair, batch: SampleB
         s1 = (u @ v.T)[first, second]
         return s1, (np.square(u, out=u) @ np.square(v, out=v).T)[first, second]
 
-    # Unit-norm rotated and base values; a correlated batch takes one row per pair.
-    mean, se = ctx._mean_se(batch, theta, sums, lambda rotated, base: (
-        (rotated[rows] / scale)[first] * (base[rows] / scale)[second]))
+    mean, se = ctx._mean_se(batch, theta, sums)
     return [{"pair": (labels[i], labels[j]), "correlation": float(m), "standard_error": float(e)}
             for (i, j), m, e in zip(pairs, mean, se)]

@@ -8,9 +8,10 @@ prescribed leading monomial is therefore found by back-substitution down
 the order, one exact rational coefficient at a time, read straight from the
 rows of the operator table.  Every entry point reads one module-level cache
 keyed by the operator (variables, Gamma table, drift); each entry holds the
-graded basis, whose monomials it enumerates once per degree the table grows
-to, one operator table (L applied once per monomial) and the polynomials
-solved from it.
+graded basis's monomials in the grading order, enumerated once per degree the
+table grows to, one operator table (L applied once per monomial) and the
+polynomials solved from it.  A solve walks that fixed order down from its
+lead; nothing is sorted per solve.
 
 For the deltoid family the grading is the total degree in (Z, Zb) and the
 eigenvalue of the leading monomial Z^n Zb^k is
@@ -109,7 +110,9 @@ class GradedBasis:
     flavor: str
 
     def monomials(self, max_degree: int) -> list[Exponents]:
-        return monomials_up_to(self.variables, max_degree, weight=self.degree)
+        """The monomials of degree <= max_degree in the grading order (order_key)."""
+        return sorted(monomials_up_to(self.variables, max_degree, weight=self.degree),
+                      key=self.order_key)
 
 
 DELTOID_BASIS = GradedBasis(DELTOID_VARS, lambda e: sum(e), _total_degree_key, "R")
@@ -122,13 +125,9 @@ def _monomial(variables: Sequence[str], exps: Exponents) -> MPoly:
 
 def operator_table(
     model: DiffusionModel, basis: GradedBasis, monomials: Iterable[Exponents],
-    table: OperatorTable | None = None,
+    table: OperatorTable,
 ) -> OperatorTable:
-    """Apply L once to each of the given basis monomials.
-
-    Given a table, fill in only the monomials it lacks and return it.
-    """
-    table = {} if table is None else table
+    """Apply L once to each of the given basis monomials the table lacks; return it."""
     for exps in monomials:
         if exps not in table:
             table[exps] = l_apply(model, _monomial(basis.variables, exps))
@@ -145,29 +144,22 @@ def _diagonal(table: OperatorTable, exps: Exponents) -> Fraction:
 def graded_triangular_solve(
     model: DiffusionModel,
     lead: Exponents,
-    order_key: OrderKey,
+    order: Sequence[Exponents],
+    rank: dict[Exponents, int],
     table: OperatorTable,
-    eigenvalues: dict[Exponents, Fraction] | None = None,
+    eigenvalues: dict[Exponents, Fraction],
 ) -> tuple[MPoly, Fraction, tuple[Exponents, ...]]:
     """Back-substitute the eigenpolynomial with the given leading monomial.
 
-    Returns (polynomial, eigenvalue mu, benign collisions).  The table must
-    hold the lead and every monomial strictly below it in the grading order
-    that the operator can reach; monomials above the lead are ignored.
-    eigenvalues maps a monomial to minus the diagonal coefficient of L on it,
-    the eigenvalue of the eigenpolynomial it leads; it is read from the
-    table when not given.
+    Returns (polynomial, eigenvalue mu, benign collisions).  order lists the
+    table's monomials ascending in the grading order and rank maps each to its
+    position there; the table must hold the lead and every monomial below it,
+    and the solve reads none above it.  eigenvalues maps a monomial to minus
+    the diagonal coefficient of L on it, the eigenvalue of the
+    eigenpolynomial it leads.
     """
     lead = tuple(lead)
-    lead_key = order_key(lead)
-
-    below = sorted(
-        (e for e in table if order_key(e) < lead_key),
-        key=order_key,
-        reverse=True,
-    )
-    if eigenvalues is None:
-        eigenvalues = {e: -_diagonal(table, e) for e in (lead, *below)}
+    below = order[:rank[lead]][::-1]
     mu = eigenvalues[lead]
     collisions = tuple(e for e in below if eigenvalues[e] == mu)
 
@@ -177,11 +169,12 @@ def graded_triangular_solve(
     acc: dict[Exponents, FieldScalar] = {}
 
     def accumulate(exps: Exponents, scale: FieldScalar) -> None:
-        key = order_key(exps)
+        position = rank[exps]
         for e, c in table[exps].terms.items():
             if e == exps:
                 continue
-            if order_key(e) > key:  # pragma: no cover - structural guard
+            # A feed outside the table lies above the table's top degree.
+            if rank.get(e, position) >= position:  # pragma: no cover - structural guard
                 raise ValueError(f"operator is not triangular: {exps} feeds {e}")
             total = acc.get(e)
             new = c * scale if total is None else total + c * scale
@@ -201,9 +194,6 @@ def graded_triangular_solve(
         c = rhs * (1 / denom)
         coeffs[exps] = c
         accumulate(exps, c)
-    if acc:
-        leftovers = sorted(acc, key=order_key, reverse=True)
-        raise ValueError(f"graded solve left residual terms at {leftovers[:4]}")  # pragma: no cover
     return MPoly(model.variables, coeffs), mu, collisions
 
 
@@ -235,16 +225,18 @@ class _OperatorBasis:
         self.model = model
         self.basis = basis
         self.degree, self.held = -1, ()  # the table holds the monomials held, of degree <= degree
+        self.rank: dict[Exponents, int] = {}  # each held monomial's position in held
         self.table: OperatorTable = {}
         self.eigenvalues: dict[Exponents, Fraction] = {}  # minus L's diagonal, per monomial
         self.leads: dict[Exponents, EigenPoly] = {}
         self.pairs: dict[tuple[int, int], tuple[EigenPoly, EigenPoly]] = {}
 
     def monomials(self, max_degree: int) -> tuple[Exponents, ...]:
-        """The basis monomials of degree <= max_degree in graded-lex order, each
+        """The basis monomials of degree <= max_degree in the grading order, each
         in the table; they are enumerated once per degree the table grows to."""
         if max_degree > self.degree:
             self.degree, self.held = max_degree, tuple(self.basis.monomials(max_degree))
+            self.rank = {e: i for i, e in enumerate(self.held)}
             operator_table(self.model, self.basis, self.held, self.table)
             self.eigenvalues = {e: -_diagonal(self.table, e) for e in self.held}
         if max_degree == self.degree:
@@ -257,7 +249,7 @@ class _OperatorBasis:
                 raise ValueError("indices must be nonnegative")
             self.monomials(self.basis.degree(lead))
             poly, mu, collisions = graded_triangular_solve(
-                self.model, lead, self.basis.order_key, self.table, self.eigenvalues)
+                self.model, lead, self.held, self.rank, self.table, self.eigenvalues)
             self.leads[lead] = EigenPoly(lead[0], lead[1], mu, poly, self.basis.flavor, collisions)
         return self.leads[lead]
 

@@ -177,8 +177,19 @@ class TestEstimation:
     def test_requires_omega1_batch(self, ctx):
         from deltoid_lab.sampling import sample_torus
 
-        with pytest.raises(ValueError):
-            estimate_markov_matrix(ctx, 1, 0, ThetaPair(0.0, 0.0), sample_torus(10, 1))
+        theta = ThetaPair(1.0, 2.0)
+        with pytest.raises(ValueError, match="lifted-domain"):
+            estimate_markov_matrix(ctx, 1, 0, theta, sample_torus(10, 1))
+        with pytest.raises(ValueError, match="lifted-domain"):
+            block_cross_correlations(ctx, theta, sample_torus(10, 1))
+        # An MCMC chain is a correlated series; the probe's errors are those of
+        # independent points, so both entry points refuse it.
+        chain = sample_omega1(4, 200, 20260821, method="mcmc")
+        assert chain.correlated
+        with pytest.raises(ValueError, match="rejection"):
+            estimate_markov_matrix(ctx, 1, 0, theta, chain)
+        with pytest.raises(ValueError, match="rejection"):
+            block_cross_correlations(ctx, theta, chain)
 
     def test_cross_list_bit_equal_to_pq_polys_list(self, ctx, batch):
         # The list as it was built from spectral.pq_polys and eigenvalue_deltoid;
@@ -303,50 +314,6 @@ class TestBlockedPass:
         again = ctx.correlations(copy, second)
         assert again is not other_theta
         assert all(np.array_equal(x, y) for x, y in zip(again, other_theta))
-
-
-class TestCorrelatedBatch:
-    """An MCMC batch is a correlated series: its errors come from batch means."""
-
-    LAM4 = Fraction(4)
-    THETA = ThetaPair(1.0, 2.0)
-
-    @pytest.fixture(scope="class")
-    def probe(self):
-        return ProbeContext.build(self.LAM4, 2, grid_n=64)
-
-    @pytest.fixture(scope="class")
-    def chain(self):
-        return sample_omega1(self.LAM4, 4_000, 20260821, method="mcmc", step=0.25)
-
-    def test_block_errors_are_batch_means(self, probe, chain):
-        assert chain.correlated
-        est = estimate_markov_matrix(probe, 1, 0, self.THETA, chain)
-        p_base, _ = probe.split(probe.batch_values(chain), 1, 0)
-        p_rot, _ = probe.eval_pair(1, 0, phi_theta(chain.points, self.THETA).mean(axis=1))
-        p_norm2 = probe.norms2[(1, 0)][0]
-        batch_means = MomentEstimate.of(p_rot * p_base, correlated=True).standard_error
-        independent = MomentEstimate.of(p_rot * p_base).standard_error
-        assert est.provenance["alpha"] == ("estimated", batch_means / p_norm2)
-        assert batch_means > 2 * independent
-
-    def test_entries_bit_equal_to_former_estimates(self, probe, chain):
-        for theta in (self.THETA, ThetaPair(2.5, 0.7)):
-            for n, k in probe.pairs:
-                got = estimate_markov_matrix(probe, n, k, theta, chain)
-                for name, (value, error) in former_estimate(probe, n, k, theta, chain).items():
-                    assert getattr(got, name) == value
-                    assert got.provenance[name] == ("estimated", error)
-
-    def test_cross_errors_are_batch_means(self, probe, chain):
-        crosses = block_cross_correlations(probe, self.THETA, chain)
-        # The first pair: P-hat(1, 0) rotated against P-hat(1, 1).
-        assert crosses[0]["pair"] == (("P", 1, 0), ("P", 1, 1))
-        p10 = probe.eval_pair(1, 0, phi_theta(chain.points, self.THETA).mean(axis=1))[0]
-        p11 = probe.split(probe.batch_values(chain), 1, 1)[0]
-        expected = MomentEstimate.of(p10 / math.sqrt(probe.norms2[(1, 0)][0])
-                                     * (p11 / math.sqrt(probe.norms2[(1, 1)][0])), True)
-        assert crosses[0]["standard_error"] == expected.standard_error
 
 
 class TestBatchMemo:

@@ -486,16 +486,39 @@ def test_hypergroup_scan_script_runs():
     assert "worst orthonormalized block bound" in done.stdout
 
 
-@pytest.mark.parametrize("lam", ["4", "abc"])
-def test_hypergroup_scan_script_rejects_bad_lambda(lam):
-    # 4 is below the rejection sampler's 11/2; "abc" is not a rational number.
-    # Either ends before any output, as the CLI does.
-    done = subprocess.run([sys.executable, str(SCAN_SCRIPT), "--lambda", lam, "--samples", "2000"],
-                          capture_output=True, text=True, timeout=120)
+def assert_one_line_usage_error(done):
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.startswith("usage error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--lambda", "4"),  # below the rejection sampler's 11/2
+    ("--lambda", "abc"),  # not a rational number
+    # Below the markov command's minimums (cli.SIZE_MINIMUMS).
+    ("--degree-max", "0"),
+    ("--degree-max", "-2"),
+    ("--theta-grid", "0"),
+    ("--samples", "1"),
+    ("--seed", "-1"),
+])
+def test_hypergroup_scan_script_rejects_bad_input(option, value):
+    # Each ends before any output, as the CLI does.
+    done = subprocess.run([sys.executable, str(SCAN_SCRIPT), "--samples", "2000", option, value],
+                          capture_output=True, text=True, timeout=120)
+    assert_one_line_usage_error(done)
+
+
+def test_full_verify_script_rejects_negative_seed(tmp_path):
+    # Checked before any work: no verify run, no output directory.
+    outdir = tmp_path / "full"
+    done = subprocess.run([sys.executable, str(SCAN_SCRIPT.with_name("run_full_verify.py")),
+                           "--fast", "--seed", "-1", "--outdir", str(outdir)],
+                          capture_output=True, text=True, timeout=120)
+    assert_one_line_usage_error(done)
+    assert done.stderr == "usage error: --seed must be at least 0, got -1\n"
+    assert not outdir.exists()
 
 
 # sha256 of `hypergroup_scan.py --samples 20000` standard output, recorded

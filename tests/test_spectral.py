@@ -41,10 +41,19 @@ Z = MPoly.var(DELTOID_VARS, "Z")
 Zb = MPoly.var(DELTOID_VARS, "Zb")
 
 
+def solve_inputs(model, basis, max_degree):
+    """graded_triangular_solve's (order, rank, table, eigenvalues) from a fresh
+    table to max_degree, outside the cache."""
+    order = tuple(basis.monomials(max_degree))
+    table = operator_table(model, basis, order, {})
+    return (order, {e: i for i, e in enumerate(order)}, table,
+            {e: -spectral._diagonal(table, e) for e in order})
+
+
 def reference_solve(model, basis, lead):
     """The eigenpolynomial of lead solved from a fresh table, outside the cache."""
-    table = operator_table(model, basis, basis.monomials(basis.degree(lead)))
-    poly, mu, collisions = graded_triangular_solve(model, lead, basis.order_key, table)
+    inputs = solve_inputs(model, basis, basis.degree(lead))
+    poly, mu, collisions = graded_triangular_solve(model, lead, *inputs)
     return EigenPoly(lead[0], lead[1], mu, poly, basis.flavor, collisions)
 
 
@@ -264,7 +273,7 @@ class TestGradedBasis:
     def test_operator_preserves_grading(self):
         for basis, model in ((DELTOID_BASIS, deltoid_model(Fraction(5, 2))),
                              (G2_BASIS, g2_from_lambda(Fraction(5, 2)))):
-            table = operator_table(model, basis, basis.monomials(6))
+            table = operator_table(model, basis, basis.monomials(6), {})
             assert all(basis.degree(e) <= basis.degree(exps)
                        for exps, image in table.items() for e in image.terms)
 
@@ -274,7 +283,7 @@ class TestGradedBasis:
         from deltoid_lab.spectral import GradedBasis, _total_degree_key
 
         plain = GradedBasis(("s", "p"), lambda e: sum(e), _total_degree_key, "G")
-        table = operator_table(g2_from_lambda(Fraction(5, 2)), plain, plain.monomials(4))
+        table = operator_table(g2_from_lambda(Fraction(5, 2)), plain, plain.monomials(4), {})
         assert any(sum(e) > sum(exps) for exps, image in table.items() for e in image.terms)
 
 
@@ -369,11 +378,13 @@ class TestFormerSolveOracle:
 
     @staticmethod
     def assert_same(model, basis, leads):
-        table = operator_table(model, basis, basis.monomials(max(map(basis.degree, leads))))
-        cached = eigenbasis(model, max(map(basis.degree, leads)))
+        degree = max(map(basis.degree, leads))
+        inputs = solve_inputs(model, basis, degree)
+        table = inputs[2]
+        cached = eigenbasis(model, degree)
         for lead in leads:
             expected = former_solve(model, lead, basis.order_key, table)
-            got = graded_triangular_solve(model, lead, basis.order_key, table)
+            got = graded_triangular_solve(model, lead, *inputs)
             assert got == expected, lead
             # The same terms in the same order: numeric evaluation sums them in it.
             assert list(got[0].terms.items()) == list(expected[0].terms.items())
@@ -389,23 +400,34 @@ class TestFormerSolveOracle:
 
     @pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(17, 5)])
     def test_g2_leads_to_weighted_degree_six(self, lam):
+        # The weighted grading's order is not the graded-lex enumeration order
+        # of (s, p), so a solve that walked the enumeration would differ.
+        from deltoid_lab.poly import monomials_up_to
+
+        assert G2_BASIS.monomials(6) != monomials_up_to(G2_BASIS.variables, 6,
+                                                        weight=G2_BASIS.degree)
         spectral._OPERATORS.clear()
         self.assert_same(g2_from_lambda(lam), G2_BASIS, G2_BASIS.monomials(6))
 
     def test_benign_collision(self):
         model = deltoid_model(1)
-        table = operator_table(model, DELTOID_BASIS, DELTOID_BASIS.monomials(8))
-        expected = former_solve(model, (3, 5), DELTOID_BASIS.order_key, table)
+        inputs = solve_inputs(model, DELTOID_BASIS, 8)
+        expected = former_solve(model, (3, 5), DELTOID_BASIS.order_key, inputs[2])
         assert (7, 0) in expected[2]
-        assert graded_triangular_solve(model, (3, 5), DELTOID_BASIS.order_key, table) == expected
+        assert graded_triangular_solve(model, (3, 5), *inputs) == expected
+        spectral._OPERATORS.clear()
+        cached = eigen_R(model, 3, 5)
+        assert (cached.poly, cached.eigenvalue, cached.collisions) == expected
+        assert list(cached.poly.terms.items()) == list(expected[0].terms.items())
 
     def test_inconsistent_collision(self):
         model = weird_model()
-        table = operator_table(model, DELTOID_BASIS, DELTOID_BASIS.monomials(4))
-        for solve in (former_solve, graded_triangular_solve):
-            with pytest.raises(EigenvalueCollisionError) as err:
-                solve(model, (3, 1), DELTOID_BASIS.order_key, table)
-            assert err.value.witness == (0, 1)
+        inputs = solve_inputs(model, DELTOID_BASIS, 4)
+        with pytest.raises(EigenvalueCollisionError) as former:
+            former_solve(model, (3, 1), DELTOID_BASIS.order_key, inputs[2])
+        with pytest.raises(EigenvalueCollisionError) as err:
+            graded_triangular_solve(model, (3, 1), *inputs)
+        assert former.value.witness == err.value.witness == (0, 1)
 
 
 class TestMonomialSequence:
@@ -423,13 +445,14 @@ class TestMonomialSequence:
         assert entry.monomials(8) == tuple(DELTOID_BASIS.monomials(8))
 
     def test_lower_degrees_keep_the_graded_lex_order(self):
-        # The G2 weighted grading and graded-lex order disagree, so a lower
-        # degree is a filtered copy, not a prefix.
+        # The order is graded-lex in the basis's own (for G2, weighted) grading,
+        # so every lower degree is a prefix of the held monomials.
         spectral._OPERATORS.clear()
         entry = spectral._operator(g2_from_lambda(LAM))
-        entry.monomials(6)
+        held = entry.monomials(6)
         for d in range(7):
-            assert entry.monomials(d) == tuple(G2_BASIS.monomials(d))
+            low = entry.monomials(d)
+            assert low == tuple(G2_BASIS.monomials(d)) == held[:len(low)]
 
 
 class TestPieri:
