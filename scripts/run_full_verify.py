@@ -3,8 +3,9 @@
 
 Equivalent to `deltoid-lab verify --out verify_report.json` followed by the
 three standard plots; kept as a script so the default experiment is one
-command from a checkout.  A --seed below verify's minimum (0) ends the
-script before any work with a one-line usage error and exit 3.
+command from a checkout.  A --seed below verify's minimum (0), or an
+--outdir that cannot be made a directory, ends the script before any work
+with a one-line usage error and exit 3.
 """
 
 import argparse
@@ -27,14 +28,17 @@ def main() -> int:
     parser.add_argument("--fast", action="store_true",
                         help="reduced sample sizes for a quick pass")
     args = parser.parse_args()
+    outdir = Path(args.outdir)
     try:
         check_sizes("verify", vars(args))
+        outdir.mkdir(parents=True, exist_ok=True)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"usage error: --outdir {outdir}: {exc.strerror}", file=sys.stderr)
+        return 3
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.fast:
         config = VerifyConfig(seed=args.seed, torus_samples=100_000,
                               su3_samples=100_000, omega1_samples=20_000,

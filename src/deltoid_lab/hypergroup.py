@@ -24,9 +24,10 @@ by poly.streamed_mean_se.  The errors are those of independent samples, so
 the probe takes a rejection-sampled batch and refuses a correlated (MCMC) one.
 
 Each entry is labelled "exact" (a closed form, or a zero forced by
-Q-hat(n, n) = 0), "estimated" (a Monte-Carlo mean and its standard error)
-or "unavailable" (NaN, no closed form); MarkovMatrix.z_scores compares the
-entries one block estimates and the other knows exactly.
+Q-hat(n, n) = 0, which the basis, spectral.pq_polys, leaves out),
+"estimated" (a Monte-Carlo mean and its standard error) or "unavailable"
+(NaN, no closed form); MarkovMatrix.z_scores compares the entries one block
+estimates and the other knows exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .poly import EVAL_CHUNK, CompiledPolys, streamed_mean_se
 from .quadrature import TorusGrid
 from .sampling import SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
-from .spectral import EigenPoly, eigen_PQ_lambda, pq_indices, rotation_mixes_pair
+from .spectral import EigenPoly, eigen_PQ_lambda, pq_indices, pq_polys, rotation_mixes_pair
 
 # A block bound or squared row norm at most this counts as a contraction.
 CONTRACTION_BOUND = 1.0 + 1e-9
@@ -78,9 +79,9 @@ class ProbeContext:
 
     pairs holds the (P-hat, Q-hat) eigenpolynomials per index; norms2 their
     squared quadrature norms; p_at_one the exact rational values P-hat(1).
-    basis compiles every P-hat and Q-hat once, in the order of pairs (rows
-    2i and 2i + 1 for the i-th index), and evaluates their real form;
-    first_columns maps basis values to every block's orthonormal first column.
+    basis compiles spectral.pq_polys once (no row for the zero Q-hat(n, n)) and
+    rows maps each index to its P-hat row, its Q-hat next; first_columns maps
+    basis values to every block's orthonormal first column.
 
     The basis values at a lifted sample batch and its correlations at one
     theta (block moments from matrix products) are memoized; each entry
@@ -93,15 +94,8 @@ class ProbeContext:
     norms2: dict[tuple[int, int], tuple[float, float]]
     p_at_one: dict[tuple[int, int], Fraction]
     basis: CompiledPolys = field(repr=False, compare=False)
-    _rows: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
-    _live: dict[int, int] = field(init=False, repr=False, compare=False)
+    rows: dict[tuple[int, int], int] = field(repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_rows", {index: 2 * i for i, index in enumerate(self.pairs)})
-        # Basis row -> its row in a basis._real_blocks block (the live rows only).
-        _, live, _ = self.basis._real_matrix()
-        object.__setattr__(self, "_live", {int(row): j for j, row in enumerate(live)})
 
     @staticmethod
     def build(lam: RationalLike, degree_max: int, grid_n: int = 96) -> "ProbeContext":
@@ -119,18 +113,19 @@ class ProbeContext:
                     "normalization is undefined (this contradicts the eigenbasis structure)"
                 )
             p_at_one[(n, k)] = value.rational_value()
-        basis = CompiledPolys([e.poly for pair in pairs.values() for e in pair])
+        polys = pq_polys(lam, degree_max)
+        basis = CompiledPolys([poly for _, _, _, poly in polys])
+        rows = {(n, k): row for row, (flavor, n, k, _) in enumerate(polys) if flavor == "P"}
         squares = basis.real_values(grid.z) ** 2
-        norms2 = {
-            index: (float(grid.mean(squares[2 * i])), float(grid.mean(squares[2 * i + 1])))
-            for i, index in enumerate(pairs)
-        }
-        return ProbeContext(lam, degree_max, pairs, norms2, p_at_one, basis)
+        norms2 = {(n, k): (float(grid.mean(squares[row])),
+                           float(grid.mean(squares[row + 1])) if n != k else 0.0)
+                  for (n, k), row in rows.items()}
+        return ProbeContext(lam, degree_max, pairs, norms2, p_at_one, basis, rows)
 
     def split(self, values: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (P-hat, Q-hat) rows of index (n, k) from an array of basis values."""
-        row = self._rows[(n, k)]
-        return values[row], values[row + 1]
+        """The (P-hat, Q-hat) rows of index (n, k) in basis values; Q-hat(n, n) reads 0."""
+        row = self.rows[(n, k)]
+        return values[row], values[row + 1] if n != k else np.zeros_like(values[row])
 
     def first_columns(self, values: np.ndarray) -> dict:
         """The first column (a, b) of every block in the orthonormal basis.
@@ -169,14 +164,13 @@ class ProbeContext:
         entry = self._memo.get("correlations")
         if entry is None or entry[0] is not batch or entry[1] != theta:
             count = len(self.pairs)
-            widths = [1 if n == k else 2 for n, k in self.pairs]
+            spans = [(self.rows[(n, k)], 1 if n == k else 2) for n, k in self.pairs]
             squares = np.empty((2, EVAL_CHUNK))  # base squares, one block at a time
 
             def sums(rotated, base):
                 s1, s2 = np.zeros((2, count, 2, 2))
-                for i, w in enumerate(widths):
-                    r = self._live[2 * i]
-                    u, v = rotated[r:r + w], base[2 * i:2 * i + w]
+                for i, (r, w) in enumerate(spans):
+                    u, v = rotated[r:r + w], base[r:r + w]
                     s1[i, :w, :w] = u @ v.T
                     v2 = np.square(v, out=squares[:w, :v.shape[1]])
                     s2[i, :w, :w] = np.square(u, out=u) @ v2.T
@@ -190,8 +184,8 @@ class ProbeContext:
     def _mean_se(self, batch: SampleBatch, theta: ThetaPair, sums) -> tuple:
         """Mean and standard error per entry of products of basis values at the
         rotated points and at the points: streamed_mean_se over blocks of
-        EVAL_CHUNK points, each summed by sums(rotated, base) with the rotated
-        live rows (ProbeContext._live) and all base rows.  The errors assume
+        EVAL_CHUNK points, each summed by sums(rotated, base) with every basis
+        row at the rotated points and at the points.  The errors assume
         independent points, so batch must be lifted-domain samples drawn by
         rejection; another batch raises ValueError."""
         if batch.kind != "omega1":
@@ -243,7 +237,8 @@ def estimate_markov_matrix(
     p_norm2, q_norm2 = ctx.norms2[(n, k)]
     if p_norm2 <= 0 or (n != k and q_norm2 <= 0):
         raise ArithmeticError(f"degenerate quadrature norms for index ({n},{k})")
-    means, errors = (values[ctx._rows[(n, k)] // 2] for values in ctx.correlations(batch, theta))
+    i = list(ctx.pairs).index((n, k))
+    means, errors = (values[i] for values in ctx.correlations(batch, theta))
     terms = [("alpha", 0, 0, p_norm2)]
     if n != k:
         terms += [("beta", 0, 1, q_norm2), ("gamma", 1, 0, p_norm2), ("delta", 1, 1, q_norm2)]
@@ -384,7 +379,7 @@ def block_cross_correlations(ctx: ProbeContext, theta: ThetaPair, batch: SampleB
     # Label, eigenvalue, basis row and norm per function, sorted by index so
     # that the earlier index of a pair is the rotated one.
     labels, eigenvalues, rows, norms = (list(column) for column in zip(*(
-        ((e.flavor, n, k), e.eigenvalue, ctx._rows[(n, k)] + row,
+        ((e.flavor, n, k), e.eigenvalue, ctx.rows[(n, k)] + row,
          math.sqrt(ctx.norms2[(n, k)][row]))
         for (n, k), pair in sorted(ctx.pairs.items())
         for row, e in enumerate(pair[:1] if n == k else pair))))  # Q-hat(n, n) = 0
@@ -392,10 +387,9 @@ def block_cross_correlations(ctx: ProbeContext, theta: ThetaPair, batch: SampleB
              if eigenvalues[i] != eigenvalues[j]]
     first, second = [i for i, _ in pairs], [j for _, j in pairs]
     scale = np.array(norms)[:, None]
-    live_rows = [ctx._live[row] for row in rows]
 
     def sums(rotated, base):
-        u, v = rotated[live_rows] / scale, base[rows] / scale
+        u, v = rotated[rows] / scale, base[rows] / scale
         s1 = (u @ v.T)[first, second]
         return s1, (np.square(u, out=u) @ np.square(v, out=v).T)[first, second]
 

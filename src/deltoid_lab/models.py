@@ -200,16 +200,23 @@ def omega1_membership(points: np.ndarray) -> np.ndarray:
     return (p1 > 1e-14) & (p2 < 0.0) & radii_ok
 
 
+def omega1_modulus_parts(m0, m1, m2):
+    """(P1 - 8 Re(z0 z1 z2), P2) of p1_p2 from the squared moduli m_i = |z_i|^2, floats
+    or arrays; the array judge, the rejection screen and the MCMC loop share it."""
+    s1 = m0 + m1 + m2
+    s2 = m0 * m0 + m1 * m1 + m2 * m2
+    t = s1 + 1.0
+    base = 2.0 - t * t + 2.0 * s2
+    t = s1 - 1.0
+    return base, 2.0 * (s2 - 1.0) - t * t
+
+
 def omega1_boundary_values(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numeric (P1, P2) on arrays of shape (..., 3)."""
     pts = np.asarray(points, dtype=complex)
     moduli2 = (pts * pts.conjugate()).real
-    s1 = moduli2.sum(axis=-1)
-    s2 = (moduli2**2).sum(axis=-1)
-    prod = pts[..., 0] * pts[..., 1] * pts[..., 2]
-    p1 = 2.0 - (s1 + 1.0) ** 2 + 2.0 * s2 + 8.0 * prod.real
-    p2 = 2.0 * (s2 - 1.0) - (s1 - 1.0) ** 2
-    return p1, p2
+    base, p2 = omega1_modulus_parts(moduli2[..., 0], moduli2[..., 1], moduli2[..., 2])
+    return base + 8.0 * (pts[..., 0] * pts[..., 1] * pts[..., 2]).real, p2
 
 
 def p1_polar_decomposition_residual(points: np.ndarray) -> float:

@@ -409,8 +409,8 @@ class CompiledPolys:
     at wb = conj(w): since w^a wb^b is w^(a-b) |w|^(2b) for a >= b and the
     conjugate of w^(b-a) |w|^(2a) otherwise, the real parts of all the
     polynomials are one real coefficient matrix times the table of the
-    features Re and Im of w^m |w|^(2s).  Only the rows whose real form is not
-    identically zero are multiplied; the others are exact zeros.
+    features Re and Im of w^m |w|^(2s).  A zero polynomial is an all-zero row
+    of that matrix and evaluates to exact zeros.
     """
 
     __slots__ = ("variables", "_terms", "_top", "_real")
@@ -426,7 +426,7 @@ class CompiledPolys:
         self._terms = [[(c.to_complex(), e) for e, c in p.terms.items()] for p in polys]
         exponents = [e for p in polys for e in p.terms] or [(0,) * len(self.variables)]
         self._top = [max(column) for column in zip(*exponents)]
-        self._real: tuple[list[tuple[int, int, bool]], np.ndarray, np.ndarray] | None = None
+        self._real: tuple[list[tuple[int, int, bool]], np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -449,9 +449,8 @@ class CompiledPolys:
 
     # -- real form, one conjugate pair -------------------------------------------
 
-    def _real_matrix(self) -> tuple[list[tuple[int, int, bool]], np.ndarray, np.ndarray]:
-        """Features (m, s, imaginary part), the live rows (real form not
-        identically zero) and their real coefficient matrix over the features."""
+    def _real_matrix(self) -> tuple[list[tuple[int, int, bool]], np.ndarray]:
+        """Features (m, s, imaginary part) and the real coefficient matrix over them."""
         if self._real is None:
             if len(self.variables) != 2:
                 raise ValueError("the real form needs one conjugate pair of variables")
@@ -467,14 +466,13 @@ class CompiledPolys:
             matrix = np.zeros((len(self), len(features)))
             for i, key, value in entries:
                 matrix[i, column[key]] += value
-            live = np.flatnonzero(matrix.any(axis=1))
-            self._real = (features, live, matrix[live])
+            self._real = (features, matrix)
         return self._real
 
     def _real_blocks(self, w: np.ndarray):
-        """Yield Re f(w, conj w) for the live rows of _real_matrix, one
-        (len(live), block) array per block of EVAL_CHUNK points."""
-        features, _, matrix = self._real_matrix()
+        """Yield Re f(w, conj w) for every polynomial, one (len(self), block)
+        array per block of EVAL_CHUNK points."""
+        features, matrix = self._real_matrix()
         w = np.asarray(w, dtype=complex).reshape(-1)
         top_m = max((m for m, _, _ in features), default=0)
         top_s = max((s for _, s, _ in features), default=0)
@@ -491,10 +489,9 @@ class CompiledPolys:
     def real_values(self, w: np.ndarray) -> np.ndarray:
         """Re f(w, conj w) for every polynomial, shape (len(self), *w.shape)."""
         w = np.asarray(w, dtype=complex)
-        _, live, _ = self._real_matrix()
-        out = np.zeros((len(self), w.size))
+        out = np.empty((len(self), w.size))
         for start, values in zip(range(0, w.size, EVAL_CHUNK), self._real_blocks(w)):
-            out[live, start:start + values.shape[1]] = values
+            out[:, start:start + values.shape[1]] = values
         return out.reshape((len(self), *w.shape))
 
     def real_mean_se(self, w) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +502,6 @@ class CompiledPolys:
         every slice's two-pass mean and M2 is combined by streamed_mean_se, so
         an array and the stream of its EVAL_CHUNK slices give the same bits.
         """
-        _, live, _ = self._real_matrix()
         count = 0
 
         def moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -520,9 +516,7 @@ class CompiledPolys:
                                     for values in self._real_blocks(block))
         if count < 2:
             raise ValueError("need at least two points for a standard error")
-        out = np.zeros((2, len(self)))  # rows that are identically zero: 0.0 and 0.0
-        out[:, live] = mean, se
-        return out[0], out[1]
+        return mean, se
 
 
 def streamed_mean_se(moments: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:

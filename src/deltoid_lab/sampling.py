@@ -44,7 +44,8 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .models import LAMBDA_RANGES, omega1_boundary_values, omega1_membership, z_of_theta
+from .models import (LAMBDA_RANGES, omega1_boundary_values, omega1_membership,
+                     omega1_modulus_parts, z_of_theta)
 from .poly import EVAL_CHUNK
 from .scalars import RationalLike
 
@@ -233,11 +234,9 @@ def _screen_mask(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Which polydisc proposals sqrt(u) * exp(1j * angles) may lie in the
     lifted domain, computed in real arithmetic on the draws.
 
-    With s1 = sum u_i and s2 = sum u_i^2 (u_i = |z_i|^2),
+    With (base, P2) = models.omega1_modulus_parts(u0, u1, u2) (u_i = |z_i|^2),
 
-        P1 = base + amp*cos(a0 + a1 + a2),  base = 2 - (s1 + 1)^2 + 2*s2,
-                                             amp = 8*sqrt(u0 u1 u2),
-        P2 = 2*(s2 - 1) - (s1 - 1)^2,
+        P1 = base + amp*cos(a0 + a1 + a2),  amp = 8*sqrt(u0 u1 u2),
 
     and a proposal survives when P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN.
     The cosine is taken in a second stage, only where P2 and the
@@ -257,12 +256,7 @@ def _screen_mask(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     survives the screen.
     """
     u0, u1, u2 = u.T
-    s1 = u0 + u1 + u2
-    s2 = u0 * u0 + u1 * u1 + u2 * u2
-    t = s1 - 1.0
-    p2 = 2.0 * (s2 - 1.0) - t * t
-    t = s1 + 1.0
-    base = 2.0 - t * t + 2.0 * s2
+    base, p2 = omega1_modulus_parts(u0, u1, u2)
     amp = 8.0 * np.sqrt(u0 * u1 * u2)
     keep = (base + amp > -SCREEN_MARGIN) & (p2 < SCREEN_MARGIN)
     phase = angles[:, 0] + angles[:, 1] + angles[:, 2]
@@ -369,18 +363,14 @@ def _omega1_log_p1(z0: complex, z1: complex, z2: complex) -> float:
 
     The scalar twin of models.omega1_membership and omega1_boundary_values
     for the MCMC inner loop, where numpy calls on one point cost far more
-    than the arithmetic: the same formulas in the same order and the same
-    predicate (P1 > 1e-14, P2 < 0, max |z_i| < 1).  Values agree with the
-    array path to rounding; numpy may fuse a complex product's multiply-add.
+    than the arithmetic: the same omega1_modulus_parts and the same predicate
+    (P1 > 1e-14, P2 < 0, max |z_i| < 1).  Values agree with the array path to
+    rounding; numpy may fuse a complex product's multiply-add.
     """
-    m0 = z0.real * z0.real + z0.imag * z0.imag
-    m1 = z1.real * z1.real + z1.imag * z1.imag
-    m2 = z2.real * z2.real + z2.imag * z2.imag
-    s1 = m0 + m1 + m2
-    s2 = m0 * m0 + m1 * m1 + m2 * m2
-    t1, t2 = s1 + 1.0, s1 - 1.0  # numpy squares these as t * t
-    p1 = 2.0 - t1 * t1 + 2.0 * s2 + 8.0 * (z0 * z1 * z2).real
-    p2 = 2.0 * (s2 - 1.0) - t2 * t2
+    base, p2 = omega1_modulus_parts(z0.real * z0.real + z0.imag * z0.imag,
+                                    z1.real * z1.real + z1.imag * z1.imag,
+                                    z2.real * z2.real + z2.imag * z2.imag)
+    p1 = base + 8.0 * (z0 * z1 * z2).real
     if p1 > 1e-14 and p2 < 0.0 and max(abs(z0), abs(z1), abs(z2)) < 1.0:
         return math.log(p1)
     return -math.inf

@@ -23,9 +23,8 @@ For the G2 family the grading is the weighted degree r + 2t of s^r p^t.
 Eigenvalue collisions (a strictly smaller monomial with the same diagonal
 eigenvalue) make the solve singular when that monomial is actually fed by
 higher terms; this raises EigenvalueCollisionError naming the witness.
-When the feed is zero the solve stays consistent, the coefficient is fixed
-to zero (the choice is conjugation-equivariant) and the collision is
-recorded on the result.
+When the feed is zero the solve stays consistent and the coefficient is
+fixed to zero (the choice is conjugation-equivariant).
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ class EigenPoly:
     eigenvalue: Fraction
     poly: MPoly
     flavor: str
-    collisions: tuple[Exponents, ...] = ()
 
 
 def eigenvalue_deltoid(lam: Fraction, n: int, k: int) -> Fraction:
@@ -148,20 +146,18 @@ def graded_triangular_solve(
     rank: dict[Exponents, int],
     table: OperatorTable,
     eigenvalues: dict[Exponents, Fraction],
-) -> tuple[MPoly, Fraction, tuple[Exponents, ...]]:
+) -> tuple[MPoly, Fraction]:
     """Back-substitute the eigenpolynomial with the given leading monomial.
 
-    Returns (polynomial, eigenvalue mu, benign collisions).  order lists the
-    table's monomials ascending in the grading order and rank maps each to its
-    position there; the table must hold the lead and every monomial below it,
-    and the solve reads none above it.  eigenvalues maps a monomial to minus
-    the diagonal coefficient of L on it, the eigenvalue of the
-    eigenpolynomial it leads.
+    Returns (polynomial, eigenvalue mu).  order lists the table's monomials
+    ascending in the grading order and rank maps each to its position there;
+    the table must hold the lead and every monomial below it, and the solve
+    reads none above it.  eigenvalues maps a monomial to minus the diagonal
+    coefficient of L on it, the eigenvalue of the eigenpolynomial it leads.
     """
     lead = tuple(lead)
     below = order[:rank[lead]][::-1]
     mu = eigenvalues[lead]
-    collisions = tuple(e for e in below if eigenvalues[e] == mu)
 
     coeffs: dict[Exponents, FieldScalar] = {lead: ONE}
     # acc holds (L + mu)(partial solution), read from the table's rows, except on
@@ -194,7 +190,7 @@ def graded_triangular_solve(
         c = rhs * (1 / denom)
         coeffs[exps] = c
         accumulate(exps, c)
-    return MPoly(model.variables, coeffs), mu, collisions
+    return MPoly(model.variables, coeffs), mu
 
 
 def pq_pair(r_nk: EigenPoly, r_kn: EigenPoly) -> tuple[EigenPoly, EigenPoly]:
@@ -208,10 +204,8 @@ def pq_pair(r_nk: EigenPoly, r_kn: EigenPoly) -> tuple[EigenPoly, EigenPoly]:
     half = Fraction(1, 2)
     p_poly = (r_nk.poly + r_kn.poly) * half
     q_poly = (r_nk.poly - r_kn.poly) * (-I * FieldScalar.from_rational(half))
-    collisions = tuple(dict.fromkeys(r_nk.collisions + r_kn.collisions))
-    p_hat = EigenPoly(n, k, r_nk.eigenvalue, p_poly, "P", collisions=collisions)
-    q_hat = EigenPoly(n, k, r_nk.eigenvalue, q_poly, "Q", collisions=collisions)
-    return p_hat, q_hat
+    mu = r_nk.eigenvalue
+    return EigenPoly(n, k, mu, p_poly, "P"), EigenPoly(n, k, mu, q_poly, "Q")
 
 
 class _OperatorBasis:
@@ -248,9 +242,9 @@ class _OperatorBasis:
             if min(lead) < 0:
                 raise ValueError("indices must be nonnegative")
             self.monomials(self.basis.degree(lead))
-            poly, mu, collisions = graded_triangular_solve(
+            poly, mu = graded_triangular_solve(
                 self.model, lead, self.held, self.rank, self.table, self.eigenvalues)
-            self.leads[lead] = EigenPoly(lead[0], lead[1], mu, poly, self.basis.flavor, collisions)
+            self.leads[lead] = EigenPoly(lead[0], lead[1], mu, poly, self.basis.flavor)
         return self.leads[lead]
 
     def pq(self, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:

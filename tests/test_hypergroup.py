@@ -21,7 +21,7 @@ from deltoid_lab.hypergroup import (
     theta_grid,
 )
 from deltoid_lab.models import ThetaPair, deltoid_boundary_values, phi_theta, z_of_theta
-from deltoid_lab.poly import EVAL_CHUNK, streamed_mean_se
+from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys, streamed_mean_se
 from deltoid_lab.quadrature import TorusGrid
 from deltoid_lab.sampling import MomentEstimate, sample_omega1
 from deltoid_lab.spectral import eigenvalue_deltoid, pq_polys
@@ -355,6 +355,28 @@ class TestBatchMemo:
             point = {"Z": z, "Zb": np.conj(z)}
             assert np.allclose(p_vals, np.real(p_hat.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
             assert np.allclose(q_vals, np.real(q_hat.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
+
+
+def test_basis_compiles_pq_polys():
+    # One P-hat/Q-hat list: the basis is pq_polys compiled, without the zero
+    # Q-hat(n, n), and split reads that Q-hat as zeros.
+    polys = pq_polys(LAM, 4)
+    ctx = ProbeContext.build(LAM, 4)
+    assert len(ctx.basis) == len(polys) == 14
+    assert not any(poly.is_zero() for *_, poly in polys)
+    rng = np.random.default_rng(25)
+    z = z_of_theta(rng.uniform(0.0, 2.0 * np.pi, 500), rng.uniform(0.0, 2.0 * np.pi, 500))
+    values = ctx.basis.real_values(z)
+    expected = CompiledPolys([poly for *_, poly in polys]).real_values(z)
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+    point = {"Z": z, "Zb": np.conj(z)}
+    for flavor, n, k, poly in polys:
+        row = ctx.split(values, n, k)[flavor == "Q"]
+        assert np.allclose(row, np.real(poly.evaluate(point)), rtol=1e-12, atol=1e-14)
+    for n in (1, 2):
+        p_vals, q_vals = ctx.split(values, n, n)
+        assert q_vals.shape == p_vals.shape and not q_vals.view(np.uint64).any()
+        assert ctx.norms2[(n, n)][1] == 0.0 < ctx.norms2[(n, n)][0]
 
 
 class TestPositivityAndCoverage:

@@ -34,7 +34,7 @@ from deltoid_lab.models import (
     su3_gamma_pointwise,
     z_of_theta,
 )
-from deltoid_lab.poly import MPoly, divide_exact, try_divide
+from deltoid_lab.poly import CompiledPolys, MPoly, divide_exact, try_divide
 from deltoid_lab.scalars import FieldScalar
 
 J = complex(-0.5, math.sqrt(3) / 2)
@@ -347,6 +347,26 @@ class TestOmega1:
         assert np.all(p1 > 0) and np.all(p2 < 0)
         # Segment audit: rays to the origin stay inside.
         assert _segment_audit(inside[:50])
+
+    def test_boundary_values_match_former_formula_and_p1_p2(self):
+        def former(pts):
+            # The array formula before the shared omega1_modulus_parts.
+            moduli2 = (pts * pts.conjugate()).real
+            s1 = moduli2.sum(axis=-1)
+            s2 = (moduli2**2).sum(axis=-1)
+            prod = pts[..., 0] * pts[..., 1] * pts[..., 2]
+            p1 = 2.0 - (s1 + 1.0) ** 2 + 2.0 * s2 + 8.0 * prod.real
+            p2 = 2.0 * (s2 - 1.0) - (s1 - 1.0) ** 2
+            return p1, p2
+
+        rng = np.random.default_rng(25)
+        size = (10**6, 3)
+        pts = np.sqrt(rng.uniform(size=size)) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=size))
+        got = omega1_boundary_values(pts)
+        for value, expected in zip(got, former(pts)):
+            assert np.array_equal(value.view(np.uint64), expected.view(np.uint64))
+        exact = CompiledPolys(p1_p2()).values(dict(zip(SIXDIM_VARS, [*pts.T, *np.conj(pts.T)])))
+        assert np.max(np.abs(exact - np.stack(got))) < 1e-13
 
     def test_polar_decomposition(self):
         rng = np.random.default_rng(9)

@@ -366,22 +366,20 @@ class TestCompiledEvaluator:
         got = compiled.real_mean_se(z)
         assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
-    def test_zero_rows_are_skipped_and_exact(self):
-        # Q-hat(n, n) = 0: the kernel probe's basis has such rows.
-        polys = eigen_pairs(Fraction(11, 2), 4)
-        zero = [i for i, p in enumerate(polys) if p.is_zero()]
-        live = [p for p in polys if not p.is_zero()]
-        assert zero
-        compiled = CompiledPolys(polys)
+    def test_zero_rows_are_exact(self):
+        # A zero polynomial compiles to an all-zero row of the real matrix.
+        polys = [p for p in eigen_pairs(Fraction(11, 2), 4) if not p.is_zero()]
+        polys.insert(3, MPoly.zero(VARS))
         z = deltoid_points(2 * EVAL_CHUNK + 37, seed=17)
-        assert [len(block) for block in compiled._real_blocks(z)] == [len(live)] * 3
+        compiled = CompiledPolys(polys)
         values = compiled.real_values(z)
         assert values.shape == (len(polys), z.size)
-        assert not values[zero].view(np.uint64).any()  # +0.0, bit for bit
-        assert np.array_equal(np.delete(values, zero, axis=0).view(np.uint64),
-                              CompiledPolys(live).real_values(z).view(np.uint64))
+        assert not values[3].view(np.uint64).any()  # +0.0, bit for bit
         mean, se = compiled.real_mean_se(z)
-        assert not mean[zero].view(np.uint64).any() and not se[zero].view(np.uint64).any()
+        assert not mean[3].view(np.uint64).any() and not se[3].view(np.uint64).any()
+        alone = CompiledPolys([MPoly.zero(VARS)])
+        assert not alone.real_values(z).view(np.uint64).any()
+        assert not np.concatenate(alone.real_mean_se(z)).view(np.uint64).any()
 
     def test_negative_block_m2_raises(self):
         moments = [(3, np.array([1.0, 2.0]), np.array([0.5, 0.25])),

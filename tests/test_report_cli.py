@@ -521,6 +521,18 @@ def test_full_verify_script_rejects_negative_seed(tmp_path):
     assert not outdir.exists()
 
 
+def test_full_verify_script_rejects_outdir_under_a_file(tmp_path):
+    # An --outdir that cannot be created is refused before any verify run.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = blocker / "x"
+    done = subprocess.run([sys.executable, str(SCAN_SCRIPT.with_name("run_full_verify.py")),
+                           "--fast", "--outdir", str(outdir)],
+                          capture_output=True, text=True, timeout=120)
+    assert_one_line_usage_error(done)
+    assert done.stderr == f"usage error: --outdir {outdir}: Not a directory\n"
+
+
 # sha256 of `hypergroup_scan.py --samples 20000` standard output, recorded
 # under numpy 2.4.6 like the report digest.
 DEFAULT_SCAN_SHA256 = "bfc6ce05647cacaf4e2d1aff63d5a7d410c7c0760d8767ee90d592aa55efef04"

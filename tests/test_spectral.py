@@ -53,8 +53,8 @@ def solve_inputs(model, basis, max_degree):
 def reference_solve(model, basis, lead):
     """The eigenpolynomial of lead solved from a fresh table, outside the cache."""
     inputs = solve_inputs(model, basis, basis.degree(lead))
-    poly, mu, collisions = graded_triangular_solve(model, lead, *inputs)
-    return EigenPoly(lead[0], lead[1], mu, poly, basis.flavor, collisions)
+    poly, mu = graded_triangular_solve(model, lead, *inputs)
+    return EigenPoly(lead[0], lead[1], mu, poly, basis.flavor)
 
 
 def reference_pq(model, n, k):
@@ -70,7 +70,6 @@ def former_solve(model, lead, order_key, table):
     below = sorted((e for e in table if order_key(e) < lead_key), key=order_key, reverse=True)
     eigenvalues = {e: -spectral._diagonal(table, e) for e in (lead, *below)}
     mu = eigenvalues[lead]
-    collisions = tuple(e for e in below if eigenvalues[e] == mu)
     coeffs = {lead: ONE}
     acc = {}
 
@@ -98,7 +97,7 @@ def former_solve(model, lead, order_key, table):
         accumulate(exps, c)
         acc.pop(exps, None)
     assert not acc
-    return MPoly(variables, coeffs), mu, collisions
+    return MPoly(variables, coeffs), mu
 
 
 def weird_model():
@@ -158,13 +157,14 @@ class TestEigenR:
         r23 = eigen_R(MODEL, 2, 3)
         assert r32.poly.conj_swap(DELTOID_CONJ_PAIRS) == r23.poly
 
-    def test_benign_collision_recorded(self):
+    def test_benign_collision_is_consistent(self):
         # At the flat parameter the (3,5) solve shares its eigenvalue with
-        # the lower-degree (7,0) mode; the feed is zero so the solve stays
-        # consistent and records the collision instead of aborting.
+        # the lower-degree (7,0) mode; the feed is zero, so the solve stays
+        # consistent and fixes the Z^7 coefficient to zero instead of aborting.
         model = deltoid_model(1)
         e = eigen_R(model, 3, 5)
-        assert (7, 0) in e.collisions
+        assert eigenvalue_deltoid(Fraction(1), 7, 0) == e.eigenvalue
+        assert not e.poly.coefficient((7, 0))
         assert l_apply(model, e.poly) == e.poly * (-e.eigenvalue)
 
     def test_inconsistent_collision_raises(self):
@@ -296,8 +296,8 @@ class TestEigenbasis:
         monkeypatch.undo()
         for (n, k), e in basis.items():
             assert e == reference_solve(model, DELTOID_BASIS, (n, k))
-        # The benign flat-parameter collision survives the shared table.
-        assert (7, 0) in basis[(3, 5)].collisions
+        # The benign flat-parameter collision keeps its zero in the shared table.
+        assert not basis[(3, 5)].poly.coefficient((7, 0))
 
     def test_g2_basis_matches_slices(self):
         model = g2_from_lambda(LAM)
@@ -389,7 +389,7 @@ class TestFormerSolveOracle:
             # The same terms in the same order: numeric evaluation sums them in it.
             assert list(got[0].terms.items()) == list(expected[0].terms.items())
             e = cached[lead]
-            assert (e.poly, e.eigenvalue, e.collisions) == expected
+            assert (e.poly, e.eigenvalue) == expected
             assert list(e.poly.terms.items()) == list(expected[0].terms.items())
 
     @pytest.mark.parametrize("lam", [Fraction(1), Fraction(7, 3), Fraction(4),
@@ -413,11 +413,13 @@ class TestFormerSolveOracle:
         model = deltoid_model(1)
         inputs = solve_inputs(model, DELTOID_BASIS, 8)
         expected = former_solve(model, (3, 5), DELTOID_BASIS.order_key, inputs[2])
-        assert (7, 0) in expected[2]
-        assert graded_triangular_solve(model, (3, 5), *inputs) == expected
+        poly, mu = graded_triangular_solve(model, (3, 5), *inputs)
+        assert (poly, mu) == expected
+        assert not poly.coefficient((7, 0)) and inputs[3][(7, 0)] == mu
+        assert l_apply(model, poly) == poly * (-mu)
         spectral._OPERATORS.clear()
         cached = eigen_R(model, 3, 5)
-        assert (cached.poly, cached.eigenvalue, cached.collisions) == expected
+        assert (cached.poly, cached.eigenvalue) == expected
         assert list(cached.poly.terms.items()) == list(expected[0].terms.items())
 
     def test_inconsistent_collision(self):
