@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -338,7 +339,9 @@ def _check_outputs(args) -> None:
             raise UsageError(f"--{name} {path} is a directory")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="deltoid-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

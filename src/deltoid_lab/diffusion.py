@@ -12,22 +12,28 @@ exactly.  The module also pushes models forward through polynomial maps
 (rewriting the transported table in the image variables by an exact linear
 solve against a monomial ansatz), derives drifts from power-law measure
 densities, and certifies boundary-ideal membership.
+
+A model family shares one Gamma table and differs only in its drift, so the
+work that reads the table alone is done once per process: cometric(model) is
+the memo of the table, keyed by its value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .poly import (
+    Exponents,
     MPoly,
     VariableMismatchError,
     divide_exact,
     monomials_up_to,
     solve_field_linear,
 )
-from .scalars import ZERO
+from .scalars import ONE, ZERO
 
 
 class NotClosedError(ValueError):
@@ -61,6 +67,11 @@ class DiffusionModel:
                 raise ValueError(f"missing drift entry for {v}")
             if self.drift[v].variables != self.variables:
                 raise VariableMismatchError(f"drift entry for {v} over wrong ring")
+
+    @functools.cached_property
+    def gamma_key(self) -> tuple:
+        """The Gamma table by value, hashable: equal tables give equal keys."""
+        return (self.variables, frozenset(self.gamma.items()))
 
     def gamma_entry(self, u: str, v: str) -> MPoly:
         entry = self.gamma.get((u, v))
@@ -180,6 +191,69 @@ def rewrite_in_images(
     return result
 
 
+class Cometric:
+    """What one Gamma table alone determines, filled on demand.
+
+    model is the table with zero drift: l_apply on it is the second-order part
+    of every operator with this table.
+    """
+
+    def __init__(self, model: DiffusionModel):
+        variables = model.variables
+        self.model = DiffusionModel(variables, model.gamma,
+                                    {v: MPoly.zero(variables) for v in variables})
+        self._second: dict[Exponents, MPoly] = {}
+        self._image_maps: dict[tuple, tuple[dict, dict[Exponents, MPoly]]] = {}
+        self._cofactors: dict[MPoly, dict[str, MPoly]] = {}
+
+    def second_order(self, exps: Exponents) -> MPoly:
+        """sum_ij gamma[i][j] d2_ij m for the monomial m with these exponents."""
+        if exps not in self._second:
+            self._second[exps] = l_apply(self.model, MPoly(self.model.variables, {exps: ONE}))
+        return self._second[exps]
+
+    def image_map(
+        self, images: Mapping[str, MPoly],
+    ) -> tuple[dict[tuple[str, str], MPoly], dict[Exponents, MPoly]]:
+        """Gamma(X_i, X_j), i <= j, rewritten in the variables of X = images, and
+        the candidate images built for it, which later rewrites extend."""
+        key = tuple(images.items())
+        if key not in self._image_maps:
+            new_variables = tuple(images)
+            built: dict[Exponents, MPoly] = {}
+            gamma: dict[tuple[str, str], MPoly] = {}
+            for i, u in enumerate(new_variables):
+                for v in new_variables[i:]:
+                    upstairs = gamma_apply(self.model, images[u], images[v])
+                    gamma[(u, v)] = rewrite_in_images(upstairs, images, new_variables,
+                                                      f"Gamma({u},{v})", built)
+            self._image_maps[key] = (gamma, built)
+        return self._image_maps[key]
+
+    def cofactors(self, base: MPoly) -> dict[str, MPoly]:
+        """Gamma(base, x_i)/base per variable; NonDivisibleError if one is not exact."""
+        if base not in self._cofactors:
+            variables = self.model.variables
+            self._cofactors[base] = {
+                v: divide_exact(gamma_apply(self.model, base, MPoly.var(variables, v)), base)
+                for v in variables
+            }
+        return self._cofactors[base]
+
+
+# Keyed by the Gamma table's value (variables, entries), so that every model
+# sharing a table shares one entry; the entries live as long as the process.
+_COMETRICS: dict[tuple, Cometric] = {}
+
+
+def cometric(model: DiffusionModel) -> Cometric:
+    """The process-wide memo of model's Gamma table."""
+    entry = _COMETRICS.get(model.gamma_key)
+    if entry is None:
+        entry = _COMETRICS[model.gamma_key] = Cometric(model)
+    return entry
+
+
 def pushforward(
     model: DiffusionModel,
     images: Mapping[str, MPoly],
@@ -188,26 +262,20 @@ def pushforward(
     """Image of the model under the polynomial map X = Phi(x).
 
     Computes Gamma(X_i, X_j) and L(X_i) upstairs and rewrites both in the
-    new variables, building each candidate image once for all of the
-    call's rewrites; raises NotClosedError when the map does not carry the
-    operator.
+    new variables; the Gamma rewrites and candidate images come from
+    cometric(model), so a call rewrites only its L(X_i).  Raises
+    NotClosedError when the map does not carry the operator.
     """
     new_variables = tuple(images.keys())
     for name, g in images.items():
         if g.variables != model.variables:
             raise VariableMismatchError(f"image for {name} over wrong ring")
-    built: dict[tuple[int, ...], MPoly] = {}  # candidate images, shared by this call's rewrites
-    gamma: dict[tuple[str, str], MPoly] = {}
-    for i, u in enumerate(new_variables):
-        for v in new_variables[i:]:
-            upstairs = gamma_apply(model, images[u], images[v])
-            gamma[(u, v)] = rewrite_in_images(upstairs, images, new_variables,
-                                              f"Gamma({u},{v})", built)
+    gamma, built = cometric(model).image_map(images)
     drift: dict[str, MPoly] = {}
     for u in new_variables:
         upstairs = l_apply(model, images[u])
         drift[u] = rewrite_in_images(upstairs, images, new_variables, f"L({u})", built)
-    return DiffusionModel(new_variables, gamma, drift, dict(params or {}))
+    return DiffusionModel(new_variables, dict(gamma), drift, dict(params or {}))
 
 
 def drift_from_measure(
@@ -219,30 +287,28 @@ def drift_from_measure(
 
     b_i = sum_j d_j gamma[i][j] + sum_factors exponent * Gamma(base, x_i)/base;
     each division must be exact (that is the boundary-compatibility of the
-    measure), otherwise NonDivisibleError propagates.
+    measure), otherwise NonDivisibleError propagates.  The cofactors come
+    from cometric, so each base is divided once per process.
     """
     variables = tuple(variables)
     zero_drift = {v: MPoly.zero(variables) for v in variables}
-    scratch = DiffusionModel(variables, dict(gamma), zero_drift)
-    drift = divergence_sums(scratch)
-    for u in variables:
-        xi = MPoly.var(variables, u)
-        for base, exponent in factors:
-            if exponent != 0:
-                drift[u] = drift[u] + divide_exact(gamma_apply(scratch, base, xi), base) * exponent
+    memo = cometric(DiffusionModel(variables, dict(gamma), zero_drift))
+    drift = divergence_sums(memo.model)
+    for base, exponent in factors:
+        if exponent != 0:
+            cofactors = memo.cofactors(base)
+            for u in variables:
+                drift[u] = drift[u] + cofactors[u] * exponent
     return drift
 
 
 def boundary_ideal_check(model: DiffusionModel, f_boundary: MPoly) -> dict[str, MPoly]:
     """Certify Gamma(F, x_i) = h_i * F for every variable; return the h_i.
 
-    NonDivisibleError means the boundary condition fails for F.
+    NonDivisibleError means the boundary condition fails for F.  The h_i are
+    cometric's cofactors, shared with drift_from_measure.
     """
-    cofactors: dict[str, MPoly] = {}
-    for v in model.variables:
-        xi = MPoly.var(model.variables, v)
-        cofactors[v] = divide_exact(gamma_apply(model, f_boundary, xi), f_boundary)
-    return cofactors
+    return dict(cometric(model).cofactors(f_boundary))
 
 
 def divergence_sums(model: DiffusionModel) -> dict[str, MPoly]:

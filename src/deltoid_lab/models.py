@@ -21,6 +21,7 @@ metric determinant by q1/4 rather than transcribed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,17 +188,19 @@ def membership_deltoid(z: complex | np.ndarray) -> str | np.ndarray:
     return str(labels) if labels.ndim == 0 else labels
 
 
-def omega1_membership(points: np.ndarray) -> np.ndarray:
+def omega1_membership(points: np.ndarray, with_p1: bool = False):
     """Vectorized membership for the lifted domain.
 
     points: (..., 3) complex.  The practical predicate is P1 > 0, P2 < 0 and
     max |z_i| < 1; contact with {P1 = 0} within 1e-14 counts as outside
-    (zero-measure set, keeps log densities finite).
+    (zero-measure set, keeps log densities finite).  with_p1 returns
+    (mask, P1), for a caller that also weighs the points by P1.
     """
     pts = np.asarray(points, dtype=complex)
     p1, p2 = omega1_boundary_values(pts)
     radii_ok = np.max(np.abs(pts), axis=-1) < 1.0
-    return (p1 > 1e-14) & (p2 < 0.0) & radii_ok
+    mask = (p1 > 1e-14) & (p2 < 0.0) & radii_ok
+    return (mask, p1) if with_p1 else mask
 
 
 def omega1_modulus_parts(m0, m1, m2):
@@ -448,21 +451,28 @@ def phi_theta(points: np.ndarray, theta: ThetaPair | tuple[float, float]) -> np.
 # ---------------------------------------------------------------------------
 
 
-def g2_gamma_table() -> dict[tuple[str, str], MPoly]:
+@functools.cache
+def _g2_gamma_entries() -> tuple[tuple[tuple[str, str], MPoly], ...]:
     g = MPoly.variables_ring(G2_VARS)
     s, p = g["s"], g["p"]
-    return {
-        ("s", "s"): p - s * s + s + 1,
-        ("s", "p"): s * s - p * 2 - s * p * Fraction(3, 2) + s * Fraction(1, 2),
-        ("p", "p"): s**3 - p * p * 3 - s * p * 3 + p,
-    }
+    return (
+        (("s", "s"), p - s * s + s + 1),
+        (("s", "p"), s * s - p * 2 - s * p * Fraction(3, 2) + s * Fraction(1, 2)),
+        (("p", "p"), s**3 - p * p * 3 - s * p * 3 + p),
+    )
 
 
+def g2_gamma_table() -> dict[tuple[str, str], MPoly]:
+    """A fresh dict of the G2 cometric's upper entries, built once per process."""
+    return dict(_g2_gamma_entries())
+
+
+@functools.cache
 def q1_q2() -> tuple[MPoly, MPoly]:
     """The parabola factor q1 = s^2 - 4p and the quintic's cubic factor q2.
 
     q2 is pinned by the exact identity det(Gamma) = (1/4) q1 q2: it is
-    computed by exact division, not transcribed.
+    computed by exact division, not transcribed, once per process.
     """
     gamma = g2_gamma_table()
     det = gamma[("s", "s")] * gamma[("p", "p")] - gamma[("s", "p")] * gamma[("s", "p")]
@@ -481,7 +491,8 @@ def g2_model(a1: RationalLike, a2: RationalLike) -> DiffusionModel:
     """G2-symmetric operator for the measure density q1**a1 * q2**a2.
 
     Finiteness requires a1 > -1, a2 > -5/6 and a1 + a2 > -4/3; the drift is
-    derived from the measure, never transcribed.
+    derived from the measure, never transcribed.  The table, q1, q2 and their
+    cofactors are built once per process; a model only combines them.
     """
     a1, a2 = Fraction(a1), Fraction(a2)
     if not g2_integrability_ok(a1, a2):

@@ -44,8 +44,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .models import (LAMBDA_RANGES, omega1_boundary_values, omega1_membership,
-                     omega1_modulus_parts, z_of_theta)
+from .models import LAMBDA_RANGES, omega1_membership, omega1_modulus_parts, z_of_theta
 from .poly import EVAL_CHUNK
 from .scalars import RationalLike
 
@@ -335,10 +334,9 @@ def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> Sampl
             angles *= 2.0 * math.pi  # == uniform(0, 2 pi): 0 + 2 pi * draw
             survivors = np.flatnonzero(_screen_mask(u, angles))
             pts = np.sqrt(u[survivors]) * np.exp(1j * angles[survivors])
-            mask = omega1_membership(pts)
+            mask, p1 = omega1_membership(pts, with_p1=True)
             if beta_f > 0.0:
                 density_u = density_rng.random(size)
-                p1, _ = omega1_boundary_values(pts)
                 density = np.where(mask, np.maximum(p1, 0.0) ** beta_f, 0.0)
                 # Envelope: P1 <= 1 on the domain (P1(0) = 1 is the maximum).
                 if np.any(density > 1.0 + 1e-12):

@@ -10,8 +10,10 @@ rows of the operator table.  Every entry point reads one module-level cache
 keyed by the operator (variables, Gamma table, drift); each entry holds the
 graded basis's monomials in the grading order, enumerated once per degree the
 table grows to, one operator table (L applied once per monomial) and the
-polynomials solved from it.  A solve walks that fixed order down from its
-lead; nothing is sorted per solve.
+polynomials solved from it.  A row is the monomial's second-order image, made
+once per Gamma table for every parameter (diffusion.cometric), plus its image
+under the entry's drift.  A solve walks that fixed order down from its lead;
+nothing is sorted per solve.
 
 For the deltoid family the grading is the total degree in (Z, Zb) and the
 eigenvalue of the leading monomial Z^n Zb^k is
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .diffusion import DiffusionModel, l_apply
+from .diffusion import DiffusionModel, cometric, l_apply
 from .models import (
     DELTOID_CONJ_PAIRS,
     DELTOID_J_WEIGHTS,
@@ -125,10 +127,17 @@ def operator_table(
     model: DiffusionModel, basis: GradedBasis, monomials: Iterable[Exponents],
     table: OperatorTable,
 ) -> OperatorTable:
-    """Apply L once to each of the given basis monomials the table lacks; return it."""
+    """Apply L once to each of the given basis monomials the table lacks; return it.
+
+    A row is the memoized second-order image plus L of the drift-only
+    operator: l_apply(model, m) exactly, in a term order the solve never reads.
+    """
+    second = cometric(model)
+    first = DiffusionModel(model.variables, {}, model.drift)
     for exps in monomials:
         if exps not in table:
-            table[exps] = l_apply(model, _monomial(basis.variables, exps))
+            table[exps] = (second.second_order(exps)
+                           + l_apply(first, _monomial(basis.variables, exps)))
     return table
 
 
@@ -263,8 +272,7 @@ def _operator(model: DiffusionModel, flavor: str | None = None) -> _OperatorBasi
     basis = next((b for b in (DELTOID_BASIS, G2_BASIS) if b.variables == model.variables), None)
     if basis is None or flavor not in (None, basis.flavor):
         raise ValueError(f"no {flavor or 'graded'} eigenbasis for the variables {model.variables}")
-    key = (model.variables, frozenset(model.gamma.items()),
-           tuple(model.drift[v] for v in model.variables))
+    key = (model.gamma_key, tuple(model.drift[v] for v in model.variables))
     return _OPERATORS.setdefault(key, _OperatorBasis(model, basis))
 
 
@@ -315,9 +323,10 @@ def pq_polys(lam: RationalLike, degree_max: int) -> list[tuple[str, int, int, MP
 
     In pq_indices order, P-hat before Q-hat; the zero Q-hat(n, n) is left out.
     """
+    entry = _operator(deltoid_model(lam), "R")
     out = []
     for n, k in pq_indices(degree_max):
-        p_hat, q_hat = eigen_PQ_lambda(lam, n, k)
+        p_hat, q_hat = entry.pq(n, k)
         out.append(("P", n, k, p_hat.poly))
         if n != k:
             out.append(("Q", n, k, q_hat.poly))

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from deltoid_lab import diffusion, verify
 from deltoid_lab.diffusion import (
     DiffusionModel,
     NotClosedError,
     boundary_ideal_check,
+    cometric,
     divergence_sums,
     drift_from_measure,
     gamma_apply,
@@ -26,6 +28,7 @@ from deltoid_lab.models import (
     sixdim_model,
 )
 from deltoid_lab.poly import MPoly, NonDivisibleError, monomials_up_to
+from deltoid_lab.report import VerificationReport
 from deltoid_lab.scalars import ZERO
 
 from conftest import deltoid_polys
@@ -269,3 +272,76 @@ def test_model_validation():
     gamma = {("Z", "Z"): Z}
     with pytest.raises(ValueError):
         DiffusionModel(DELTOID_VARS, gamma, {"Z": Z})  # missing Zb drift
+
+
+@pytest.fixture
+def empty_memos():
+    """Start from an empty Gamma memo, as a fresh process does."""
+    diffusion._COMETRICS.clear()
+
+
+def test_memo_is_keyed_by_the_gamma_table():
+    # Models with one Gamma table share one memo whatever their drift; the
+    # G2 family shares one across (a1, a2).
+    assert cometric(deltoid_model(2)) is cometric(deltoid_model(Fraction(17, 5)))
+    assert cometric(g2_model(0, 0)) is cometric(g2_from_lambda(LAM))
+    assert cometric(sixdim_model(2)) is not cometric(MODEL)
+
+
+def test_image_maps_in_the_same_variables_get_their_own_rewrites():
+    # The memo keys a map by its images, not by the names of its variables.
+    scaled = pushforward(MODEL, {"Z": Z * 2, "Zb": Zb * 2})
+    assert scaled.gamma_entry("Z", "Z") == Zb * 2 - Z * Z
+    assert scaled.drift == MODEL.drift
+    assert pushforward(MODEL, {"Z": Z, "Zb": Zb}, dict(MODEL.params)) == MODEL
+
+
+def test_pushforward_after_another_parameter_equals_a_fresh_one(empty_memos):
+    fresh = pushforward(sixdim_model(3), PI_IMAGES)
+    diffusion._COMETRICS.clear()
+    pushforward(sixdim_model(2), PI_IMAGES)
+    after = pushforward(sixdim_model(3), PI_IMAGES, {"lambda": Fraction(3)})
+    assert after == deltoid_model(3)
+    for entries, fresh_entries in ((after.gamma, fresh.gamma), (after.drift, fresh.drift)):
+        for key, entry in entries.items():
+            assert list(entry.terms.items()) == list(fresh_entries[key].terms.items())
+
+
+def test_measure_cofactors_are_shared_and_exact(empty_memos):
+    p_poly = deltoid_boundary_poly()
+    for lam in (Fraction(7, 3), Fraction(17, 5), Fraction(4)):
+        drift = drift_from_measure(DELTOID_VARS, deltoid_model(lam).gamma,
+                                   [(p_poly, (2 * lam - 5) / 6)])
+        assert drift == deltoid_model(lam).drift
+    # One division per variable for the one base, read by both callers.
+    assert list(cometric(MODEL)._cofactors) == [p_poly]
+    assert boundary_ideal_check(MODEL, p_poly) == {"Z": Z * (-3), "Zb": Zb * (-3)}
+
+
+def test_corrupted_gamma_misses_the_memo():
+    p_poly = deltoid_boundary_poly()
+    boundary_ideal_check(MODEL, p_poly)
+    pushforward(MODEL, PSI_IMAGES)
+    corrupt = verify._deltoid_gamma(corrupt=True)
+    assert corrupt.gamma_key != MODEL.gamma_key
+    assert cometric(corrupt) is not cometric(MODEL)
+    # The division and the rewrite run again on the corrupted table, and fail.
+    with pytest.raises(NonDivisibleError):
+        boundary_ideal_check(corrupt, p_poly)
+    with pytest.raises(NonDivisibleError):
+        drift_from_measure(DELTOID_VARS, corrupt.gamma, [(p_poly, Fraction(1, 2))])
+    with pytest.raises(NotClosedError):
+        pushforward(corrupt, PSI_IMAGES)
+
+
+def test_negative_control_fails_after_a_clean_symbolic_suite():
+    results = []
+    for negative_control in (False, True, False):
+        report = VerificationReport(config={}, anchors=dict(verify.IDENTITY_MANIFEST))
+        verify._suite_symbolic(report, verify.VerifyConfig(negative_control=negative_control))
+        results.append({e.name: e.status for e in report.entries})
+    clean, corrupted, again = results
+    assert set(clean.values()) == {"proven-exact", "proven-by-interpolation"}
+    assert again == clean
+    assert corrupted["deltoid.metric_determinant"] == "exact-fail"
+    assert corrupted == {**clean, "deltoid.metric_determinant": "exact-fail"}

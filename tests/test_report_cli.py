@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from deltoid_lab import report as report_module
-from deltoid_lab.cli import load_config_file, main
+from deltoid_lab.cli import build_parser, load_config_file, main
 from deltoid_lab.hypergroup import MarkovMatrix
 from deltoid_lab.models import ThetaPair
 from deltoid_lab.report import (
@@ -272,6 +272,30 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(out.read_text())["lambda"] == "7/3"
+
+    def test_calls_in_one_process_write_what_fresh_processes_write(self, tmp_path, capsys):
+        # The parser and the Gamma memo live as long as the process; a later
+        # call must write the bytes a fresh process writes, and a usage error
+        # after a successful call still exits 3.
+        runs = [["eigen", "--lambda", "7/3", "--degree-max", "8"],
+                ["eigen", "--lambda", "17/5", "--degree-max", "8"],
+                ["gram", "--lambda", "4", "--degree-max", "3", "--grid", "32"]]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        for i, argv in enumerate(runs):
+            assert main([*argv, "--out", str(tmp_path / f"in_process{i}.json")]) == 0
+            fresh = str(tmp_path / f"fresh{i}.json")
+            done = subprocess.run([sys.executable, "-m", "deltoid_lab", *argv, "--out", fresh],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert ((tmp_path / f"in_process{i}.json").read_bytes()
+                    == (tmp_path / f"fresh{i}.json").read_bytes())
+        capsys.readouterr()
+        assert main(["eigen", "--lambda", "7/3", "--degree-max", "x"]) == 3
+        assert main(["eigen", "--lambda", "0"]) == 3
+        assert capsys.readouterr().err.count("usage error:") == 2
+        assert build_parser() is build_parser()
 
     def test_eigen_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "eigen.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deltoid_lab.models import omega1_boundary_values, omega1_membership, phi_theta, ThetaPair
-from deltoid_lab import sampling, verify
+from deltoid_lab import models, sampling, verify
 from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys
 from deltoid_lab.sampling import (
     MomentEstimate,
@@ -232,6 +232,26 @@ class TestOmega1:
         assert stats["proposed"] > 2 * 200_000  # several rounds of the m schedule
         assert np.array_equal(batch.points.view(float), points.view(float))
         assert batch.stats == stats
+
+    def test_weighted_rejection_evaluates_the_boundary_once_per_block(self, monkeypatch):
+        # At beta > 0 the density reads the P1 that membership computed, so each
+        # block's survivors get one boundary evaluation, not two.  The points
+        # are pinned by test_screened_rejection_matches_unscreened_loop.
+        judged, evaluated = [], []
+
+        def judge(points, *args, **kwargs):
+            judged.append(len(points))
+            return omega1_membership(points, *args, **kwargs)
+
+        def boundary(points):
+            evaluated.append(len(points))
+            return omega1_boundary_values(points)
+
+        monkeypatch.setattr(sampling, "omega1_membership", judge)
+        monkeypatch.setattr(models, "omega1_boundary_values", boundary)
+        sample_omega1(Fraction(13, 2), 25_000, 3)
+        assert len(judged) > 2 * 200_000 // EVAL_CHUNK  # every block of several rounds
+        assert evaluated == judged
 
     @staticmethod
     def _one_stage_screen(u, angles):

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from deltoid_lab.diffusion import DiffusionModel, l_apply
+from deltoid_lab import diffusion
+from deltoid_lab.diffusion import DiffusionModel, cometric, l_apply
 from deltoid_lab.models import (
     DELTOID_CONJ_PAIRS,
     DELTOID_VARS,
     deltoid_model,
     g2_from_lambda,
+    g2_model,
 )
 from deltoid_lab.poly import MPoly
 from deltoid_lab.scalars import ONE, FieldScalar
@@ -471,3 +473,48 @@ class TestPieri:
                 if min(m) >= 0:
                     rest = rest - basis[m].poly * rest.coefficient(m)
             assert rest.is_zero(), (lam, n, k)
+
+
+class TestSharedSecondOrderTable:
+    """Operator rows are the memoized second-order images plus each model's
+    first-order part; they must equal L applied afresh, whatever ran before."""
+
+    @staticmethod
+    def assert_rows_are_l_apply(model, degree):
+        entry = spectral._operator(model)
+        held = entry.monomials(degree)
+        for exps in held:
+            assert entry.table[exps] == l_apply(model, MPoly(model.variables, {exps: ONE}))
+        return entry
+
+    @pytest.mark.parametrize("earlier", [None, Fraction(7, 3)])
+    def test_deltoid_rows_to_degree_eight(self, earlier):
+        diffusion._COMETRICS.clear()
+        spectral._OPERATORS.clear()
+        if earlier is not None:
+            self.assert_rows_are_l_apply(deltoid_model(earlier), 8)
+        entry = self.assert_rows_are_l_apply(deltoid_model(Fraction(17, 5)), 8)
+        # One second-order image per monomial, shared by both parameters.
+        assert len(cometric(entry.model)._second) == 45
+
+    @pytest.mark.parametrize("earlier", [None, (Fraction(1, 4), Fraction(2, 3))])
+    def test_g2_rows_to_weighted_degree_eight(self, earlier):
+        diffusion._COMETRICS.clear()
+        spectral._OPERATORS.clear()
+        if earlier is not None:
+            self.assert_rows_are_l_apply(g2_model(*earlier), 8)
+        entry = self.assert_rows_are_l_apply(g2_model(Fraction(-1, 2), Fraction(1, 3)), 8)
+        assert len(cometric(entry.model)._second) == len(G2_BASIS.monomials(8))
+
+    def test_basis_after_another_parameter_equals_a_fresh_one(self):
+        lam = Fraction(17, 5)
+        diffusion._COMETRICS.clear()
+        spectral._OPERATORS.clear()
+        fresh = eigenbasis(deltoid_model(lam), 8)
+        diffusion._COMETRICS.clear()
+        spectral._OPERATORS.clear()
+        eigenbasis(deltoid_model(Fraction(7, 3)), 8)
+        after = eigenbasis(deltoid_model(lam), 8)
+        assert after == fresh
+        for lead, e in after.items():
+            assert list(e.poly.terms.items()) == list(fresh[lead].poly.terms.items())
