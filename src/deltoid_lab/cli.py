@@ -84,14 +84,14 @@ def load_config_file(path: str) -> dict:
 def _build_verify_config(args) -> "VerifyConfig":
     from .verify import VerifyConfig
 
+    # Each field's type, "int" or "bool" (verify's annotations are strings).
+    kinds = {f.name: f.type for f in dataclasses.fields(VerifyConfig)}
     values: dict = {}
     if args.config:
-        raw = load_config_file(args.config)
-        valid = {f.name: f.type for f in dataclasses.fields(VerifyConfig)}
-        for key, text in raw.items():
-            if key not in valid:
+        for key, text in load_config_file(args.config).items():
+            if key not in kinds:
                 raise UsageError(f"unknown config key {key!r}")
-            if key == "negative_control":
+            if kinds[key] == "bool":
                 if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
                     raise UsageError(f"config key {key!r} needs 1/true/yes/0/false/no, got {text!r}")
                 values[key] = text.lower() in ("1", "true", "yes")
@@ -102,15 +102,11 @@ def _build_verify_config(args) -> "VerifyConfig":
                 raise UsageError(
                     f"config key {key!r} needs an integer, got {text!r}") from None
         check_sizes("verify", values, lambda name: f"config key {name!r}")
-    for name in (
-        "seed", "grid_n", "torus_samples", "su3_samples", "omega1_samples",
-        "theta_per_axis", "eigen_degree_max",
-    ):
+    # An omitted flag reads None, or False for a boolean switch, and leaves the file's value.
+    for name, kind in kinds.items():
         flag = getattr(args, name, None)
-        if flag is not None:
+        if flag is not None and (kind != "bool" or flag):
             values[name] = flag
-    if getattr(args, "negative_control", False):
-        values["negative_control"] = True
     return VerifyConfig(**values)
 
 

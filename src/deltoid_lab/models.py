@@ -517,61 +517,41 @@ PSI_IMAGES = {
 }
 
 
-# The self-map of the G2 domain exchanging the two boundary components.  The
+# The self-map psi1 of the G2 domain exchanging the two boundary components,
+# keyed by the domain's own variables: f.subs(PSI1_IMAGES) is f o psi1, and
+# pushforward(model, PSI1_IMAGES) lands in the variables of g2_model.  The
 # second coordinate carries the factor 3 on the cubic part; this is the
 # normalization under which the bitangent point (2, 1) is fixed and the
 # parabola factor pulls back to exactly three times the cubic factor.
 PSI1_IMAGES = {
-    "S": MPoly.var(G2_VARS, "p") * 3 - 1,
-    "P": (MPoly.var(G2_VARS, "s") ** 3 - MPoly.var(G2_VARS, "s") * MPoly.var(G2_VARS, "p") * 3) * 3
+    "s": MPoly.var(G2_VARS, "p") * 3 - 1,
+    "p": (MPoly.var(G2_VARS, "s") ** 3 - MPoly.var(G2_VARS, "s") * MPoly.var(G2_VARS, "p") * 3) * 3
     - MPoly.var(G2_VARS, "p") * 6
     + 1,
 }
 
 
 def psi1_intertwining_factor(a2: RationalLike) -> Fraction:
-    """Exact scalar c with pushforward(g2(-1/2, a2)) = c * g2(a2, -1/2).
+    """Exact scalar c with pushforward(g2(-1/2, a2), PSI1_IMAGES) = c * g2(a2, -1/2).
 
-    Raises NotClosedError when the pushforward is not closed and ValueError
-    when no exact proportionality holds.  The computed factor is 3: the map
-    triples the operator (equivalently, one third of the image operator is
-    the parameter-swapped model).
+    c is read off Gamma(s, s), which no measure parameter changes; the whole
+    image table and drift must then be c times the target's.  Raises
+    NotClosedError when the pushforward is not closed and ValueError when the
+    image is not an exact rational multiple of the target.  The computed
+    factor is 3: the map triples the operator (equivalently, one third of the
+    image operator is the parameter-swapped model).
     """
     a2 = Fraction(a2)
-    source = g2_model(Fraction(-1, 2), a2)
-    image = pushforward(source, PSI1_IMAGES)
+    image = pushforward(g2_model(Fraction(-1, 2), a2), PSI1_IMAGES)
     target = g2_model(a2, Fraction(-1, 2))
-    rename = {"S": MPoly.var(("S", "P"), "S"), "P": MPoly.var(("S", "P"), "P")}
-    factor: Fraction | None = None
-    pairs: list[tuple[MPoly, MPoly]] = []
-    for key in (("s", "s"), ("s", "p"), ("p", "p")):
-        upstairs = image.gamma_entry(key[0].upper(), key[1].upper())
-        downstairs = target.gamma_entry(*key).subs(
-            {"s": rename["S"], "p": rename["P"]}
-        )
-        pairs.append((upstairs, downstairs))
-    for var in ("s", "p"):
-        downstairs = target.drift[var].subs({"s": rename["S"], "p": rename["P"]})
-        pairs.append((image.drift[var.upper()], downstairs))
-    for upstairs, downstairs in pairs:
-        if downstairs.is_zero():
-            if not upstairs.is_zero():
-                raise ValueError("image entry nonzero where target vanishes")
-            continue
-        exps, coeff = downstairs.leading()
-        ratio = upstairs.coefficient(exps) / coeff
-        if not ratio.is_rational():
-            raise ValueError("proportionality factor is not rational")
-        c = ratio.rational_value()
-        if factor is None:
-            factor = c
-        elif factor != c:
-            raise ValueError(f"entries disagree on the factor: {factor} vs {c}")
-        if upstairs != downstairs * c:
-            raise ValueError("image is not an exact scalar multiple of the target")
-    if factor is None:
-        raise ValueError("degenerate model comparison")
-    return factor
+    exps, coeff = target.gamma[("s", "s")].leading()
+    c = image.gamma[("s", "s")].coefficient(exps) / coeff
+    if (not c.is_rational()
+            or image.gamma != {key: entry * c for key, entry in target.gamma.items()}
+            or image.drift != {v: entry * c for v, entry in target.drift.items()}):
+        raise ValueError(f"image is not an exact rational multiple of the target "
+                         f"(Gamma(s, s) ratio {c})")
+    return c.rational_value()
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import z_of_theta
+from .models import deltoid_boundary_values, z_of_theta
 
 STATUSES = (
     "proven-exact",
@@ -225,8 +225,6 @@ def deltoid_svg(samples: int = 720) -> str:
 
 def eigen_levels_svg(poly) -> str:
     """Level-set bands of |poly| over the domain, as colored cells."""
-    from .models import deltoid_boundary_values
-
     grid_n, bands = 120, 12
     lines = _svg_header()
     xs = np.linspace(*PLOT_BOX, grid_n)

@@ -458,11 +458,10 @@ def estimate_moments(
 
 
 def pushforward_deltoid(batch: SampleBatch) -> np.ndarray:
-    """Map a batch into the deltoid domain: the complex Z value per sample."""
+    """Map a torus or omega1 batch into the deltoid domain: the complex Z value
+    per sample.  SU(3) traces come from su3_trace_blocks instead."""
     if batch.kind == "torus":
         return z_of_theta(batch.points[:, 0], batch.points[:, 1])
-    if batch.kind == "su3":
-        return np.trace(batch.points, axis1=-2, axis2=-1) / 3.0
     if batch.kind == "omega1":
         return batch.points.mean(axis=1)
-    raise ValueError(f"unknown batch kind {batch.kind!r}")
+    raise ValueError(f"no deltoid pushforward for batch kind {batch.kind!r}")

@@ -35,12 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .diffusion import DiffusionModel, cometric, l_apply
+from .diffusion import DiffusionModel, cometric, l_apply, rewrite_in_images
 from .models import (
     DELTOID_CONJ_PAIRS,
     DELTOID_J_WEIGHTS,
     DELTOID_VARS,
     G2_VARS,
+    PSI_IMAGES,
     deltoid_model,
 )
 from .poly import Exponents, MPoly, monomials_up_to
@@ -273,7 +274,10 @@ def _operator(model: DiffusionModel, flavor: str | None = None) -> _OperatorBasi
     if basis is None or flavor not in (None, basis.flavor):
         raise ValueError(f"no {flavor or 'graded'} eigenbasis for the variables {model.variables}")
     key = (model.gamma_key, tuple(model.drift[v] for v in model.variables))
-    return _OPERATORS.setdefault(key, _OperatorBasis(model, basis))
+    entry = _OPERATORS.get(key)
+    if entry is None:
+        entry = _OPERATORS[key] = _OperatorBasis(model, basis)
+    return entry
 
 
 def eigenbasis(model: DiffusionModel, max_degree: int) -> dict[Exponents, EigenPoly]:
@@ -399,9 +403,6 @@ def eigen_g2(model: DiffusionModel, weighted_degree: int) -> list[EigenPoly]:
 
 def rewrite_symmetric_in_sp(poly: MPoly) -> MPoly:
     """Rewrite a swap-symmetric deltoid polynomial in s = Z + Zb, p = Z Zb."""
-    from .diffusion import rewrite_in_images
-    from .models import PSI_IMAGES
-
     if poly.swap_variables(DELTOID_CONJ_PAIRS) != poly:
         raise ValueError("polynomial is not symmetric under the variable swap")
     return rewrite_in_images(poly, PSI_IMAGES, G2_VARS, "symmetric rewrite")

@@ -116,6 +116,7 @@ from .spectral import (
     coefficient_components_ok,
     eigen_PQ_lambda,
     eigen_R,
+    eigen_g2,
     eigenbasis,
     eigenvalue_deltoid,
     pq_indices,
@@ -437,7 +438,7 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
     def g2_projection_check(lam: Fraction) -> bool:
         image = pushforward(deltoid_model(lam), PSI_IMAGES)
         target = g2_from_lambda(lam)
-        return dict(image.gamma) == dict(target.gamma) and dict(image.drift) == dict(target.drift)
+        return image.gamma == target.gamma and image.drift == target.drift
 
     _for_all_lambda(report, "deltoid.projection_to_g2",
                     "(s, p) projection carries the deltoid model onto the G2 model; exact at l in "
@@ -494,22 +495,15 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
         else:
             require(False, "pushforward unexpectedly closed at a1 = 0")
 
-    big = MPoly.variables_ring(("S", "P"))
-    q1_big = big["S"] ** 2 - big["P"] * 4
-    q2_big = (
-        big["P"] ** 2 * 3 + big["S"] * big["P"] * 12 + big["P"] * 6 - big["S"] ** 3 * 4 - 1
-    )
-    sub = {"S": PSI1_IMAGES["S"], "P": PSI1_IMAGES["P"]}
-    pull_q1 = q1_big.subs(sub)
-    cofactor = try_divide(q2_big.subs(sub), q1)
+    pull_q1 = q1.subs(PSI1_IMAGES)
+    cofactor = try_divide(q2.subs(PSI1_IMAGES), q1)
     with _exact(report, "g2.psi1_boundary_exchange",
                 f"q1 pulls back to 3 q2; q2 pulls back to q1 * ({cofactor})") as require:
         require(pull_q1 == q2 * 3 and cofactor is not None, f"q1 pullback = {pull_q1}")
 
     with _exact(report, "g2.boundary_pullback_to_deltoid",
                 "under (s, p) = (Z + Zb, Z Zb): q2 = -4 P and q1 = (Z - Zb)^2") as require:
-        sub_psi = {"s": PSI_IMAGES["s"], "p": PSI_IMAGES["p"]}
-        require(q2.subs(sub_psi) == p_poly * (-4) and q1.subs(sub_psi) == (zvar - zbvar) ** 2,
+        require(q2.subs(PSI_IMAGES) == p_poly * (-4) and q1.subs(PSI_IMAGES) == (zvar - zbvar) ** 2,
                 "pullbacks do not match")
 
 
@@ -613,12 +607,13 @@ def _suite_spectral(report: VerificationReport, config: VerifyConfig) -> None:
                 "symmetric pairs rewritten in (s, p) equal the weighted-graded eigenbasis "
                 "up to leading-coefficient scale, n+k <= 5") as require:
         lam = Fraction(7, 3)
-        g2_basis = eigenbasis(g2_from_lambda(lam), 5)
+        g2 = g2_from_lambda(lam)
         for n, k in pq_indices(5):
             p_hat, _ = eigen_PQ_lambda(lam, n, k)
             in_sp = rewrite_symmetric_in_sp(p_hat.poly)
             lead = in_sp.coefficient((n - k, k))
-            require(in_sp == g2_basis[(n - k, k)].poly * lead, f"(n,k)=({n},{k})")
+            # The slice n + k lists its leads (n + k - 2t, t) by t.
+            require(in_sp == eigen_g2(g2, n + k)[k].poly * lead, f"(n,k)=({n},{k})")
 
     # Maximum at the reference cusp: the grid max of |P| must land within one
     # cell of the cusp (see cusp_scan).

@@ -20,6 +20,7 @@ from deltoid_lab.models import (
     flat_torus_model,
     flat_torus_sign_report,
     g2_from_lambda,
+    g2_gamma_table,
     g2_model,
     membership_deltoid,
     omega1_boundary_values,
@@ -35,6 +36,7 @@ from deltoid_lab.models import (
     z_of_theta,
 )
 from deltoid_lab.poly import CompiledPolys, MPoly, divide_exact, try_divide
+from deltoid_lab.report import VerificationReport
 from deltoid_lab.scalars import FieldScalar
 
 J = complex(-0.5, math.sqrt(3) / 2)
@@ -151,13 +153,13 @@ class TestG2Model:
 class TestPsi1:
     def test_fixed_bitangent_point(self):
         point = {"s": 2, "p": 1}
-        assert PSI1_IMAGES["S"].evaluate_exact(point) == FieldScalar(2)
-        assert PSI1_IMAGES["P"].evaluate_exact(point) == FieldScalar(1)
+        assert PSI1_IMAGES["s"].evaluate_exact(point) == FieldScalar(2)
+        assert PSI1_IMAGES["p"].evaluate_exact(point) == FieldScalar(1)
 
     def test_boundary_factor_exchange_exact(self):
         q1, q2 = q1_q2()
         big = MPoly.variables_ring(("S", "P"))
-        sub = {"S": PSI1_IMAGES["S"], "P": PSI1_IMAGES["P"]}
+        sub = {"S": PSI1_IMAGES["s"], "P": PSI1_IMAGES["p"]}
         assert (big["S"] ** 2 - big["P"] * 4).subs(sub) == q2 * 3
         pull_q2 = (big["P"] ** 2 * 3 + big["S"] * big["P"] * 12 + big["P"] * 6
                    - big["S"] ** 3 * 4 - 1).subs(sub)
@@ -173,6 +175,39 @@ class TestPsi1:
     def test_not_closed_off_half_integer(self):
         with pytest.raises(NotClosedError):
             pushforward(g2_model(0, Fraction(1, 2)), PSI1_IMAGES)
+
+    def test_composition_matches_the_map_in_its_own_image_variables(self):
+        # The map as it was written before it was keyed by G2_VARS: images of
+        # separate coordinates (S, P), composed after renaming s, p to S, P.
+        s, p = (MPoly.var(G2_VARS, v) for v in G2_VARS)
+        old_map = {"S": p * 3 - 1, "P": (s ** 3 - s * p * 3) * 3 - p * 6 + 1}
+        rename = {"s": MPoly.var(("S", "P"), "S"), "p": MPoly.var(("S", "P"), "P")}
+        q1, q2 = q1_q2()
+        for f in (q1, q2, *g2_gamma_table().values()):
+            got = f.subs(PSI1_IMAGES)
+            expected = f.subs(rename).subs(old_map)
+            assert list(got.terms.items()) == list(expected.terms.items())
+
+    def test_intertwining_fails_against_a_shifted_target(self, monkeypatch):
+        # Negative control: the target (a2, -1/2) built at (a2 + 1/6, -1/2)
+        # shares the Gamma table, so only the drift comparison can refuse it.
+        from deltoid_lab import models, verify
+
+        real_g2_model = models.g2_model
+
+        def shifted(a1, a2):
+            return real_g2_model(a1 + Fraction(1, 6) if a2 == Fraction(-1, 2) else a1, a2)
+
+        monkeypatch.setattr(models, "g2_model", shifted)
+        with pytest.raises(ValueError, match="not an exact rational multiple"):
+            psi1_intertwining_factor(Fraction(1, 2))
+        report = VerificationReport(config={}, anchors=dict(verify.IDENTITY_MANIFEST))
+        verify._suite_symbolic(report, verify.VerifyConfig())
+        entries = {e.name: e for e in report.entries}
+        failed = entries["g2.psi1_intertwining"]
+        assert failed.status == "exact-fail"
+        assert failed.details.startswith("ValueError: image is not an exact rational multiple")
+        assert entries["g2.psi1_boundary_exchange"].status == "proven-exact"
 
 
 class TestFlatTorus:

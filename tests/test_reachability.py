@@ -1,12 +1,11 @@
 """Every definition in the package is reached from the program, not only from tests.
 
 A top-level function or class, or a public method, of ``src/deltoid_lab`` must be
-named somewhere in ``src/``, ``scripts/`` or ``perfbench/`` besides its own
-definition.  A name that ``perfbench/`` defines itself counts only when
-``src/`` or ``scripts/`` names it, since a benchmark helper of the same name
-says nothing about the package's one.  Methods that override a method of a
-base class outside the package (an argparse hook, say) are called by that
-base class and are exempt.
+named somewhere in ``src/`` or ``scripts/`` besides its own definition.  A name
+that only ``perfbench/`` uses does not count: a benchmark measures the program,
+it does not make code part of it.  Methods that override a method of a base
+class outside the package (an argparse hook, say) are called by that base class
+and are exempt.
 """
 
 import ast
@@ -18,10 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "deltoid_lab"
 
 
-def _names_in(directory: str) -> tuple[Counter, set]:
-    """Identifiers read, accessed or imported in a directory, and the names it defines."""
+def _names_in(directory: str) -> Counter:
+    """Identifiers read, accessed or imported in a directory."""
     used: Counter = Counter()
-    defined: set = set()
     for path in (ROOT / directory).rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -30,18 +28,12 @@ def _names_in(directory: str) -> tuple[Counter, set]:
                 used[node.attr] += 1
             elif isinstance(node, ast.alias):
                 used[node.name.rsplit(".", 1)[-1]] += 1
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-    return used, defined
+    return used
 
 
 def _names_used() -> Counter:
     """Every identifier the program uses that could name a package definition."""
-    used = _names_in("src")[0] + _names_in("scripts")[0]
-    bench_used, bench_defined = _names_in("perfbench")
-    for name in bench_defined:
-        bench_used.pop(name, None)
-    return used + bench_used
+    return _names_in("src") + _names_in("scripts")
 
 
 def _overrides_external_base(module, class_name: str, method: str) -> bool:

@@ -539,6 +539,12 @@ def test_estimate_moments_constant():
     assert out.mean == 1.0 and out.standard_error == 0.0
 
 
+def test_pushforward_refuses_an_su3_batch():
+    # SU(3) traces are read through su3_trace_blocks; no deltoid pushforward takes the matrices.
+    with pytest.raises(ValueError, match="'su3'"):
+        pushforward_deltoid(sample_su3_haar(4, 1))
+
+
 def test_moment_consistency_api():
     batch = sample_torus(50_000, 3)
     zs = pushforward_deltoid(batch)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,18 @@ def test_error_inside_exact_block_is_recorded_and_the_run_goes_on(monkeypatch):
     # The identity after the broken one still runs.
     assert entries["algebra.exact_division_roundtrip"].status == "proven-exact"
     assert len(report.entries) == 5 and report.exit_code() == 2
+
+
+def test_g2_eigen_match_fails_against_a_shifted_g2_model(monkeypatch):
+    # Negative control: the G2 model built at lambda + 1/2 has other eigenpolynomials.
+    real_g2_from_lambda = verify.g2_from_lambda
+    monkeypatch.setattr(verify, "g2_from_lambda",
+                        lambda lam: real_g2_from_lambda(lam + Fraction(1, 2)))
+    report = _report()
+    verify._suite_spectral(report, verify.VerifyConfig(eigen_degree_max=1, cusp_grid_n=5))
+    (entry,) = [e for e in report.entries if e.name == "spectral.g2_eigen_match"]
+    assert entry.status == "exact-fail"
+    assert re.fullmatch(r"\(n,k\)=\(\d+,\d+\)", entry.details)
 
 
 def test_selfadjointness_reports_the_pairs_it_ran():
