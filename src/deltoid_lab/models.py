@@ -36,6 +36,7 @@ SIXDIM_VARS = ("z1", "z2", "z3", "zb1", "zb2", "zb3")
 G2_VARS = ("s", "p")
 
 DELTOID_CONJ_PAIRS = (("Z", "Zb"),)
+SIXDIM_CONJ_PAIRS = tuple(zip(SIXDIM_VARS[:3], SIXDIM_VARS[3:]))
 
 # j-rotation weights: Z -> j Z, Zb -> jbar Zb.
 DELTOID_J_WEIGHTS = {"Z": 1, "Zb": -1}
@@ -69,6 +70,12 @@ def deltoid_model(lam: RationalLike) -> DiffusionModel:
     }
     drift = {"Z": Z * (-lam), "Zb": Zb * (-lam)}
     return DiffusionModel(DELTOID_VARS, gamma, drift, {"lambda": lam})
+
+
+def deltoid_density_exponent(lam: RationalLike) -> Fraction:
+    """alpha = (2 lam - 5)/6: the deltoid model at lam is reversible for P**alpha."""
+    lam = Fraction(lam)
+    return (2 * lam - 5) / 6
 
 
 def deltoid_boundary_poly() -> MPoly:
@@ -118,6 +125,12 @@ def sixdim_model(lam: RationalLike) -> DiffusionModel:
     drift = {f"z{i+1}": z[i] * (-lam) for i in range(3)}
     drift.update({f"zb{i+1}": zb[i] * (-lam) for i in range(3)})
     return DiffusionModel(SIXDIM_VARS, gamma, drift, {"lambda": lam})
+
+
+def lifted_density_exponent(lam: RationalLike) -> Fraction:
+    """beta = (2 lam - 11)/6: the lifted model at lam is reversible for P1**beta."""
+    lam = Fraction(lam)
+    return (2 * lam - 11) / 6
 
 
 def p1_p2() -> tuple[MPoly, MPoly]:
@@ -309,10 +322,7 @@ def constrained_torus_points(n: int, seed: int) -> np.ndarray:
     """Random points with |z_i| = 1 and z1 z2 z3 = 1, as (n, 3) arrays."""
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 2.0 * math.pi, size=(n, 2))
-    z1 = np.exp(1j * t[:, 0])
-    z2 = np.exp(1j * t[:, 1])
-    z3 = np.exp(-1j * (t[:, 0] + t[:, 1]))
-    return np.stack([z1, z2, z3], axis=1)
+    return np.stack(theta_phases(t[:, 0], t[:, 1]), axis=1)
 
 
 def flat_torus_sign_report(n: int = 1000, seed: int = 7) -> dict:
@@ -359,8 +369,8 @@ def su3_gamma_pointwise(g: np.ndarray) -> dict:
 
     g is one matrix or a stack, shape (..., 3, 3), and every value has the
     stack shape.  Returns the three values Gamma(Z,Z), Gamma(Z,Zb), L(Z)
-    computed from the SU(3) entry table, together with their residuals
-    against the deltoid table at lambda = 4 and the trace reduction
+    computed from the SU(3) entry table, their residuals against those of
+    deltoid_model(4) and the residual of the trace reduction
     tr(g^2) = 9 Z^2 - 6 Zb.  A matrix that is not special unitary raises.
     """
     g = np.asarray(g, dtype=complex)
@@ -384,14 +394,17 @@ def su3_gamma_pointwise(g: np.ndarray) -> dict:
     gamma_zz = SU3_CASIMIR_SCALE * ((3.0 * z) ** 2 - 3.0 * tr_g2) / 9.0
     gamma_zzb = SU3_CASIMIR_SCALE * (9.0 - (3.0 * z) * (3.0 * zb)) / 9.0
     l_z = SU3_CASIMIR_SCALE * (-8.0) * z
+    deltoid = deltoid_model(4)
+    refs = CompiledPolys([deltoid.gamma["Z", "Z"], deltoid.gamma["Z", "Zb"], deltoid.drift["Z"]])
+    ref_zz, ref_zzb, ref_l_z = refs.values({"Z": z, "Zb": zb})
     return {
         "Z": z,
         "gamma_zz": gamma_zz,
         "gamma_zzb": gamma_zzb,
         "l_z": l_z,
-        "residual_gamma_zz": abs(gamma_zz - (zb - z * z)),
-        "residual_gamma_zzb": abs(gamma_zzb - 0.5 * (1.0 - z * zb)),
-        "residual_l_z": abs(l_z - (-4.0) * z),
+        "residual_gamma_zz": abs(gamma_zz - ref_zz),
+        "residual_gamma_zzb": abs(gamma_zzb - ref_zzb),
+        "residual_l_z": abs(l_z - ref_l_z),
         "residual_trace_identity": abs(tr_g2 - (9.0 * z * z - 6.0 * zb)),
         "unitary_residual": unitary_residual,
     }
@@ -419,6 +432,11 @@ class ThetaPair:
         return all(gap > margin for gap in gaps)
 
 
+def theta_phases(t1, t2):
+    """The phases (exp(i t1), exp(i t2), exp(-i (t1 + t2))) of the torus point t."""
+    return np.exp(1j * t1), np.exp(1j * t2), np.exp(-1j * (t1 + t2))
+
+
 def z_of_theta(t1, t2):
     """Z(theta) = (exp(i t1) + exp(i t2) + exp(-i (t1 + t2))) / 3.
 
@@ -431,19 +449,15 @@ def z_of_theta(t1, t2):
     a, b, z = t1.reshape(-1), t2.reshape(-1), out.reshape(-1)
     for start in range(0, z.size, EVAL_CHUNK):
         block = slice(start, start + EVAL_CHUNK)
-        s1, s2 = a[block], b[block]
-        z[block] = (np.exp(1j * s1) + np.exp(1j * s2) + np.exp(-1j * (s1 + s2))) / 3.0
+        e1, e2, e3 = theta_phases(a[block], b[block])
+        z[block] = (e1 + e2 + e3) / 3.0
     return out if out.shape else complex(out)
 
 
 def phi_theta(points: np.ndarray, theta: ThetaPair | tuple[float, float]) -> np.ndarray:
     """Coordinate-wise rotation (z1, z2, z3) -> (e^{i t1} z1, e^{i t2} z2, e^{-i(t1+t2)} z3)."""
     t1, t2 = (theta.t1, theta.t2) if isinstance(theta, ThetaPair) else theta
-    pts = np.asarray(points, dtype=complex)
-    phases = np.array(
-        [np.exp(1j * t1), np.exp(1j * t2), np.exp(-1j * (t1 + t2))], dtype=complex
-    )
-    return pts * phases
+    return np.asarray(points, dtype=complex) * np.array(theta_phases(t1, t2), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +521,7 @@ def g2_model(a1: RationalLike, a2: RationalLike) -> DiffusionModel:
 
 def g2_from_lambda(lam: RationalLike) -> DiffusionModel:
     """G2 model matching the deltoid parameter: (a1, a2) = (-1/2, (2 lam - 5)/6)."""
-    lam = Fraction(lam)
-    return g2_model(Fraction(-1, 2), (2 * lam - 5) / 6)
+    return g2_model(Fraction(-1, 2), deltoid_density_exponent(lam))
 
 
 PSI_IMAGES = {

@@ -15,6 +15,7 @@ exact determinants / linear solves over the coefficient field.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -682,23 +683,10 @@ def solve_field_linear(
 def monomials_up_to(
     variables: Sequence[str], bound: int, weight: Callable[[Exponents], int] | None = None
 ) -> list[Exponents]:
-    """All exponent tuples with weighted degree <= bound, in graded-lex order."""
-    variables = tuple(variables)
-    weight = weight or (lambda e: sum(e))
-    out: list[Exponents] = []
-
-    def rec(prefix: list[int], pos: int) -> None:
-        if pos == len(variables):
-            e = tuple(prefix)
-            if weight(e) <= bound:
-                out.append(e)
-            return
-        for k in range(bound + 1):
-            prefix.append(k)
-            if weight(tuple(prefix + [0] * (len(variables) - pos - 1))) <= bound:
-                rec(prefix, pos + 1)
-            prefix.pop()
-
-    rec([], 0)
+    """All exponent tuples with weighted degree <= bound, in graded-lex order;
+    the weight counts each variable at least once, so no exponent exceeds bound."""
+    weight = weight or sum
+    out = [e for e in itertools.product(range(bound + 1), repeat=len(variables))
+           if weight(e) <= bound]
     out.sort(key=_grlex_key)
     return out

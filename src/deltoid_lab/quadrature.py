@@ -24,15 +24,21 @@ from typing import Sequence
 import numpy as np
 
 from .diffusion import DiffusionModel, gamma_apply, l_apply
-from .models import LAMBDA_RANGES, deltoid_boundary_values, z_of_theta
+from .models import (
+    LAMBDA_RANGES,
+    deltoid_boundary_values,
+    deltoid_density_exponent,
+    theta_phases,
+    z_of_theta,
+)
 from .poly import CompiledPolys, MPoly
 from .scalars import RationalLike
 
 
 def torus_jacobian(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Signed area Jacobian of t -> Z(t) in real coordinates."""
-    dz1 = 1j * (np.exp(1j * t1) - np.exp(-1j * (t1 + t2))) / 3.0
-    dz2 = 1j * (np.exp(1j * t2) - np.exp(-1j * (t1 + t2))) / 3.0
+    e1, e2, e3 = theta_phases(t1, t2)
+    dz1, dz2 = 1j * (e1 - e3) / 3.0, 1j * (e2 - e3) / 3.0
     return (np.conj(dz1) * dz2).imag
 
 
@@ -63,12 +69,12 @@ class TorusGrid:
         axis2 = np.arange(n) * h
         t1, t2 = np.meshgrid(axis1, axis2, indexing="ij")
         z = z_of_theta(t1, t2)
-        # The raw weight is P**alpha * |J| with alpha = (2*lambda - 5)/6.
-        # Since |J|**2 = P/3 (audited by jacobian_weight_audit), this equals
-        # P**((lambda - 1)/3) up to a constant that cancels in normalized
+        # The raw weight is P**alpha * |J| with alpha the deltoid density
+        # exponent.  Since |J|**2 = P/3 (audited by jacobian_weight_audit), it
+        # equals P**(alpha + 1/2) up to a constant that cancels in normalized
         # ratios; the folded form never divides by a near-zero P and is
         # exactly constant at lambda = 1 and exactly P at lambda = 4.
-        exponent = float((lam - 1) / 3)
+        exponent = float(deltoid_density_exponent(lam) + Fraction(1, 2))
         pvals = np.maximum(np.asarray(deltoid_boundary_values(z)), 0.0)
         weight = pvals**exponent
         if not np.all(np.isfinite(weight)):

@@ -193,28 +193,13 @@ def _to_pixel(x: float, y: float) -> tuple[float, float]:
     return px, py
 
 
-def deltoid_curve_points(samples: int = 720) -> list[tuple[float, float]]:
-    """The boundary curve x(t) = (2 cos t + cos 2t)/3, y(t) = (2 sin t - sin 2t)/3."""
-    out = []
-    for i in range(samples):
-        t = 2.0 * math.pi * i / samples
-        out.append(
-            (
-                (2.0 * math.cos(t) + math.cos(2.0 * t)) / 3.0,
-                (2.0 * math.sin(t) - math.sin(2.0 * t)) / 3.0,
-            )
-        )
-    return out
-
-
 def deltoid_svg(samples: int = 720) -> str:
-    """Boundary curve with the three cusps 1, j, jbar marked."""
+    """Boundary curve Z(t, t) with the three cusps 1, j, jbar marked."""
     lines = _svg_header()
-    pts = deltoid_curve_points(samples)
-    path = " ".join(
-        f"{'M' if i == 0 else 'L'}{_to_pixel(x, y)[0]:.3f},{_to_pixel(x, y)[1]:.3f}"
-        for i, (x, y) in enumerate(pts)
-    )
+    t = 2.0 * math.pi * np.arange(samples) / samples
+    pixels = [_to_pixel(z.real, z.imag) for z in z_of_theta(t, t)]
+    path = " ".join(f"{'M' if i == 0 else 'L'}{px:.3f},{py:.3f}"
+                    for i, (px, py) in enumerate(pixels))
     lines.append(f'<path d="{path} Z" fill="none" stroke="black" stroke-width="1.5"/>')
     for cx, cy in ((1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0), (-0.5, -math.sqrt(3.0) / 2.0)):
         px, py = _to_pixel(cx, cy)

@@ -44,7 +44,13 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .models import LAMBDA_RANGES, omega1_membership, omega1_modulus_parts, z_of_theta
+from .models import (
+    LAMBDA_RANGES,
+    lifted_density_exponent,
+    omega1_membership,
+    omega1_modulus_parts,
+    z_of_theta,
+)
 from .poly import EVAL_CHUNK
 from .scalars import RationalLike
 
@@ -225,10 +231,6 @@ def su3_trace_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _beta_of_lambda(lam: Fraction) -> Fraction:
-    return (2 * lam - 11) / 6
-
-
 def _screen_mask(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Which polydisc proposals sqrt(u) * exp(1j * angles) may lie in the
     lifted domain, computed in real arithmetic on the draws.
@@ -302,7 +304,7 @@ def sample_omega1(
         )
     if n < 1:
         raise ValueError("need at least one sample")
-    beta = _beta_of_lambda(lam)
+    beta = lifted_density_exponent(lam)
     if method == "rejection":
         return _omega1_rejection(lam, beta, n, seed)
     if method == "mcmc":

@@ -125,10 +125,9 @@ def _monomial(variables: Sequence[str], exps: Exponents) -> MPoly:
 
 
 def operator_table(
-    model: DiffusionModel, basis: GradedBasis, monomials: Iterable[Exponents],
-    table: OperatorTable,
+    model: DiffusionModel, monomials: Iterable[Exponents], table: OperatorTable,
 ) -> OperatorTable:
-    """Apply L once to each of the given basis monomials the table lacks; return it.
+    """Apply L once to each of the given monomials the table lacks; return it.
 
     A row is the memoized second-order image plus L of the drift-only
     operator: l_apply(model, m) exactly, in a term order the solve never reads.
@@ -138,7 +137,7 @@ def operator_table(
     for exps in monomials:
         if exps not in table:
             table[exps] = (second.second_order(exps)
-                           + l_apply(first, _monomial(basis.variables, exps)))
+                           + l_apply(first, _monomial(model.variables, exps)))
     return table
 
 
@@ -241,7 +240,7 @@ class _OperatorBasis:
         if max_degree > self.degree:
             self.degree, self.held = max_degree, tuple(self.basis.monomials(max_degree))
             self.rank = {e: i for i, e in enumerate(self.held)}
-            operator_table(self.model, self.basis, self.held, self.table)
+            operator_table(self.model, self.held, self.table)
             self.eigenvalues = {e: -_diagonal(self.table, e) for e in self.held}
         if max_degree == self.degree:
             return self.held
@@ -251,7 +250,8 @@ class _OperatorBasis:
         if lead not in self.leads:
             if min(lead) < 0:
                 raise ValueError("indices must be nonnegative")
-            self.monomials(self.basis.degree(lead))
+            if self.basis.degree(lead) > self.degree:
+                self.monomials(self.basis.degree(lead))
             poly, mu = graded_triangular_solve(
                 self.model, lead, self.held, self.rank, self.table, self.eigenvalues)
             self.leads[lead] = EigenPoly(lead[0], lead[1], mu, poly, self.basis.flavor)

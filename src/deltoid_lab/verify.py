@@ -69,19 +69,23 @@ from .hypergroup import (
 )
 from .models import (
     DELTOID_CONJ_PAIRS,
+    DELTOID_J_WEIGHTS,
     DELTOID_VARS,
     G2_VARS,
     PI_IMAGES,
     PSI1_IMAGES,
     PSI_IMAGES,
+    SIXDIM_CONJ_PAIRS,
     SIXDIM_VARS,
     deltoid_boundary_poly,
     deltoid_boundary_values,
+    deltoid_density_exponent,
     deltoid_model,
     flat_torus_sign_report,
     g2_from_lambda,
     g2_gamma_table,
     g2_model,
+    lifted_density_exponent,
     membership_deltoid,
     omega1_membership,
     p1_p2,
@@ -319,14 +323,14 @@ def _suite_algebra(report: VerificationReport, config: VerifyConfig) -> None:
                 "conjugation swap is an involution on random polynomials") as require:
         for _ in range(15):
             f = _random_poly(rng, SIXDIM_VARS, 3, 5)
-            pairs = (("z1", "zb1"), ("z2", "zb2"), ("z3", "zb3"))
-            require(f.conj_swap(pairs).conj_swap(pairs) == f, "involution failed")
+            require(f.conj_swap(SIXDIM_CONJ_PAIRS).conj_swap(SIXDIM_CONJ_PAIRS) == f,
+                    "involution failed")
 
     with _exact(report, "algebra.rotation_period",
                 "triple j-rotation is the identity on random polynomials") as require:
         for _ in range(15):
             f = _random_poly(rng, DELTOID_VARS, 4, 5)
-            w = {"Z": 1, "Zb": -1}
+            w = DELTOID_J_WEIGHTS
             require(f.rotate_j(w).rotate_j(w).rotate_j(w) == f, "period-three failed")
 
     with _exact(report, "algebra.determinant_cross_check",
@@ -384,8 +388,8 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
 
     def deltoid_drift_check(lam: Fraction) -> bool:
         m = deltoid_model(lam)
-        alpha = (2 * lam - 5) / 6
-        derived = drift_from_measure(DELTOID_VARS, m.gamma, [(p_poly, alpha)])
+        derived = drift_from_measure(DELTOID_VARS, m.gamma,
+                                     [(p_poly, deltoid_density_exponent(lam))])
         return derived == dict(m.drift)
 
     _for_all_lambda(report, "deltoid.measure_drift",
@@ -420,8 +424,7 @@ def _suite_symbolic(report: VerificationReport, config: VerifyConfig) -> None:
 
     def sixdim_drift_check(lam: Fraction) -> bool:
         m = sixdim_model(lam)
-        beta = (2 * lam - 11) / 6
-        derived = drift_from_measure(SIXDIM_VARS, m.gamma, [(p1, beta)])
+        derived = drift_from_measure(SIXDIM_VARS, m.gamma, [(p1, lifted_density_exponent(lam))])
         return derived == dict(m.drift)
 
     _for_all_lambda(report, "sixdim.measure_drift",

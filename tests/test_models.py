@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltoid_lab.diffusion import NotClosedError, boundary_ideal_check, gamma_apply, pushforward
+from deltoid_lab import models
+from deltoid_lab.diffusion import (
+    DiffusionModel,
+    NotClosedError,
+    boundary_ideal_check,
+    gamma_apply,
+    pushforward,
+)
 from deltoid_lab.models import (
     DELTOID_VARS,
     G2_VARS,
@@ -64,6 +71,16 @@ class TestDeltoidModel:
         assert p == m.gamma_entry("Z", "Zb") ** 2 - m.gamma_entry("Z", "Z") * m.gamma_entry("Zb", "Zb")
         # Orientation: positive inside.
         assert p.constant_term().rational_value() == Fraction(1, 4)
+
+    def test_float_boundary_values_match_the_boundary_poly(self):
+        # The float formula drives the quadrature weights, the cusp mask and
+        # membership; it must be the polynomial P, which the exact suite proves.
+        x, y = np.meshgrid(np.linspace(-1.2, 1.2, 61), np.linspace(-1.2, 1.2, 61))
+        z = x + 1j * y
+        exact = deltoid_boundary_poly().evaluate({"Z": z, "Zb": np.conj(z)})
+        assert np.max(np.abs(deltoid_boundary_values(z) - exact)) < 1e-13
+        for cusp in (1.0, J, np.conj(J)):
+            assert deltoid_boundary_values(cusp) == 0.0
 
 
 class TestSixdimModel:
@@ -289,6 +306,22 @@ class TestSU3:
                 assert np.shape(value) == ()
                 assert stacked[key].shape == (5, 10)
                 assert abs(stacked[key][divmod(i, 10)] - value) <= 1e-14, key
+
+    def test_residuals_read_the_running_deltoid_table(self, monkeypatch):
+        from deltoid_lab.sampling import sample_su3_haar
+
+        original = models.deltoid_model
+
+        def shifted(lam):
+            m = original(lam)
+            gamma = {("Z", "Z"): m.gamma_entry("Z", "Z"), ("Zb", "Zb"): m.gamma_entry("Zb", "Zb"),
+                     ("Z", "Zb"): m.gamma_entry("Z", "Zb") + Fraction(1, 10)}
+            return DiffusionModel(m.variables, gamma, dict(m.drift), dict(m.params))
+
+        monkeypatch.setattr(models, "deltoid_model", shifted)
+        res = su3_gamma_pointwise(sample_su3_haar(50, 5).points)
+        assert res["residual_gamma_zzb"].min() > 1e-8
+        assert res["residual_gamma_zz"].max() < 1e-12 and res["residual_l_z"].max() < 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltoid_lab.models import DELTOID_VARS, deltoid_model
+from deltoid_lab.diffusion import drift_from_measure
+from deltoid_lab.models import (
+    DELTOID_VARS,
+    deltoid_boundary_poly,
+    deltoid_boundary_values,
+    deltoid_density_exponent,
+    deltoid_model,
+    z_of_theta,
+)
 from deltoid_lab.poly import MPoly
 from deltoid_lab.quadrature import (
     TorusGrid,
@@ -69,11 +77,22 @@ def test_jacobian_audit():
 
 def test_critical_line_maps_to_boundary():
     # On t1 = t2 the Jacobian and the boundary polynomial vanish together.
-    from deltoid_lab.models import deltoid_boundary_values, z_of_theta
+    t = np.linspace(0.0, 2.0 * math.pi, 721)
+    assert np.max(np.abs(torus_jacobian(t, t))) < 1e-15
+    assert np.max(np.abs(deltoid_boundary_values(z_of_theta(t, t)))) < 1e-15
 
-    t = np.array([0.7])
-    assert abs(torus_jacobian(t, t)[0]) < 1e-15
-    assert abs(deltoid_boundary_values(z_of_theta(t, t))[0]) < 1e-15
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(4), Fraction(11, 2)])
+def test_grid_weight_is_the_certified_density_folded_with_the_jacobian(lam):
+    # alpha is the exponent deltoid.measure_drift proves; the weight is
+    # P**alpha * |J| folded through |J|**2 = P/3 into P**(alpha + 1/2).
+    alpha = deltoid_density_exponent(lam)
+    model = deltoid_model(lam)
+    assert drift_from_measure(DELTOID_VARS, model.gamma,
+                              [(deltoid_boundary_poly(), alpha)]) == dict(model.drift)
+    grid = TorusGrid.build(lam, 32)
+    expected = np.maximum(deltoid_boundary_values(grid.z), 0.0) ** float(alpha + Fraction(1, 2))
+    assert np.array_equal(grid.weight, expected)
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(4)])

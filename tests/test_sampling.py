@@ -191,6 +191,21 @@ class TestOmega1:
         assert bool(np.all(omega1_membership(batch.points)))
         assert 0.01 < batch.stats["acceptance_rate"] < 0.2
 
+    @pytest.mark.parametrize("lam, method", [
+        (Fraction(4), "mcmc"), (Fraction(11, 2), "rejection"), (Fraction(13, 2), "rejection"),
+    ])
+    def test_sampled_density_is_the_lifted_models_measure(self, lam, method):
+        # The exponent the sampler runs gives the lifted drift exactly, as
+        # sixdim.measure_drift proves for the same definition.
+        from deltoid_lab.diffusion import drift_from_measure
+        from deltoid_lab.models import SIXDIM_VARS, p1_p2, sixdim_model
+
+        batch = sample_omega1(lam, 2000, 43, method=method)
+        model = sixdim_model(lam)
+        p1, _ = p1_p2()
+        assert drift_from_measure(SIXDIM_VARS, model.gamma,
+                                  [(p1, batch.params["beta"])]) == dict(model.drift)
+
     def test_rejection_beta_negative_refused(self):
         with pytest.raises(SamplingError):
             sample_omega1(Fraction(4), 100, 1, method="rejection")

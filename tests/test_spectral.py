@@ -47,7 +47,7 @@ def solve_inputs(model, basis, max_degree):
     """graded_triangular_solve's (order, rank, table, eigenvalues) from a fresh
     table to max_degree, outside the cache."""
     order = tuple(basis.monomials(max_degree))
-    table = operator_table(model, basis, order, {})
+    table = operator_table(model, order, {})
     return (order, {e: i for i, e in enumerate(order)}, table,
             {e: -spectral._diagonal(table, e) for e in order})
 
@@ -275,7 +275,7 @@ class TestGradedBasis:
     def test_operator_preserves_grading(self):
         for basis, model in ((DELTOID_BASIS, deltoid_model(Fraction(5, 2))),
                              (G2_BASIS, g2_from_lambda(Fraction(5, 2)))):
-            table = operator_table(model, basis, basis.monomials(6), {})
+            table = operator_table(model, basis.monomials(6), {})
             assert all(basis.degree(e) <= basis.degree(exps)
                        for exps, image in table.items() for e in image.terms)
 
@@ -285,7 +285,7 @@ class TestGradedBasis:
         from deltoid_lab.spectral import GradedBasis, _total_degree_key
 
         plain = GradedBasis(("s", "p"), lambda e: sum(e), _total_degree_key, "G")
-        table = operator_table(g2_from_lambda(Fraction(5, 2)), plain, plain.monomials(4), {})
+        table = operator_table(g2_from_lambda(Fraction(5, 2)), plain.monomials(4), {})
         assert any(sum(e) > sum(exps) for exps, image in table.items() for e in image.terms)
 
 
