@@ -59,8 +59,7 @@ def _other_index(i: int, j: int) -> int:
 def deltoid_model(lam: RationalLike) -> DiffusionModel:
     """Deltoid-domain operator: Gamma table plus drift (-lam*Z, -lam*Zb)."""
     lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError(f"parameter must be positive, got {lam}")
+    LAMBDA_RANGES["model"].require(lam)
     g = MPoly.variables_ring(DELTOID_VARS)
     Z, Zb = g["Z"], g["Zb"]
     gamma = {
@@ -103,8 +102,7 @@ def deltoid_boundary_values(z: np.ndarray | complex) -> np.ndarray | float:
 def sixdim_model(lam: RationalLike) -> DiffusionModel:
     """Lifted operator on (z1, z2, z3) and conjugates projecting to the deltoid."""
     lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError(f"parameter must be positive, got {lam}")
+    LAMBDA_RANGES["model"].require(lam)
     g = MPoly.variables_ring(SIXDIM_VARS)
     z = [g[f"z{i+1}"] for i in range(3)]
     zb = [g[f"zb{i+1}"] for i in range(3)]
@@ -205,14 +203,14 @@ def omega1_membership(points: np.ndarray, with_p1: bool = False):
     """Vectorized membership for the lifted domain.
 
     points: (..., 3) complex.  The practical predicate is P1 > 0, P2 < 0 and
-    max |z_i| < 1; contact with {P1 = 0} within 1e-14 counts as outside
-    (zero-measure set, keeps log densities finite).  with_p1 returns
-    (mask, P1), for a caller that also weighs the points by P1.
+    max |z_i| < 1; P1 <= OMEGA1_P1_FLOOR counts as outside (a zero-measure
+    set; keeps log densities finite).  with_p1 returns (mask, P1), for a
+    caller that also weighs the points by P1.
     """
     pts = np.asarray(points, dtype=complex)
     p1, p2 = omega1_boundary_values(pts)
     radii_ok = np.max(np.abs(pts), axis=-1) < 1.0
-    mask = (p1 > 1e-14) & (p2 < 0.0) & radii_ok
+    mask = (p1 > OMEGA1_P1_FLOOR) & (p2 < 0.0) & radii_ok
     return (mask, p1) if with_p1 else mask
 
 
@@ -497,22 +495,19 @@ def q1_q2() -> tuple[MPoly, MPoly]:
     return q1, q2
 
 
-def g2_integrability_ok(a1: Fraction, a2: Fraction) -> bool:
-    return a1 > -1 and a2 > Fraction(-5, 6) and a1 + a2 > Fraction(-4, 3)
-
-
 def g2_model(a1: RationalLike, a2: RationalLike) -> DiffusionModel:
     """G2-symmetric operator for the measure density q1**a1 * q2**a2.
 
-    Finiteness requires a1 > -1, a2 > -5/6 and a1 + a2 > -4/3; the drift is
-    derived from the measure, never transcribed.  The table, q1, q2 and their
-    cofactors are built once per process; a model only combines them.
+    Finiteness requires every entry of G2_RANGES; the drift is derived from
+    the measure, never transcribed.  The table, q1, q2 and their cofactors
+    are built once per process; a model only combines them.
     """
     a1, a2 = Fraction(a1), Fraction(a2)
-    if not g2_integrability_ok(a1, a2):
-        raise IntegrabilityError(
-            f"measure parameters ({a1}, {a2}) violate a1 > -1, a2 > -5/6, a1 + a2 > -4/3"
-        )
+    values = {"alpha1": a1, "alpha2": a2, "alpha1+alpha2": a1 + a2}
+    violated = [f"{key} {entry}" for key, entry in G2_RANGES.items()
+                if not entry.admits(values[key])]
+    if violated:
+        raise IntegrabilityError(f"measure parameters ({a1}, {a2}) violate {', '.join(violated)}")
     gamma = g2_gamma_table()
     q1, q2 = q1_q2()
     drift = drift_from_measure(G2_VARS, gamma, [(q1, a1), (q2, a2)])
@@ -568,28 +563,34 @@ def psi1_intertwining_factor(a2: RationalLike) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Parameter domains and registry
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ParameterRange:
-    """lambda > bound, or lambda >= bound when inclusive; user names who needs it."""
+    """value > bound, or value >= bound when inclusive; user names who needs it."""
 
     bound: Fraction
     inclusive: bool
     user: str
 
-    def admits(self, lam: Fraction) -> bool:
-        return lam >= self.bound if self.inclusive else lam > self.bound
+    def admits(self, value: Fraction) -> bool:
+        return value >= self.bound if self.inclusive else value > self.bound
 
     def __str__(self) -> str:
         return f"{'>=' if self.inclusive else '>'} {self.bound}"
 
+    def require(self, lam: Fraction, error: type[Exception] = ValueError, hint: str = "") -> None:
+        """Raise error, naming the user and the range, when lam is outside it."""
+        if not self.admits(lam):
+            raise error(f"{self.user} needs lambda {self}; got {lam}{hint}")
 
-# The deltoid parameter each layer accepts.  Torus quadrature needs a bounded
-# weight, the lifted sampler an integrable density P1**((2 lambda - 11)/6),
-# and rejection sampling the envelope P1**beta <= 1, i.e. beta >= 0.
+
+# The deltoid parameter each layer accepts, a condition on a density exponent
+# (a test ties each bound to it): a finite G2 measure for g2_from_lambda, a
+# bounded torus weight P**(alpha + 1/2), an integrable lifted density P1**beta,
+# and for rejection sampling the envelope P1**beta <= 1, i.e. beta >= 0.
 LAMBDA_RANGES = {
     "model": ParameterRange(Fraction(0), False, "the deltoid model"),
     "quadrature": ParameterRange(Fraction(1), True, "torus quadrature"),
@@ -597,6 +598,16 @@ LAMBDA_RANGES = {
     "rejection_sampler": ParameterRange(
         Fraction(11, 2), True, "rejection sampling of the lifted domain"),
 }
+
+# Finiteness of the G2 measure q1**alpha1 * q2**alpha2, one entry per condition.
+G2_RANGES = {
+    "alpha1": ParameterRange(Fraction(-1), False, "the G2 measure"),
+    "alpha2": ParameterRange(Fraction(-5, 6), False, "the G2 measure"),
+    "alpha1+alpha2": ParameterRange(Fraction(-4, 3), False, "the G2 measure"),
+}
+
+# omega1_membership and the MCMC loop count P1 <= OMEGA1_P1_FLOOR as outside.
+OMEGA1_P1_FLOOR = 1e-14
 
 
 MODEL_REGISTRY = {
@@ -608,10 +619,10 @@ MODEL_REGISTRY = {
             for layer, bound in LAMBDA_RANGES.items() if layer != "model"
         },
     },
-    "sixdim": {"constructor": "sixdim_model", "params": {"lambda": "> 0"}},
+    "sixdim": {"constructor": "sixdim_model", "params": {"lambda": str(LAMBDA_RANGES["model"])}},
     "flat_torus": {"constructor": "flat_torus_model", "params": {}},
     "g2": {
         "constructor": "g2_model",
-        "params": {"alpha1": "> -1", "alpha2": "> -5/6", "alpha1+alpha2": "> -4/3"},
+        "params": {key: str(entry) for key, entry in G2_RANGES.items()},
     },
 }

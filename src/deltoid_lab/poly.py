@@ -35,7 +35,7 @@ class NonDivisibleError(ArithmeticError):
     """Exact division failed; the claimed divisibility does not hold."""
 
 
-def _grlex_key(e: Exponents) -> tuple[int, Exponents]:
+def grlex_key(e: Exponents) -> tuple[int, Exponents]:
     return (sum(e), e)
 
 
@@ -108,7 +108,7 @@ class MPoly:
         """Leading (exponents, coefficient) in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
+        exps = max(self.terms, key=grlex_key)
         return exps, self.terms[exps]
 
     def coefficient(self, exps: Exponents) -> FieldScalar:
@@ -320,7 +320,7 @@ class MPoly:
     # -- canonical text -------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, FieldScalar]]:
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
 
     def _monomial_str(self, exps: Exponents) -> str:
         factors = []
@@ -688,5 +688,5 @@ def monomials_up_to(
     weight = weight or sum
     out = [e for e in itertools.product(range(bound + 1), repeat=len(variables))
            if weight(e) <= bound]
-    out.sort(key=_grlex_key)
+    out.sort(key=grlex_key)
     return out

@@ -57,11 +57,8 @@ class TorusGrid:
     @staticmethod
     def build(lam: RationalLike, n: int) -> "TorusGrid":
         lam = Fraction(lam)
-        if not LAMBDA_RANGES["quadrature"].admits(lam):
-            raise ValueError(
-                f"torus quadrature requires lambda >= 1 (weight bounded); got {lam}. "
-                "Use the sampling module for exploratory smaller parameters."
-            )
+        LAMBDA_RANGES["quadrature"].require(
+            lam, hint=". Use the sampling module for exploratory smaller parameters.")
         if n < TorusGrid.MIN_N:
             raise ValueError(f"grid must have at least {TorusGrid.MIN_N} points per axis")
         h = 2.0 * np.pi / n

@@ -46,6 +46,7 @@ import numpy as np
 
 from .models import (
     LAMBDA_RANGES,
+    OMEGA1_P1_FLOOR,
     lifted_density_exponent,
     omega1_membership,
     omega1_modulus_parts,
@@ -253,8 +254,8 @@ def _screen_mask(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
     are at most 1; the rounded angle sum, below 6*pi, moves the cosine by at
     most 6*pi*eps).  Every term of P1 and P2 is at most 16 in size, so the
     two evaluations differ by less than 1000 * 16 * eps < 2e-12, far inside
-    the margin 1e-9: a point the judge accepts (P1 > 1e-14, P2 < 0) always
-    survives the screen.
+    the margin 1e-9: a point the judge accepts (P1 > OMEGA1_P1_FLOOR, P2 < 0)
+    always survives the screen.
     """
     u0, u1, u2 = u.T
     base, p2 = omega1_modulus_parts(u0, u1, u2)
@@ -298,10 +299,7 @@ def sample_omega1(
     size from batch means and refuses runs with ESS below MIN_ESS.
     """
     lam = Fraction(lam)
-    if not LAMBDA_RANGES["lifted_sampler"].admits(lam):
-        raise ValueError(
-            f"lifted-domain sampling requires lambda > 5/2 (density exponent > -1); got {lam}"
-        )
+    LAMBDA_RANGES["lifted_sampler"].require(lam)
     if n < 1:
         raise ValueError("need at least one sample")
     beta = lifted_density_exponent(lam)
@@ -313,11 +311,7 @@ def sample_omega1(
 
 
 def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> SampleBatch:
-    if not LAMBDA_RANGES["rejection_sampler"].admits(lam):
-        raise SamplingError(
-            f"rejection sampling needs beta >= 0 (lambda >= 11/2); got beta = {beta}. "
-            "Use method='mcmc'."
-        )
+    LAMBDA_RANGES["rejection_sampler"].require(lam, SamplingError, ". Use method='mcmc'.")
     rng = np.random.default_rng(seed)
     points = np.empty((n, 3), dtype=complex)
     proposed = 0
@@ -364,14 +358,14 @@ def _omega1_log_p1(z0: complex, z1: complex, z2: complex) -> float:
     The scalar twin of models.omega1_membership and omega1_boundary_values
     for the MCMC inner loop, where numpy calls on one point cost far more
     than the arithmetic: the same omega1_modulus_parts and the same predicate
-    (P1 > 1e-14, P2 < 0, max |z_i| < 1).  Values agree with the array path to
-    rounding; numpy may fuse a complex product's multiply-add.
+    (P1 > OMEGA1_P1_FLOOR, P2 < 0, max |z_i| < 1).  Values agree with the
+    array path to rounding; numpy may fuse a complex product's multiply-add.
     """
     base, p2 = omega1_modulus_parts(z0.real * z0.real + z0.imag * z0.imag,
                                     z1.real * z1.real + z1.imag * z1.imag,
                                     z2.real * z2.real + z2.imag * z2.imag)
     p1 = base + 8.0 * (z0 * z1 * z2).real
-    if p1 > 1e-14 and p2 < 0.0 and max(abs(z0), abs(z1), abs(z2)) < 1.0:
+    if p1 > OMEGA1_P1_FLOOR and p2 < 0.0 and max(abs(z0), abs(z1), abs(z2)) < 1.0:
         return math.log(p1)
     return -math.inf
 

@@ -44,7 +44,7 @@ from .models import (
     PSI_IMAGES,
     deltoid_model,
 )
-from .poly import Exponents, MPoly, monomials_up_to
+from .poly import Exponents, MPoly, grlex_key, monomials_up_to
 from .scalars import FieldScalar, I, ONE, RationalLike, j_power
 
 OrderKey = Callable[[Exponents], tuple]
@@ -85,10 +85,6 @@ def eigenvalue_deltoid(lam: Fraction, n: int, k: int) -> Fraction:
     return (lam - 1) * (n + k) + n * n + k * k + n * k
 
 
-def _total_degree_key(e: Exponents) -> tuple:
-    return (sum(e), e)
-
-
 def g2_weighted_degree(e: Exponents) -> int:
     """Weighted degree of s^r p^t, with p counting twice."""
     return e[0] + 2 * e[1]
@@ -116,7 +112,7 @@ class GradedBasis:
                       key=self.order_key)
 
 
-DELTOID_BASIS = GradedBasis(DELTOID_VARS, lambda e: sum(e), _total_degree_key, "R")
+DELTOID_BASIS = GradedBasis(DELTOID_VARS, lambda e: sum(e), grlex_key, "R")
 G2_BASIS = GradedBasis(G2_VARS, g2_weighted_degree, _g2_key, "G")
 
 

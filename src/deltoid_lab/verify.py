@@ -665,13 +665,16 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
                Gate(audit["lambda1_weight_deviation"], 1e-9))
 
     @functools.cache
+    def grid(lam: Fraction) -> TorusGrid:
+        return TorusGrid.build(lam, config.grid_n)
+
+    @functools.cache
     def gram_worst() -> tuple[float, float]:
         worst_off = 0.0
         worst_norm = 0.0
         for lam in (Fraction(1), Fraction(4)):
-            grid = TorusGrid.build(lam, config.grid_n)
             entries = pq_polys(lam, config.gram_degree_max)
-            gmat = gram([poly for *_, poly in entries], grid)
+            gmat = gram([poly for *_, poly in entries], grid(lam))
             off = gmat - np.diag(np.diag(gmat))
             worst_off = max(worst_off, float(np.max(np.abs(off))))
             norms = np.sqrt(np.diag(gmat).real)
@@ -697,7 +700,6 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
         worst_inv = 0.0
         pairs = 0
         for lam in (Fraction(1), Fraction(4)):
-            grid = TorusGrid.build(lam, config.grid_n)
             model = deltoid_model(lam)
             for _ in range(config.selfadjoint_pairs // 2):
                 pairs += 1
@@ -705,8 +707,8 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
                 g = _random_poly(rng, DELTOID_VARS, 3, 4)
                 f = f + f.conj_swap(DELTOID_CONJ_PAIRS)
                 g = g + g.conj_swap(DELTOID_CONJ_PAIRS)
-                worst_sa = max(worst_sa, selfadjoint_check(model, f, g, grid))
-                worst_inv = max(worst_inv, measure_invariance_residual(model, f, grid))
+                worst_sa = max(worst_sa, selfadjoint_check(model, f, g, grid(lam)))
+                worst_inv = max(worst_inv, measure_invariance_residual(model, f, grid(lam)))
         return worst_sa, worst_inv, pairs
 
     with _numeric(report, "quadrature.selfadjointness") as record:
@@ -719,12 +721,11 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
 
     with _numeric(report, "quadrature.eigenvalue_recovery") as record:
         lam = Fraction(4)
-        grid = TorusGrid.build(lam, config.grid_n)
         model = deltoid_model(lam)
         worst_eig = 0.0
         for n, k in pq_indices(4):
             p_hat, _ = eigen_PQ_lambda(lam, n, k)
-            rec = eigenvalue_recovery(model, p_hat.poly, grid)
+            rec = eigenvalue_recovery(model, p_hat.poly, grid(lam))
             worst_eig = max(worst_eig, abs(rec + float(eigenvalue_deltoid(lam, n, k))))
         record(f"max |Rayleigh quotient + eigenvalue| = {worst_eig:.2e}", Gate(worst_eig, 1e-7))
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,21 +15,27 @@ from deltoid_lab.diffusion import (
 )
 from deltoid_lab.models import (
     DELTOID_VARS,
+    G2_RANGES,
     G2_VARS,
+    LAMBDA_RANGES,
+    MODEL_REGISTRY,
     PSI1_IMAGES,
     PSI_IMAGES,
     SIXDIM_VARS,
     IntegrabilityError,
+    ParameterRange,
     ThetaPair,
     constrained_torus_points,
     deltoid_boundary_poly,
     deltoid_boundary_values,
+    deltoid_density_exponent,
     deltoid_model,
     flat_torus_model,
     flat_torus_sign_report,
     g2_from_lambda,
     g2_gamma_table,
     g2_model,
+    lifted_density_exponent,
     membership_deltoid,
     omega1_boundary_values,
     omega1_membership,
@@ -60,10 +67,10 @@ class TestDeltoidModel:
         assert m.drift["Z"] == Z * (-4)
 
     def test_lambda_positive_required(self):
-        with pytest.raises(ValueError):
-            deltoid_model(0)
-        with pytest.raises(ValueError):
-            deltoid_model(Fraction(-1, 2))
+        needed = LAMBDA_RANGES["model"]
+        for lam in (0, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"{needed.user} needs lambda {needed}")):
+                deltoid_model(lam)
 
     def test_boundary_is_metric_discriminant(self):
         m = deltoid_model(1)
@@ -133,12 +140,17 @@ class TestG2Model:
         assert dict(m.drift) == divergence_sums(m)
 
     def test_integrability_conditions(self):
-        with pytest.raises(IntegrabilityError):
-            g2_model(Fraction(-1), 0)
-        with pytest.raises(IntegrabilityError):
-            g2_model(0, Fraction(-5, 6))
-        with pytest.raises(IntegrabilityError):
-            g2_model(Fraction(-3, 4), Fraction(-3, 4))
+        # The refusal names each violated entry of G2_RANGES, and only those.
+        for a1, a2, violated in [
+            (Fraction(-1), 0, {"alpha1"}),
+            (0, Fraction(-5, 6), {"alpha2"}),
+            (Fraction(-3, 4), Fraction(-3, 4), {"alpha1+alpha2"}),
+            (Fraction(-1), Fraction(-1), set(G2_RANGES)),
+        ]:
+            with pytest.raises(IntegrabilityError) as info:
+                g2_model(a1, a2)
+            named = {key for key, entry in G2_RANGES.items() if f"{key} {entry}" in str(info.value)}
+            assert named == violated, str(info.value)
 
     def test_q1_q2(self):
         q1, q2 = q1_q2()
@@ -165,6 +177,47 @@ class TestG2Model:
         for x in (Fraction(1, 3), Fraction(-2, 5)):
             val = q1.evaluate_exact({"s": 2 * x, "p": x * x})
             assert not val
+
+
+def _g2_admits(a1: Fraction, a2: Fraction) -> bool:
+    values = {"alpha1": a1, "alpha2": a2, "alpha1+alpha2": a1 + a2}
+    return all(entry.admits(values[key]) for key, entry in G2_RANGES.items())
+
+
+class TestParameterDomains:
+    # Each lambda range is a condition on a density exponent, computed here
+    # with the exponents the model, the quadrature and the samplers run.
+    CONDITIONS = {
+        "model": lambda lam: _g2_admits(Fraction(-1, 2), deltoid_density_exponent(lam)),
+        "quadrature": lambda lam: deltoid_density_exponent(lam) + Fraction(1, 2) >= 0,
+        "lifted_sampler": lambda lam: lifted_density_exponent(lam) > -1,
+        "rejection_sampler": lambda lam: lifted_density_exponent(lam) >= 0,
+    }
+
+    @pytest.mark.parametrize("layer", sorted(LAMBDA_RANGES))
+    def test_lambda_bound_is_its_exponent_condition(self, layer):
+        assert set(self.CONDITIONS) == set(LAMBDA_RANGES)
+        entry = LAMBDA_RANGES[layer]
+        for lam in (entry.bound - Fraction(1, 1000), entry.bound, entry.bound + Fraction(1, 1000)):
+            assert entry.admits(lam) == self.CONDITIONS[layer](lam), (layer, lam)
+
+    def test_registry_reads_the_tables(self):
+        deltoid = MODEL_REGISTRY["deltoid"]
+        assert deltoid["params"] == {"lambda": str(LAMBDA_RANGES["model"])}
+        assert deltoid["numeric_ranges"] == {
+            layer: {"lambda": str(entry)} for layer, entry in LAMBDA_RANGES.items()
+            if layer != "model"
+        }
+        assert MODEL_REGISTRY["sixdim"]["params"] == {"lambda": str(LAMBDA_RANGES["model"])}
+        assert MODEL_REGISTRY["g2"]["params"] == {key: str(entry) for key, entry in G2_RANGES.items()}
+
+    @pytest.mark.parametrize("constructor", [deltoid_model, sixdim_model])
+    def test_models_refuse_through_the_model_range(self, constructor, monkeypatch):
+        narrowed = ParameterRange(Fraction(1), False, LAMBDA_RANGES["model"].user)
+        monkeypatch.setitem(LAMBDA_RANGES, "model", narrowed)
+        with pytest.raises(ValueError, match=re.escape(f"{narrowed.user} needs lambda > 1")):
+            constructor(Fraction(1, 2))
+        constructor(2)
 
 
 class TestPsi1:

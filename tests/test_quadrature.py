@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from deltoid_lab.diffusion import drift_from_measure
 from deltoid_lab.models import (
     DELTOID_VARS,
+    LAMBDA_RANGES,
     deltoid_boundary_poly,
     deltoid_boundary_values,
     deltoid_density_exponent,
@@ -35,7 +37,8 @@ def test_normalization():
 
 
 def test_lambda_below_one_refused():
-    with pytest.raises(ValueError):
+    needed = LAMBDA_RANGES["quadrature"]
+    with pytest.raises(ValueError, match=re.escape(f"{needed.user} needs lambda {needed}")):
         TorusGrid.build(Fraction(1, 2), 32)
 
 

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deltoid_lab.models import omega1_boundary_values, omega1_membership, phi_theta, ThetaPair
+from deltoid_lab.models import (
+    LAMBDA_RANGES, ThetaPair, omega1_boundary_values, omega1_membership, phi_theta,
+)
 from deltoid_lab import models, sampling, verify
 from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys
 from deltoid_lab.sampling import (
@@ -183,8 +186,10 @@ def test_antisymmetric_mean_vanishes():
 
 class TestOmega1:
     def test_lambda_guard(self):
-        with pytest.raises(ValueError):
-            sample_omega1(Fraction(5, 2), 100, 1)
+        needed = LAMBDA_RANGES["lifted_sampler"]
+        for method in ("rejection", "mcmc"):
+            with pytest.raises(ValueError, match=re.escape(f"{needed.user} needs lambda {needed}")):
+                sample_omega1(Fraction(5, 2), 100, 1, method=method)
 
     def test_rejection_points_are_members(self):
         batch = sample_omega1(Fraction(11, 2), 5000, 31)
@@ -207,7 +212,9 @@ class TestOmega1:
                                   [(p1, batch.params["beta"])]) == dict(model.drift)
 
     def test_rejection_beta_negative_refused(self):
-        with pytest.raises(SamplingError):
+        needed = LAMBDA_RANGES["rejection_sampler"]
+        phrase = re.escape(f"{needed.user} needs lambda {needed}") + ".*method='mcmc'"
+        with pytest.raises(SamplingError, match=phrase):
             sample_omega1(Fraction(4), 100, 1, method="rejection")
 
     def test_rejection_beta_positive_envelope(self):
