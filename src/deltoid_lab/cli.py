@@ -161,8 +161,8 @@ def cmd_gram(args) -> int:
     lam = parse_lambda(args.lam, "quadrature")
     grid = TorusGrid.build(lam, args.grid)
     entries = pq_polys(lam, args.degree_max)
-    labels = [f"{flavor}{n}{k}" for flavor, n, k, _ in entries]
-    matrix = gram([poly for *_, poly in entries], grid)
+    labels = [f"{e.flavor}{e.n}{e.k}" for e in entries]
+    matrix = gram([e.poly for e in entries], grid)
     _emit_json({
         "lambda": str(lam),
         "grid": args.grid,

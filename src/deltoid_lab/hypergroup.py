@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ThetaPair, deltoid_boundary_values, z_of_theta, phi_theta
-from .poly import EVAL_CHUNK, CompiledPolys, streamed_mean_se
+from .poly import EVAL_CHUNK, CompiledPolys, blocks, streamed_mean_se
 from .quadrature import TorusGrid
 from .sampling import SampleBatch, pushforward_deltoid
 from .scalars import RationalLike
@@ -114,8 +114,8 @@ class ProbeContext:
                 )
             p_at_one[(n, k)] = value.rational_value()
         polys = pq_polys(lam, degree_max)
-        basis = CompiledPolys([poly for _, _, _, poly in polys])
-        rows = {(n, k): row for row, (flavor, n, k, _) in enumerate(polys) if flavor == "P"}
+        basis = CompiledPolys([e.poly for e in polys])
+        rows = {(e.n, e.k): row for row, e in enumerate(polys) if e.flavor == "P"}
         squares = basis.real_values(grid.z) ** 2
         norms2 = {(n, k): (float(grid.mean(squares[row])),
                            float(grid.mean(squares[row + 1])) if n != k else 0.0)
@@ -197,8 +197,7 @@ class ProbeContext:
         # One matrix-vector product rotates, to the bit as phi_theta(...).mean(axis=1).
         phases = phi_theta(np.ones(3), theta)
         moments = []  # (size, mean, M2 = sum of squares - size * mean^2) per block
-        for start in range(0, len(batch), EVAL_CHUNK):
-            block = slice(start, start + EVAL_CHUNK)
+        for block in blocks(len(batch)):
             (rotated,) = self.basis._real_blocks(batch.points[block] @ phases / 3.0)
             s1, s2 = sums(rotated, base[:, block])
             size = rotated.shape[1]
@@ -356,8 +355,8 @@ def coverage_check(theta_per_axis: int, omega_per_axis: int) -> dict:
     top = omega_per_axis - 1
     hit = np.zeros((omega_per_axis, omega_per_axis), dtype=bool)
     rows = max(1, EVAL_CHUNK // theta_per_axis)  # t1 values per block of about EVAL_CHUNK points
-    for start in range(0, theta_per_axis, rows):
-        z = z_of_theta(ts[start:start + rows, None], ts[None, :])
+    for block in blocks(theta_per_axis, rows):
+        z = z_of_theta(ts[block, None], ts[None, :])
         xs = np.clip(((z.real - x_lo) / (x_hi - x_lo) * omega_per_axis).astype(int), 0, top)
         ys = np.clip(((z.imag + y_hi) / (2.0 * y_hi) * omega_per_axis).astype(int), 0, top)
         hit[xs, ys] = True

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diffusion import DiffusionModel, drift_from_measure, pushforward
-from .poly import EVAL_CHUNK, CompiledPolys, MPoly, divide_exact
+from .poly import CompiledPolys, MPoly, blocks, divide_exact
 from .scalars import RationalLike
 
 DELTOID_VARS = ("Z", "Zb")
@@ -438,15 +438,14 @@ def theta_phases(t1, t2):
 def z_of_theta(t1, t2):
     """Z(theta) = (exp(i t1) + exp(i t2) + exp(-i (t1 + t2))) / 3.
 
-    Arrays broadcast; the result is filled in blocks of EVAL_CHUNK points, so
-    the temporaries stay block-sized (every operation is elementwise, so the
-    bits are those of the one-shot expression).  Scalars give a complex.
+    Arrays broadcast and fill the result in poly.blocks, so the temporaries
+    stay block-sized (elementwise, so the bits are those of the one-shot
+    expression); scalars give a complex.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     out = np.empty(t1.shape, dtype=complex)
     a, b, z = t1.reshape(-1), t2.reshape(-1), out.reshape(-1)
-    for start in range(0, z.size, EVAL_CHUNK):
-        block = slice(start, start + EVAL_CHUNK)
+    for block in blocks(z.size):
         e1, e2, e3 = theta_phases(a[block], b[block])
         z[block] = (e1 + e2 + e3) / 3.0
     return out if out.shape else complex(out)

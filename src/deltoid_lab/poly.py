@@ -368,6 +368,12 @@ class MPoly:
 EVAL_CHUNK = 1 << 14
 
 
+def blocks(n: int, size: int = EVAL_CHUNK) -> Iterator[slice]:
+    """Consecutive slices of range(n) with at most size indices each."""
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
 def _powers(base, top: int) -> list:
     """[1, base, base**2, ..., base**top] by repeated multiplication."""
     out = [1.0, base]
@@ -441,8 +447,7 @@ class CompiledPolys:
         flat = [a.reshape(-1) for a in arrays]
         out = np.empty((len(self), flat[0].size), dtype=complex)
         buffers = np.empty((2, min(flat[0].size, EVAL_CHUNK)), dtype=complex)
-        for start in range(0, flat[0].size, EVAL_CHUNK):
-            block = slice(start, start + EVAL_CHUNK)
+        for block in blocks(flat[0].size):
             powers = [_powers(a[block], top) for a, top in zip(flat, self._top)]
             for i, terms in enumerate(self._terms):
                 _sum_terms(terms, powers, out[i, block], buffers)
@@ -477,8 +482,8 @@ class CompiledPolys:
         w = np.asarray(w, dtype=complex).reshape(-1)
         top_m = max((m for m, _, _ in features), default=0)
         top_s = max((s for _, s, _ in features), default=0)
-        for start in range(0, w.size, EVAL_CHUNK):
-            block = w[start:start + EVAL_CHUNK]
+        for points in blocks(w.size):
+            block = w[points]
             w_pow = _powers(block, top_m)
             r_pow = _powers(block.real * block.real + block.imag * block.imag, top_s)
             table = np.empty((len(features), block.size))
@@ -491,8 +496,8 @@ class CompiledPolys:
         """Re f(w, conj w) for every polynomial, shape (len(self), *w.shape)."""
         w = np.asarray(w, dtype=complex)
         out = np.empty((len(self), w.size))
-        for start, values in zip(range(0, w.size, EVAL_CHUNK), self._real_blocks(w)):
-            out[:, start:start + values.shape[1]] = values
+        for block, values in zip(blocks(w.size), self._real_blocks(w)):
+            out[:, block] = values
         return out.reshape((len(self), *w.shape))
 
     def real_mean_se(self, w) -> tuple[np.ndarray, np.ndarray]:

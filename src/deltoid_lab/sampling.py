@@ -21,7 +21,10 @@ taking a cosine only where a cosine-free bound can pass, and builds complex
 points only for the few percent that survive; the screen's margin exceeds
 its rounding error, so it never drops a point omega1_membership accepts,
 and omega1_membership stays the only judge.  A rejection round is streamed
-in blocks, so its memory does not grow with the number of proposals.
+in blocks of EVAL_CHUNK proposals, so its memory does not grow with the
+number of proposals: moduli, angles and density uniforms come from three
+copies of the generator, each advanced to where one bulk draw of the round
+would reach it, so the points are those of drawing the round at once.
 Haar SU(3) draws go through one kernel in blocks of SU3_CHUNK matrices: it
 orthonormalizes two complex Gaussian columns a, b (12 normal draws per
 matrix) and completes them by conj(a x b), so det = 1 holds by construction;
@@ -52,7 +55,7 @@ from .models import (
     omega1_modulus_parts,
     z_of_theta,
 )
-from .poly import EVAL_CHUNK
+from .poly import blocks
 from .scalars import RationalLike
 
 
@@ -68,6 +71,10 @@ SU3_CHUNK = 4096
 # Rejection keeps a proposal for the membership judge when its screened
 # P1 > -SCREEN_MARGIN and P2 < SCREEN_MARGIN (see _screen_mask).
 SCREEN_MARGIN = 1e-9
+# A Metropolis run discards its first MCMC_BURN_IN steps and then keeps every
+# MCMC_THINNING-th state.
+MCMC_BURN_IN = 10_000
+MCMC_THINNING = 10
 
 
 class SamplingError(RuntimeError):
@@ -131,12 +138,6 @@ def _rng(n: int, seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _blocks(n: int, size: int = SU3_CHUNK):
-    """Consecutive slices of range(n) with at most size indices each."""
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
-
-
 def sample_torus(n: int, seed: int | np.random.Generator) -> SampleBatch:
     """n i.i.d. uniform angle pairs on [0, 2 pi)^2.  Each value is one draw,
     so consecutive batches from one Generator continue one bulk draw."""
@@ -150,7 +151,7 @@ def torus_z_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
     generator), without ever holding the whole sample."""
     rng = _rng(n, seed)
     return (pushforward_deltoid(sample_torus(block.stop - block.start, rng))
-            for block in _blocks(n, EVAL_CHUNK))
+            for block in blocks(n))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def sample_su3_haar(n: int, seed: int | np.random.Generator) -> SampleBatch:
     """n Haar-distributed special unitary 3x3 matrices."""
     rng = _rng(n, seed)
     points = np.empty((n, 3, 3), dtype=complex)
-    for block in _blocks(n):
+    for block in blocks(n, SU3_CHUNK):
         points[block] = _haar_su3_chunk(rng, block.stop - block.start)
     return SampleBatch("su3", seed, {"n": n}, points)
 
@@ -213,7 +214,7 @@ def su3_trace_samples(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """
     rng = _rng(n, seed)
     out = np.empty(n, dtype=complex)
-    for block in _blocks(n):
+    for block in blocks(n, SU3_CHUNK):
         a, b = _su3_frame(rng, block.stop - block.start)
         out[block] = (a[0] + b[1] + (a[0] * b[1] - a[1] * b[0]).conj()) / 3.0
     return out
@@ -224,7 +225,7 @@ def su3_trace_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
     EVAL_CHUNK traces at a time (each block the next batch of one generator),
     without ever holding them all."""
     rng = _rng(n, seed)
-    return (su3_trace_samples(block.stop - block.start, rng) for block in _blocks(n, EVAL_CHUNK))
+    return (su3_trace_samples(block.stop - block.start, rng) for block in blocks(n))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +279,6 @@ def sample_omega1(
     seed: int,
     method: str = "rejection",
     step: float = 0.15,
-    burn_in: int = 10_000,
-    thinning: int = 10,
 ) -> SampleBatch:
     """Samples of the lifted domain under the density P1**beta.
 
@@ -295,8 +294,9 @@ def sample_omega1(
     every proposal, and memory stays at one block plus the n kept points.
 
     method='mcmc' runs a symmetric Gaussian random walk with Metropolis
-    correction, burn-in and thinning; the batch records an effective sample
-    size from batch means and refuses runs with ESS below MIN_ESS.
+    correction, burn-in and thinning (MCMC_BURN_IN, MCMC_THINNING); the batch
+    records an effective sample size from batch means and refuses runs with
+    ESS below MIN_ESS.
     """
     lam = Fraction(lam)
     LAMBDA_RANGES["lifted_sampler"].require(lam)
@@ -306,7 +306,7 @@ def sample_omega1(
     if method == "rejection":
         return _omega1_rejection(lam, beta, n, seed)
     if method == "mcmc":
-        return _omega1_mcmc(lam, beta, n, seed, step, burn_in, thinning)
+        return _omega1_mcmc(lam, beta, n, seed, step)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -323,7 +323,7 @@ def _omega1_rejection(lam: Fraction, beta: Fraction, n: int, seed: int) -> Sampl
         # uniforms; each of the three is read block by block from its own copy
         # of the stream, started where a bulk draw of the round would reach it.
         u_rng, angle_rng, density_rng = (_stream_at(rng, skip) for skip in (0, 3 * m, 6 * m))
-        for block in _blocks(m, EVAL_CHUNK):
+        for block in blocks(m):
             size = block.stop - block.start
             u = u_rng.random((size, 3))
             angles = angle_rng.random((size, 3))
@@ -370,15 +370,8 @@ def _omega1_log_p1(z0: complex, z1: complex, z2: complex) -> float:
     return -math.inf
 
 
-def _omega1_mcmc(
-    lam: Fraction,
-    beta: Fraction,
-    n: int,
-    seed: int,
-    step: float,
-    burn_in: int,
-    thinning: int,
-) -> SampleBatch:
+def _omega1_mcmc(lam: Fraction, beta: Fraction, n: int, seed: int, step: float) -> SampleBatch:
+    burn_in, thinning = MCMC_BURN_IN, MCMC_THINNING
     rng = np.random.default_rng(seed)
     beta_f = float(beta)
     current = (0j, 0j, 0j)

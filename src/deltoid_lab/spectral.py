@@ -44,10 +44,9 @@ from .models import (
     PSI_IMAGES,
     deltoid_model,
 )
-from .poly import Exponents, MPoly, grlex_key, monomials_up_to
+from .poly import Exponents, MPoly, monomials_up_to
 from .scalars import FieldScalar, I, ONE, RationalLike, j_power
 
-OrderKey = Callable[[Exponents], tuple]
 # L applied to each monomial of a graded basis up to some degree.
 OperatorTable = dict[Exponents, MPoly]
 
@@ -90,30 +89,26 @@ def g2_weighted_degree(e: Exponents) -> int:
     return e[0] + 2 * e[1]
 
 
-def _g2_key(e: Exponents) -> tuple:
-    return (g2_weighted_degree(e), e[0])
-
-
 @dataclass(frozen=True)
 class GradedBasis:
     """Monomial basis organized by a grading the operator respects.
 
-    flavor is the EigenPoly flavor of the eigenpolynomials it indexes.
+    The grading order sorts monomials by (degree(e), e).  flavor is the
+    EigenPoly flavor of the eigenpolynomials it indexes.
     """
 
     variables: tuple[str, ...]
     degree: Callable[[Exponents], int]
-    order_key: OrderKey
     flavor: str
 
     def monomials(self, max_degree: int) -> list[Exponents]:
-        """The monomials of degree <= max_degree in the grading order (order_key)."""
+        """The monomials of degree <= max_degree in the grading order."""
         return sorted(monomials_up_to(self.variables, max_degree, weight=self.degree),
-                      key=self.order_key)
+                      key=lambda e: (self.degree(e), e))
 
 
-DELTOID_BASIS = GradedBasis(DELTOID_VARS, lambda e: sum(e), grlex_key, "R")
-G2_BASIS = GradedBasis(G2_VARS, g2_weighted_degree, _g2_key, "G")
+DELTOID_BASIS = GradedBasis(DELTOID_VARS, sum, "R")
+G2_BASIS = GradedBasis(G2_VARS, g2_weighted_degree, "G")
 
 
 def _monomial(variables: Sequence[str], exps: Exponents) -> MPoly:
@@ -260,7 +255,8 @@ class _OperatorBasis:
 
 
 # Keyed by the operator (variables, Gamma table, drift), so that equal models
-# built apart share one entry; the entries live as long as the process.
+# built apart share one entry; a deltoid entry is also keyed ("deltoid", lam)
+# (_deltoid_operator).  The entries live as long as the process.
 _OPERATORS: dict[tuple, _OperatorBasis] = {}
 
 
@@ -301,9 +297,19 @@ def eigen_PQ(model: DiffusionModel, n: int, k: int) -> tuple[EigenPoly, EigenPol
     return _operator(model, "R").pq(n, k)
 
 
+def _deltoid_operator(lam: RationalLike) -> _OperatorBasis:
+    """The cache entry of deltoid_model(lam)'s operator, looked up by lam, so
+    that a hit builds no model."""
+    key = ("deltoid", Fraction(lam))
+    entry = _OPERATORS.get(key)
+    if entry is None:
+        entry = _OPERATORS[key] = _operator(deltoid_model(lam), "R")
+    return entry
+
+
 def eigen_PQ_lambda(lam: RationalLike, n: int, k: int) -> tuple[EigenPoly, EigenPoly]:
     """eigen_PQ on the deltoid model at lam."""
-    return eigen_PQ(deltoid_model(lam), n, k)
+    return _deltoid_operator(lam).pq(n, k)
 
 
 def pq_indices(degree_max: int, include_constant: bool = False) -> list[tuple[int, int]]:
@@ -318,19 +324,13 @@ def pq_indices(degree_max: int, include_constant: bool = False) -> list[tuple[in
     ]
 
 
-def pq_polys(lam: RationalLike, degree_max: int) -> list[tuple[str, int, int, MPoly]]:
-    """Every nonzero P-hat and Q-hat with 1 <= n+k <= degree_max as (flavor, n, k, poly).
+def pq_polys(lam: RationalLike, degree_max: int) -> list[EigenPoly]:
+    """Every nonzero P-hat and Q-hat with 1 <= n+k <= degree_max.
 
     In pq_indices order, P-hat before Q-hat; the zero Q-hat(n, n) is left out.
     """
-    entry = _operator(deltoid_model(lam), "R")
-    out = []
-    for n, k in pq_indices(degree_max):
-        p_hat, q_hat = entry.pq(n, k)
-        out.append(("P", n, k, p_hat.poly))
-        if n != k:
-            out.append(("Q", n, k, q_hat.poly))
-    return out
+    entry = _deltoid_operator(lam)
+    return [e for n, k in pq_indices(degree_max) for e in entry.pq(n, k)[:1 if n == k else 2]]
 
 
 def rotation_mixes_pair(n: int, k: int) -> bool:

@@ -188,7 +188,9 @@ IDENTITY_MANIFEST: tuple[tuple[str, str], ...] = (
     ("g2.psi1_boundary_exchange", "selfmap-exchanges-boundary-factors"),
     ("g2.boundary_pullback_to_deltoid", "g2-boundary-factors-under-projection"),
     ("flat_torus.constraint_match", "flat-gradient-table-on-constraint-set"),
+    ("discrepancy.flat_torus_cross_term_sign", "flat-table-cross-term-sign"),
     ("sixdim.p1_polar_form", "p1-polar-product-decomposition"),
+    ("discrepancy.g2_boundary_cubic_printings", "g2-cubic-factor-two-printings"),
     ("su3.casimir_pointwise", "su3-casimir-trace-reduction"),
     ("sixdim.ellipticity", "lifted-cometric-positive-definite"),
     ("deltoid.membership_consistency", "cubic-roots-vs-boundary-sign"),
@@ -216,8 +218,6 @@ IDENTITY_MANIFEST: tuple[tuple[str, str], ...] = (
     ("hypergroup.positivity_scan", "kernel-blocks-are-contractions"),
     ("hypergroup.theta_coverage", "rotation-orbit-covers-domain"),
     ("hypergroup.representation_check", "moment-coefficients-define-contraction"),
-    ("discrepancy.flat_torus_cross_term_sign", "flat-table-cross-term-sign"),
-    ("discrepancy.g2_boundary_cubic_printings", "g2-cubic-factor-two-printings"),
     ("discrepancy.markov_delta_closed_form", "second-diagonal-entry-closed-form"),
 )
 
@@ -674,12 +674,12 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
         worst_norm = 0.0
         for lam in (Fraction(1), Fraction(4)):
             entries = pq_polys(lam, config.gram_degree_max)
-            gmat = gram([poly for *_, poly in entries], grid(lam))
+            gmat = gram([e.poly for e in entries], grid(lam))
             off = gmat - np.diag(np.diag(gmat))
             worst_off = max(worst_off, float(np.max(np.abs(off))))
             norms = np.sqrt(np.diag(gmat).real)
-            for i, (flavor, n, k, _) in enumerate(entries):
-                if flavor == "P" and rotation_mixes_pair(n, k):  # Q-hat(n, k) comes next
+            for i, e in enumerate(entries):
+                if e.flavor == "P" and rotation_mixes_pair(e.n, e.k):  # Q-hat(n, k) comes next
                     worst_norm = max(worst_norm, abs(float(norms[i] - norms[i + 1])))
         return worst_off, worst_norm
 
@@ -733,7 +733,7 @@ def _suite_quadrature(report: VerificationReport, config: VerifyConfig) -> None:
 def _eigen_mean_worst_z(zvals, lam: Fraction, degree_max: int) -> float:
     """Worst |mean| / standard error of the eigenfunctions with 1 <= n+k <= degree_max
     at points zvals: an array, or an iterator over blocks that is never held whole."""
-    mean, se = CompiledPolys([poly for *_, poly in pq_polys(lam, degree_max)]).real_mean_se(zvals)
+    mean, se = CompiledPolys([e.poly for e in pq_polys(lam, degree_max)]).real_mean_se(zvals)
     return float(np.max(np.abs(mean) / se))
 
 

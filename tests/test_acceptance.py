@@ -22,7 +22,13 @@ import pytest
 from deltoid_lab.hypergroup import ProbeContext, estimate_markov_matrix, theta_grid
 from deltoid_lab.report import emit_report
 from deltoid_lab.sampling import sample_omega1
-from deltoid_lab.verify import LAMBDA_EIGEN_SET, LAMBDA_INTERP, VerifyConfig, run_verify
+from deltoid_lab.verify import (
+    IDENTITY_MANIFEST,
+    LAMBDA_EIGEN_SET,
+    LAMBDA_INTERP,
+    VerifyConfig,
+    run_verify,
+)
 
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
 # sha256 of the report bytes that `deltoid-lab verify --out` writes at the default config.
@@ -185,6 +191,12 @@ def test_criterion_11_discrepancy_ledger(default_run):
     ]
     assert all("resolution" in e.details for e in discrepancies)
     print("\nCRITERION 11 PASS: exactly three discrepancy-noted entries, each resolved")
+
+
+def test_report_lists_the_manifest_in_run_order(report):
+    """The registry (docs/identities.json) and the report name the identities
+    in one order, the order in which verify records them."""
+    assert [e.name for e in report.entries] == [name for name, _ in IDENTITY_MANIFEST]
 
 
 def test_default_report_bytes_are_pinned(report, tmp_path):

@@ -21,7 +21,7 @@ from deltoid_lab.hypergroup import (
     theta_grid,
 )
 from deltoid_lab.models import ThetaPair, deltoid_boundary_values, phi_theta, z_of_theta
-from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys, streamed_mean_se
+from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys, MPoly, streamed_mean_se
 from deltoid_lab.quadrature import TorusGrid
 from deltoid_lab.sampling import MomentEstimate, sample_omega1
 from deltoid_lab.spectral import eigenvalue_deltoid, pq_polys
@@ -200,7 +200,8 @@ class TestEstimation:
         base = ctx.batch_values(batch)
         rotated = ctx.basis.real_values(phi_theta(batch.points, theta).mean(axis=1))
         functions = []
-        for flavor, n, k, _ in sorted(pq_polys(ctx.lam, ctx.degree_max), key=lambda e: e[1:3]):
+        for e in sorted(pq_polys(ctx.lam, ctx.degree_max), key=lambda e: (e.n, e.k)):
+            flavor, n, k = e.flavor, e.n, e.k
             row = "PQ".index(flavor)
             scale = math.sqrt(ctx.norms2[(n, k)][row])
             functions.append(((flavor, n, k), eigenvalue_deltoid(ctx.lam, n, k),
@@ -357,22 +358,34 @@ class TestBatchMemo:
             assert np.allclose(q_vals, np.real(q_hat.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
 
 
+def test_warm_build_makes_no_polynomial_products(monkeypatch):
+    # The probe reads the deltoid operator's cache entry by lambda, so a warm
+    # build neither rebuilds deltoid_model(lambda) nor multiplies polynomials.
+    ProbeContext.build(Fraction(11, 2), 4)
+    products = []
+    mul = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda f, g: products.append((f, g)) or mul(f, g))
+    monkeypatch.setattr(MPoly, "__rmul__", MPoly.__mul__)
+    ProbeContext.build(Fraction(11, 2), 4)
+    assert len(products) == 0
+
+
 def test_basis_compiles_pq_polys():
     # One P-hat/Q-hat list: the basis is pq_polys compiled, without the zero
     # Q-hat(n, n), and split reads that Q-hat as zeros.
     polys = pq_polys(LAM, 4)
     ctx = ProbeContext.build(LAM, 4)
     assert len(ctx.basis) == len(polys) == 14
-    assert not any(poly.is_zero() for *_, poly in polys)
+    assert not any(e.poly.is_zero() for e in polys)
     rng = np.random.default_rng(25)
     z = z_of_theta(rng.uniform(0.0, 2.0 * np.pi, 500), rng.uniform(0.0, 2.0 * np.pi, 500))
     values = ctx.basis.real_values(z)
-    expected = CompiledPolys([poly for *_, poly in polys]).real_values(z)
+    expected = CompiledPolys([e.poly for e in polys]).real_values(z)
     assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
     point = {"Z": z, "Zb": np.conj(z)}
-    for flavor, n, k, poly in polys:
-        row = ctx.split(values, n, k)[flavor == "Q"]
-        assert np.allclose(row, np.real(poly.evaluate(point)), rtol=1e-12, atol=1e-14)
+    for e in polys:
+        row = ctx.split(values, e.n, e.k)[e.flavor == "Q"]
+        assert np.allclose(row, np.real(e.poly.evaluate(point)), rtol=1e-12, atol=1e-14)
     for n in (1, 2):
         p_vals, q_vals = ctx.split(values, n, n)
         assert q_vals.shape == p_vals.shape and not q_vals.view(np.uint64).any()

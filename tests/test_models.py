@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -554,6 +555,20 @@ class TestThetaMap:
         got = np.asarray(got).reshape(-1)
         assert got.size == expected.size
         assert np.array_equal(got.view(np.uint64), expected.reshape(-1).view(np.uint64))
+
+    def test_temporaries_stay_block_sized(self):
+        # The 10^6-point torus pushforward goes through here: the one-shot
+        # expression would hold three phase arrays of the whole input.
+        from deltoid_lab.poly import EVAL_CHUNK
+
+        t = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, size=(2, 16 * EVAL_CHUNK))
+        tracemalloc.start()
+        try:
+            z = z_of_theta(t[0], t[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * z.nbytes
 
     def test_values(self):
         assert z_of_theta(0.0, 0.0) == pytest.approx(1.0)

@@ -11,6 +11,7 @@ from deltoid_lab.poly import (
     MPoly,
     NonDivisibleError,
     VariableMismatchError,
+    blocks,
     det_cofactor,
     det_fraction_free,
     divide_exact,
@@ -222,6 +223,16 @@ def test_monomials_up_to_weighted():
     mons = monomials_up_to(("s", "p"), 3, weight=lambda e: e[0] + 2 * e[1])
     assert (3, 0) in mons and (1, 1) in mons and (0, 1) in mons
     assert (2, 1) not in mons  # weighted degree 4
+
+
+@pytest.mark.parametrize("n,size", [(1, 4), (12, 4), (13, 4), (2 * EVAL_CHUNK + 37, None)])
+def test_blocks_cover_the_range_in_order(n, size):
+    # The one block walk: consecutive slices, none longer than size (by
+    # default EVAL_CHUNK), that cover range(n) in order.
+    walk = list(blocks(n) if size is None else blocks(n, size))
+    assert [i for block in walk for i in range(n)[block]] == list(range(n))
+    assert all(0 < block.stop - block.start <= (size or EVAL_CHUNK) for block in walk)
+    assert list(blocks(0)) == list(blocks(0, 4)) == []
 
 
 def test_canonical_string_order():

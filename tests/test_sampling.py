@@ -11,7 +11,7 @@ from deltoid_lab.models import (
     LAMBDA_RANGES, ThetaPair, omega1_boundary_values, omega1_membership, phi_theta,
 )
 from deltoid_lab import models, sampling, verify
-from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys
+from deltoid_lab.poly import EVAL_CHUNK, CompiledPolys, blocks
 from deltoid_lab.sampling import (
     MomentEstimate,
     SamplingError,
@@ -118,7 +118,7 @@ def test_streamed_blocks_bit_equal_to_materialized(kind, n):
 @pytest.mark.parametrize("kind", sorted(STREAMS))
 def test_streamed_moments_bit_equal_to_array_path(kind):
     blocks_of, materialized, lam = STREAMS[kind]
-    compiled = CompiledPolys([poly for *_, poly in pq_polys(lam, 4)])
+    compiled = CompiledPolys([e.poly for e in pq_polys(lam, 4)])
     n = 3 * EVAL_CHUNK + 101
     streamed = compiled.real_mean_se(blocks_of(n, 89))
     whole = compiled.real_mean_se(materialized(n, 89))
@@ -305,13 +305,13 @@ class TestOmega1:
     def test_blocked_screen_equals_one_pass(self):
         # The sampler screens a round in blocks of EVAL_CHUNK proposals.
         rng = np.random.default_rng(97)
-        size = 3 * sampling.EVAL_CHUNK + 101
+        size = 3 * EVAL_CHUNK + 101
         u = rng.uniform(size=(size, 3))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=(size, 3))
         one_pass = sampling._screen_mask(u, angles)
         assert 0 < one_pass.sum() < size
         blocked = np.concatenate([sampling._screen_mask(u[block], angles[block])
-                                  for block in sampling._blocks(size, sampling.EVAL_CHUNK)])
+                                  for block in blocks(size)])
         assert np.array_equal(blocked, one_pass)
         self._assert_screens_agree(u, angles)
         assert len(sampling._screen_mask(u[:0], angles[:0])) == 0
@@ -416,6 +416,8 @@ class TestOmega1:
         mc = sample_omega1(lam, 3000, 43, method="mcmc", step=0.25)
         assert mc.stats["ess"] >= 100
         assert 0.1 < mc.stats["move_acceptance"] < 0.6
+        # The schedule is fixed; the batch records it for readers of its stats.
+        assert (mc.stats["burn_in"], mc.stats["thinning"]) == (10_000, 10)
         funcs = {"S1": lambda pts: (pts * pts.conjugate()).real.sum(axis=1)}
         a = estimate_moments(rej, funcs)["S1"]
         b = estimate_moments(mc, funcs)["S1"]
@@ -427,12 +429,19 @@ class TestOmega1:
         (Fraction(13, 2), "91a7e1668d74840ed350b973001e9f81076ebc6f1e6e0e55f22f1fbfc7c8d653",
          0.25485714285714284),
     ], ids=["beta-zero", "beta-one-third"])
-    def test_mcmc_stream_is_pinned(self, lam, digest, acceptance):
+    def test_mcmc_stream_is_pinned(self, monkeypatch, lam, digest, acceptance):
         # Computed with omega1_membership/omega1_boundary_values as the log
         # density; the scalar one must reproduce the chain bit for bit.
-        mc = sample_omega1(lam, 1000, 43, method="mcmc", step=0.25, burn_in=2000, thinning=5)
+        self._schedule(monkeypatch, 2000, 5)
+        mc = sample_omega1(lam, 1000, 43, method="mcmc", step=0.25)
         assert hashlib.sha256(mc.points.tobytes()).hexdigest() == digest
         assert mc.stats["move_acceptance"] == acceptance
+
+    @staticmethod
+    def _schedule(monkeypatch, burn_in, thinning):
+        """Run the chains that follow with this burn-in and thinning."""
+        monkeypatch.setattr(sampling, "MCMC_BURN_IN", burn_in)
+        monkeypatch.setattr(sampling, "MCMC_THINNING", thinning)
 
     @staticmethod
     def _former_mcmc(lam, n, seed, step, burn_in, thinning):
@@ -455,9 +464,10 @@ class TestOmega1:
         return np.array(kept), moves / (burn_in + n * thinning)
 
     @pytest.mark.parametrize("seed", [43, 59])
-    def test_mcmc_matches_former_loop(self, seed):
+    def test_mcmc_matches_former_loop(self, monkeypatch, seed):
         lam = Fraction(13, 2)
-        mc = sample_omega1(lam, 1000, seed, method="mcmc", step=0.25, burn_in=2000, thinning=5)
+        self._schedule(monkeypatch, 2000, 5)
+        mc = sample_omega1(lam, 1000, seed, method="mcmc", step=0.25)
         points, acceptance = self._former_mcmc(lam, 1000, seed, 0.25, 2000, 5)
         assert np.array_equal(mc.points.view(np.uint64), points.view(np.uint64))
         assert mc.stats["move_acceptance"] == acceptance
@@ -486,8 +496,8 @@ class TestOmega1:
             stubs = []
             monkeypatch.setattr(np.random, "default_rng",
                                 lambda seed: stubs.append(Stub(seed, zero_at)) or stubs[-1])
-            mc = sample_omega1(Fraction(13, 2), 6000, 43, method="mcmc", step=0.25,
-                               burn_in=0, thinning=1)
+            self._schedule(monkeypatch, 0, 1)
+            mc = sample_omega1(Fraction(13, 2), 6000, 43, method="mcmc", step=0.25)
             monkeypatch.undo()
             return mc.points, stubs[0].uniform_steps
 
@@ -531,10 +541,10 @@ class TestOmega1:
                 # stay under 1e-14.
                 assert abs(math.exp(log_p1) - value) < 1e-14
 
-    def test_mcmc_ess_guard(self):
+    def test_mcmc_ess_guard(self, monkeypatch):
+        self._schedule(monkeypatch, 100, 1)
         with pytest.raises(SamplingError):
-            sample_omega1(Fraction(11, 2), 500, 47, method="mcmc",
-                          step=1e-5, burn_in=100, thinning=1)
+            sample_omega1(Fraction(11, 2), 500, 47, method="mcmc", step=1e-5)
 
     def test_phi_theta_invariance(self):
         batch = sample_omega1(Fraction(11, 2), 30_000, 53)

@@ -11,7 +11,7 @@ from deltoid_lab.models import (
     g2_from_lambda,
     g2_model,
 )
-from deltoid_lab.poly import MPoly
+from deltoid_lab.poly import MPoly, grlex_key, monomials_up_to
 from deltoid_lab.scalars import ONE, FieldScalar
 from deltoid_lab import spectral
 from deltoid_lab.spectral import (
@@ -211,9 +211,10 @@ class TestEigenPQ:
                 if not e.poly.is_zero():
                     expected.append((e.flavor, n, k, e.poly))
         listed = pq_polys(LAM, 5)
-        assert listed == expected
-        assert [e[:3] for e in listed if e[1] == e[2]] == [("P", 1, 1), ("P", 2, 2)]
-        assert [e[0] for e in listed[:3]] == ["P", "Q", "P"]
+        assert all(isinstance(e, EigenPoly) for e in listed)
+        assert [(e.flavor, e.n, e.k, e.poly) for e in listed] == expected
+        assert [(e.flavor, e.n, e.k) for e in listed if e.n == e.k] == [("P", 1, 1), ("P", 2, 2)]
+        assert [e.flavor for e in listed[:3]] == ["P", "Q", "P"]
 
 
 class TestRotation:
@@ -279,13 +280,20 @@ class TestGradedBasis:
             assert all(basis.degree(e) <= basis.degree(exps)
                        for exps, image in table.items() for e in image.terms)
 
+    def test_order_is_the_former_keys(self):
+        # One rule, (degree(e), e), gives the former deltoid key (graded-lex)
+        # and the former G2 key (weighted degree, then the power of s).
+        deltoid = monomials_up_to(DELTOID_VARS, 12)
+        g2 = monomials_up_to(G2_BASIS.variables, 12, weight=g2_weighted_degree)
+        assert DELTOID_BASIS.monomials(12) == sorted(deltoid, key=grlex_key)
+        assert G2_BASIS.monomials(12) == sorted(g2, key=lambda e: (g2_weighted_degree(e), e[0]))
+
     def test_g2_plain_degree_not_preserved(self):
         # The cubic term in Gamma(p, p) raises the plain total degree; only
         # the weighted grading is stable, which is the point of the grading.
-        from deltoid_lab.poly import grlex_key
         from deltoid_lab.spectral import GradedBasis
 
-        plain = GradedBasis(("s", "p"), lambda e: sum(e), grlex_key, "G")
+        plain = GradedBasis(("s", "p"), sum, "G")
         table = operator_table(g2_from_lambda(Fraction(5, 2)), plain.monomials(4), {})
         assert any(sum(e) > sum(exps) for exps, image in table.items() for e in image.terms)
 
@@ -386,7 +394,7 @@ class TestFormerSolveOracle:
         table = inputs[2]
         cached = eigenbasis(model, degree)
         for lead in leads:
-            expected = former_solve(model, lead, basis.order_key, table)
+            expected = former_solve(model, lead, lambda e: (basis.degree(e), e), table)
             got = graded_triangular_solve(model, lead, *inputs)
             assert got == expected, lead
             # The same terms in the same order: numeric evaluation sums them in it.
@@ -405,8 +413,6 @@ class TestFormerSolveOracle:
     def test_g2_leads_to_weighted_degree_six(self, lam):
         # The weighted grading's order is not the graded-lex enumeration order
         # of (s, p), so a solve that walked the enumeration would differ.
-        from deltoid_lab.poly import monomials_up_to
-
         assert G2_BASIS.monomials(6) != monomials_up_to(G2_BASIS.variables, 6,
                                                         weight=G2_BASIS.degree)
         spectral._OPERATORS.clear()
@@ -415,7 +421,7 @@ class TestFormerSolveOracle:
     def test_benign_collision(self):
         model = deltoid_model(1)
         inputs = solve_inputs(model, DELTOID_BASIS, 8)
-        expected = former_solve(model, (3, 5), DELTOID_BASIS.order_key, inputs[2])
+        expected = former_solve(model, (3, 5), grlex_key, inputs[2])
         poly, mu = graded_triangular_solve(model, (3, 5), *inputs)
         assert (poly, mu) == expected
         assert not poly.coefficient((7, 0)) and inputs[3][(7, 0)] == mu
@@ -429,7 +435,7 @@ class TestFormerSolveOracle:
         model = weird_model()
         inputs = solve_inputs(model, DELTOID_BASIS, 4)
         with pytest.raises(EigenvalueCollisionError) as former:
-            former_solve(model, (3, 1), DELTOID_BASIS.order_key, inputs[2])
+            former_solve(model, (3, 1), grlex_key, inputs[2])
         with pytest.raises(EigenvalueCollisionError) as err:
             graded_triangular_solve(model, (3, 1), *inputs)
         assert former.value.witness == err.value.witness == (0, 1)
